@@ -20,17 +20,17 @@ REPRO_JIT               jit                 1        tier-2 trace compiler
                                                      (needs fast_path)
 REPRO_JIT_THRESHOLD     jit_threshold       16       block dispatches before
                                                      tier-2 compilation
-REPRO_JIT_DEBUG         jit_debug           0        re-raise tier-2/tier-3
-                                                     compile errors instead of
-                                                     pinning the block
-REPRO_TIER3             tier3               1        tier-3 region compiler
-                                                     (needs jit)
-REPRO_TIER4             tier4               1        tier-4 flat-core backend
-                                                     (needs tier3)
+REPRO_JIT_DEBUG         jit_debug           0        re-raise tier-2 compile and
+                                                     tier-4 lowering errors
+                                                     instead of pinning the pc
+REPRO_TIER4             tier4               1        tier-4 region tier: hot
+                                                     superblocks on the flat
+                                                     core (needs jit; 0 pins
+                                                     tier 2)
 REPRO_REGION_THRESHOLD  region_threshold    16       compiled-block arrivals
                                                      before region compilation
 REPRO_REGION_BLOCKS     region_blocks       16       max member blocks per
-                                                     tier-3 region
+                                                     tier-4 region
 REPRO_DECODE_CACHE      decode_cache        65536    decode-cache entry cap
                                                      (raw bits -> Instruction)
 REPRO_BLOCK_CACHE       block_cache         4096     basic-block translation
@@ -80,9 +80,12 @@ REPRO_FUZZ_SCHEDULE     fuzz_schedule       3        max injection-schedule
                                                      entries per fuzz input
 ======================  ==================  =======  =========================
 
-The five interpreter tiers are named configurations over the first
-four execution knobs (:data:`TIERS`); ``roload-bench`` sweeps them and
-the replay determinism checker restores the same snapshot under each.
+The four interpreter tiers (slow, tier1, tier2, tier4) are named
+configurations over the three execution switches (:data:`TIERS`);
+``roload-bench`` sweeps them and the replay determinism checker
+restores the same snapshot under each. Tier 4 keeps its historical
+number: it is the only region tier since the generated-source tier 3
+was removed.
 """
 
 from __future__ import annotations
@@ -179,7 +182,6 @@ class Config:
     jit: bool = True
     jit_threshold: int = 16
     jit_debug: bool = False
-    tier3: bool = True
     tier4: bool = True
     region_threshold: int = 16
     region_blocks: int = 16
@@ -210,16 +212,10 @@ class Config:
         return self.jit and self.fast_path
 
     @property
-    def effective_tier3(self) -> bool:
-        """Tier 3 requires tier 2: regions are built from compiled
-        blocks, so tier3 without jit (or fast_path) is inert."""
-        return self.tier3 and self.effective_jit
-
-    @property
     def effective_tier4(self) -> bool:
-        """Tier 4 requires tier 3: the flat core lowers regions picked
-        by the tier-3 planner, so tier4 without tier3 is inert."""
-        return self.tier4 and self.effective_tier3
+        """Tier 4 requires tier 2: regions are planned over compiled
+        blocks, so tier4 without jit (or fast_path) is inert."""
+        return self.tier4 and self.effective_jit
 
     @property
     def tier(self) -> str:
@@ -228,9 +224,7 @@ class Config:
             return "slow"
         if not self.jit:
             return "tier1"
-        if not self.tier3:
-            return "tier2"
-        return "tier4" if self.tier4 else "tier3"
+        return "tier4" if self.tier4 else "tier2"
 
     @classmethod
     def from_env(cls, env: "Optional[Dict[str, str]]" = None) -> "Config":
@@ -279,16 +273,14 @@ KNOBS: "tuple[Knob, ...]" = (
     Knob("jit_threshold", "REPRO_JIT_THRESHOLD", _parse_positive_int(16),
          str, "block dispatches before tier-2 compilation"),
     Knob("jit_debug", "REPRO_JIT_DEBUG", _parse_flag_default_off,
-         _flag_to_env, "re-raise tier-2/tier-3 compile errors"),
-    Knob("tier3", "REPRO_TIER3", _parse_flag_default_on, _flag_to_env,
-         "tier-3 region compiler (needs jit)"),
+         _flag_to_env, "re-raise tier-2 compile / tier-4 lowering errors"),
     Knob("tier4", "REPRO_TIER4", _parse_flag_default_on, _flag_to_env,
-         "tier-4 flat-core backend (needs tier3)"),
+         "tier-4 region tier on the flat core (needs jit; 0 = tier 2)"),
     Knob("region_threshold", "REPRO_REGION_THRESHOLD",
          _parse_positive_int(16), str,
          "compiled-block arrivals before region compilation"),
     Knob("region_blocks", "REPRO_REGION_BLOCKS", _parse_positive_int(16),
-         str, "max member blocks per tier-3 region"),
+         str, "max member blocks per tier-4 region"),
     Knob("decode_cache", "REPRO_DECODE_CACHE", _parse_positive_int(65536),
          str, "decode-cache entry cap (raw bits -> Instruction)"),
     Knob("block_cache", "REPRO_BLOCK_CACHE", _parse_positive_int(4096),
@@ -339,20 +331,14 @@ for _knob in KNOBS:
     _KNOB_BY_NAME[_knob.env] = _knob
     _KNOB_BY_NAME[_knob.env.lower()] = _knob
 
-# The five interpreter tiers of DESIGN.md §9/§12/§13 as Config field
+# The four interpreter tiers of DESIGN.md §9/§12/§13 as Config field
 # overrides. Each entry pins every execution knob explicitly so a sweep
 # leg is immune to ambient REPRO_* settings.
 TIERS: "Dict[str, Dict[str, bool]]" = {
-    "slow": {"fast_path": False, "jit": False, "tier3": False,
-             "tier4": False},
-    "tier1": {"fast_path": True, "jit": False, "tier3": False,
-              "tier4": False},
-    "tier2": {"fast_path": True, "jit": True, "tier3": False,
-              "tier4": False},
-    "tier3": {"fast_path": True, "jit": True, "tier3": True,
-              "tier4": False},
-    "tier4": {"fast_path": True, "jit": True, "tier3": True,
-              "tier4": True},
+    "slow": {"fast_path": False, "jit": False, "tier4": False},
+    "tier1": {"fast_path": True, "jit": False, "tier4": False},
+    "tier2": {"fast_path": True, "jit": True, "tier4": False},
+    "tier4": {"fast_path": True, "jit": True, "tier4": True},
 }
 
 # Programmatic override stack (innermost wins). Empty = read the

@@ -24,10 +24,9 @@ from repro.isa.encoding import decode
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import MemOp
 from repro.cpu.csr import CSRFile
-from repro.cpu.flatcore import compile_region as _compile_flat
+from repro.cpu.flatcore import compile_region as _compile_region
 from repro.cpu.jit import compile_block as _compile_block
 from repro.cpu.regions import DEFER as _REGION_DEFER
-from repro.cpu.regions import compile_region as _compile_region
 from repro.cpu.timing import TimingModel
 from repro.cpu.trap import Cause, Trap
 from repro.mem.cache import Cache
@@ -78,13 +77,8 @@ def _jit_threshold_default() -> int:
     return _config.current().jit_threshold
 
 
-def _tier3_default() -> bool:
-    """REPRO_TIER3=0 disables the tier-3 region compiler (DESIGN.md §12)."""
-    return _config.current().tier3
-
-
 def _tier4_default() -> bool:
-    """REPRO_TIER4=0 disables the tier-4 flat core (DESIGN.md §13)."""
+    """REPRO_TIER4=0 disables the tier-4 region tier (DESIGN.md §12-13)."""
     return _config.current().tier4
 
 
@@ -104,7 +98,7 @@ def _region_threshold_default() -> int:
 
 
 def _region_blocks_default() -> int:
-    """Maximum member blocks a tier-3 region may inline."""
+    """Maximum member blocks a region may span."""
     return _config.current().region_blocks
 
 
@@ -133,7 +127,6 @@ class Core:
                  fast_path: "bool | None" = None,
                  jit: "bool | None" = None,
                  jit_threshold: "int | None" = None,
-                 tier3: "bool | None" = None,
                  tier4: "bool | None" = None,
                  region_threshold: "int | None" = None):
         self.memory = memory
@@ -197,12 +190,13 @@ class Core:
         self.jit_compiled = 0   # blocks compiled (cumulative)
         self.jit_flushes = 0    # times the compiled cache was dropped
         self.jit_compile_seconds = 0.0   # host time spent in compile_block
-        # Tier-3 region compiler (DESIGN.md §12): pcs arrived at
+        # Tier-4 region tier (DESIGN.md §12-13): pcs arrived at
         # region_threshold times through the compiled-block trampoline
-        # get a superblock region compiled around them
-        # (repro.cpu.regions); the trampoline records block-successor
-        # edge counts (JITBlock.edges) as the direction profile.
-        self.tier3_enabled = (_tier3_default() if tier3 is None else tier3) \
+        # get a superblock planned around them (repro.cpu.regions) and
+        # lowered to the flat representation (repro.cpu.flatcore); the
+        # trampoline records block-successor edge counts
+        # (JITBlock.edges) as the direction profile.
+        self.tier4_enabled = (_tier4_default() if tier4 is None else tier4) \
             and self.jit_enabled
         self.region_threshold = _region_threshold_default() \
             if region_threshold is None else max(1, region_threshold)
@@ -210,16 +204,9 @@ class Core:
         self._regions: "dict[int, object]" = {}      # head pc -> Region
         self._region_counts: "dict[int, int]" = {}   # arrival counters
         self._region_nojit: "set[int]" = set()       # pcs pinned to tier 2
-        self.regions_compiled = 0       # regions compiled (cumulative)
+        self.regions_compiled = 0       # regions lowered (cumulative)
         self.region_side_exits = 0      # cold-direction guard exits taken
         self.region_compile_seconds = 0.0  # host time in compile_region
-        # Tier-4 flat core (DESIGN.md §13): with tier4 enabled, regions
-        # picked by the tier-3 planner are lowered to the pre-decoded
-        # flat representation (repro.cpu.flatcore) instead of generated
-        # Python source; same trampoline protocol, same flush rules.
-        self.tier4_enabled = (_tier4_default() if tier4 is None else tier4) \
-            and self.tier3_enabled
-        self.flat_regions_compiled = 0  # flat regions lowered (cumulative)
         # Invalidation attribution: reason -> count of translation-cache
         # flushes that actually dropped cached state (DESIGN.md §10).
         self.flush_causes: "dict[str, int]" = {}
@@ -231,11 +218,9 @@ class Core:
         # counters directly, so the derivation adds zero work there).
         self.tier0_retired = 0
         self.tier1_retired = 0
-        # Tier-3/4 retirements are measured as the architectural-counter
-        # delta across each region call (regions bump stats directly),
-        # attributed by the backend that compiled the region; tier 2
-        # stays the derived remainder.
-        self.tier3_retired = 0
+        # Tier-4 retirements are measured as the architectural-counter
+        # delta across each region call (regions bump stats directly);
+        # tier 2 stays the derived remainder.
         self.tier4_retired = 0
         # Tier-2 merged page memos: vpn -> (frame, ok_kernel, ok_user,
         # ppn), collapsing the D-side page lookup + D-TLB revalidation +
@@ -261,31 +246,37 @@ class Core:
         self._sampler = None
         self._attrib = None
 
+    tier3_retired = 0   # always 0 (no tier 3); still read by bench/suite.py
+
+    # Every region is lowered by the flat core; kept under its record
+    # name for the obs registry, the sampler and bench residency.
+    @property
+    def flat_regions_compiled(self) -> int:
+        return self.regions_compiled
+
     # -- observability -------------------------------------------------------
 
     def tier_residency(self) -> dict:
         """Retired-instruction attribution per interpreter tier."""
         total = self.instret
         tier0, tier1 = self.tier0_retired, self.tier1_retired
-        tier3, tier4 = self.tier3_retired, self.tier4_retired
-        tier2 = total - tier0 - tier1 - tier3 - tier4
+        tier4 = self.tier4_retired
+        tier2 = total - tier0 - tier1 - tier4
         out = {"retired": total, "tier0_retired": tier0,
                "tier1_retired": tier1, "tier2_retired": tier2,
-               "tier3_retired": tier3,
                "tier4_retired": tier4,
                "jit_compiled": self.jit_compiled,
                "jit_flushes": self.jit_flushes,
                "jit_compile_seconds": round(self.jit_compile_seconds, 6),
                "regions_compiled": self.regions_compiled,
-               "flat_regions_compiled": self.flat_regions_compiled,
+               "flat_regions_compiled": self.regions_compiled,
                "region_side_exits": self.region_side_exits,
                "region_compile_seconds":
                    round(self.region_compile_seconds, 6),
                "flush_causes": dict(self.flush_causes)}
         if total:
             for tier, count in (("tier0", tier0), ("tier1", tier1),
-                                ("tier2", tier2), ("tier3", tier3),
-                                ("tier4", tier4)):
+                                ("tier2", tier2), ("tier4", tier4)):
                 out[f"{tier}_frac"] = round(count / total, 6)
         return out
 
@@ -620,7 +611,7 @@ class Core:
             self.jit_flushes += 1
         self._jit_counts.clear()
         self._jit_nojit.clear()
-        # Tier-3 regions are built FROM tier-2 blocks, so they can
+        # Regions are built FROM tier-2 blocks, so they can
         # never outlive them: the same flush drops regions, arrival
         # counters, and pins together.
         self._regions.clear()
@@ -1033,7 +1024,7 @@ class Core:
                     attrib.record(1, pc, retired)
 
     def _run_jit(self, rec, pc: int, limit: int, generation: int) -> None:
-        """Execute compiled code (tier-2 blocks and tier-3 regions),
+        """Execute compiled code (tier-2 blocks and tier-4 regions),
         chaining from one unit to the next without re-entering the
         dispatch loop.
 
@@ -1045,27 +1036,25 @@ class Core:
         the fetch cache costs the same retranslation the slow path's
         next fetch would charge.
 
-        With tier 3 enabled, every block-to-successor transition also
+        With tier 4 enabled, every block-to-successor transition also
         feeds the region profile: the block's ``edges`` counters record
         observed successors (the branch-direction profile) and the
         per-pc arrival counters trigger ``compile_region`` past
         ``region_threshold``. Regions take a budget argument (their
         internal loop re-checks it at every backedge) and retire a
         variable number of instructions per call, measured as the
-        architectural-counter delta and attributed to tier 3.
+        architectural-counter delta and attributed to tier 4.
         """
         mmu = self.mmu
         stats = self.timing.stats
         fetch_pages = self._fetch_pages
         jit_blocks = self._jit_blocks
         regions = self._regions
-        profile = self.tier3_enabled
+        profile = self.tier4_enabled
         if profile:
             counts = self._region_counts
             nojit = self._region_nojit
             threshold = self.region_threshold
-            compile_region = _compile_flat if self.tier4_enabled \
-                else _compile_region
         sampler = self._sampler
         attrib = self._attrib
         self._block_abort = False
@@ -1082,13 +1071,10 @@ class Core:
                 try:
                     pc = rec.fn(limit)
                 finally:
-                    if rec.tier4:
-                        self.tier4_retired += stats.instructions - before
-                    else:
-                        self.tier3_retired += stats.instructions - before
+                    self.tier4_retired += stats.instructions - before
                 limit -= stats.instructions - before
                 if attrib is not None:
-                    attrib.record(4 if rec.tier4 else 3, rec.start_pc,
+                    attrib.record(4, rec.start_pc,
                                   stats.instructions - before)
                 self.pc = pc
                 if self._block_abort:
@@ -1125,7 +1111,7 @@ class Core:
                         counts[pc] = seen
                     else:
                         began = perf_counter()
-                        nxt = compile_region(self, pc, seen)
+                        nxt = _compile_region(self, pc, seen)
                         self.region_compile_seconds += \
                             perf_counter() - began
                         if nxt is _REGION_DEFER:
@@ -1138,14 +1124,11 @@ class Core:
                             counts.pop(pc, None)
                             regions[pc] = nxt
                             self.regions_compiled += 1
-                            if nxt.tier4:
-                                self.flat_regions_compiled += 1
                             if _OBS.enabled:
                                 _OBS.events.emit(
                                     "region.compile", pc=pc,
                                     blocks=len(nxt.pcs),
                                     instructions=nxt.n, loop=nxt.loop,
-                                    tier4=nxt.tier4,
                                     compiled_total=self.regions_compiled)
                 if nxt is not None:
                     if limit < nxt.n:

@@ -1,22 +1,17 @@
 """Tier-4 flat core: regions lowered to pre-decoded arrays, no compile().
 
-Tier 3 (repro.cpu.regions) generates Python source per region and pays
-``compile()`` for it — roughly 10 us per instruction of region, which
-both caps how aggressively regions can be planned (DEFER_FACTOR) and
-shows up directly in the bench wall time. Tier 4 keeps the tier-3
-*planner* (the superblock selection over the tier-2 edge profile) but
-replaces code generation with a lowering pass: every member
-instruction becomes one or more entries in parallel integer arrays —
-opcode-handler index, rd/rs1/rs2, folded immediates, and static
-per-site catch-up metadata — executed by one shared dispatch loop
-(``_run``) whose hot state lives in function locals.
-
-What the flat representation changes relative to tier 3:
+The region tier keeps the superblock selection over the tier-2 edge
+profile (repro.cpu.regions) and lowers each plan instead of generating
+code for it: every member instruction becomes one or more entries in
+parallel integer arrays — opcode-handler index, rd/rs1/rs2, folded
+immediates, and static per-site catch-up metadata — executed by one
+shared dispatch loop (``_run``) whose hot state lives in function
+locals.
 
 * zero compile cost: lowering is pure data manipulation (a few us per
-  region), so duplicate alternate-entry heads are worth lowering far
-  earlier (``DEFER_FACTOR`` 8 instead of 256) and region coverage
-  grows faster after every flush;
+  region), so duplicate alternate-entry heads are worth lowering after
+  few arrivals (``DEFER_FACTOR``) and region coverage regrows quickly
+  after every flush — and in every freshly forked session;
 * the register file is the live ``core.regs`` list indexed by
   pre-decoded operand numbers — no per-region register locals, no
   flush on exit, and the architectural file is always current when a
@@ -24,22 +19,23 @@ What the flat representation changes relative to tier 3:
 * branch/jump penalty cycles and muldiv latency are *statically
   deferred*: the lowering records cumulative penalty counts per site
   (``BP``/``MU``) exactly like the retire counter (``NI``), so the hot
-  loop does not touch ``stats`` at all between syncs — tier 3 pays two
-  attribute round-trips per taken branch;
-* all other accounting is the tier-3 protocol verbatim: deferred
-  retire catch-up (``fc``), deferred I-fetch hit credit (``PQ``/
-  ``pf``), LRU change-lists replayed by ``_lf`` (dedup-by-last), the
-  numeric D-hit counters (``dh``/``ch``) drained at exits and raises
-  only, last-page cached frame views behind a page+alignment guard,
-  warm-loop I-probe elision with rotation-table replay (``_IRT``),
-  side exits, the ``_block_abort`` SMC deopt, and the loop backedge
-  budget check.
+  loop does not touch ``stats`` at all between syncs;
+* deferred retire catch-up (``fc``), deferred I-fetch hit credit
+  (``PQ``/``pf``), LRU change-lists replayed by ``_lf`` (dedup-by-last:
+  replay is invariant under collapsing consecutive duplicates, so the
+  reconstructed order is the eager order), numeric D-hit counters
+  (``dh``/``ch``) drained at exits and raises only, last-page cached
+  frame views behind a page+alignment guard, warm-loop I-probe elision
+  with rotation-table replay (``_IRT``), side exits, the
+  ``_block_abort`` SMC deopt, and the loop backedge budget check (so
+  ``step_block(limit)`` never overshoots and the snapshot machinery's
+  exact-pause contract holds).
 
 ``ld.ro`` (the ROLoad family) is never cached: every execution syncs
 and takes the full ``Core.load`` -> ``MMU.translate`` path so the
 read-only + key check actually runs (DESIGN.md paragraph 8), then drops
 the cached views. Flat regions are invalidated by ``Core._flush_blocks``
-exactly like tiers 1-3 (they live in the same ``core._regions`` map).
+exactly like tiers 1-2 (they live in the same ``core._regions`` map).
 
 Array layout (parallel, one slot per stream entry):
 
@@ -58,8 +54,8 @@ JX    warm-replay exit index at this site (static)
 PCA   architectural pc at this site (sync sites)
 ====  =====================================================
 
-Bit-identity is enforced by the five-way differential suite
-(tests/test_fastpath_equivalence.py): slow/tier1/tier2/tier3/tier4 all
+Bit-identity is enforced by the four-way differential suite
+(tests/test_fastpath_equivalence.py): slow/tier1/tier2/tier4 all
 produce identical architectural state, counters included.
 """
 
@@ -77,8 +73,11 @@ from repro.utils.bits import sext, to_u64
 _M64 = 0xFFFFFFFFFFFFFFFF
 _H63 = 0x8000000000000000
 
-# Lowering is ~100x cheaper than a tier-3 compile, so alternate-entry
-# duplicate heads are worth the second copy after far fewer arrivals.
+# Alternate-entry heads defer (``DEFER``) until arrivals cross
+# DEFER_FACTOR times the region threshold: past that the phase-shifted
+# cycle really does execute without passing the live region's head,
+# and lowering is cheap enough that the second copy pays after a few
+# passes.
 DEFER_FACTOR = 8
 
 # The flat cached-view arms index little-endian "Q" casts; big-endian
@@ -184,22 +183,19 @@ _LD_OPS = {(8, True): OP_LD8, (4, True): OP_LD4S, (1, False): OP_LD1U}
 _ST_OPS = {8: OP_ST8, 4: OP_ST4, 1: OP_ST1}
 
 
-class FlatRegion(Region):
-    """A region lowered to the flat representation. Same trampoline
-    protocol as Region; the discriminator routes retire attribution."""
-
-    __slots__ = ()
-
-    tier4 = True
-
-
 def compile_region(core, head_pc, arrivals=0):
-    """Plan (tier-3 planner) and lower a flat region at ``head_pc``.
+    """Plan and lower a flat region anchored at ``head_pc``.
 
-    Returns None when no viable region exists, or ``DEFER`` (the
-    regions sentinel — the trampoline compares identity) for a
+    Returns None when no viable region exists (the caller pins the pc
+    so profiling does not retry it until the next flush), or ``DEFER``
+    (the regions sentinel — the trampoline compares identity) for a
     lukewarm alternate entry of an already-lowered region.
     """
+    # Overlap suppression: a head lying inside the instruction range of
+    # a live region is an alternate entry split of code that is already
+    # lowered (block splitting gives the same loop several head pcs).
+    # Most such heads re-enter the live region within one pass and
+    # never get hot; deferral keeps them in tier 2 meanwhile.
     if arrivals < core.region_threshold * DEFER_FACTOR:
         for region in core._regions.values():
             if region.covers(head_pc):
@@ -213,10 +209,10 @@ def compile_region(core, head_pc, arrivals=0):
         if _config.current().jit_debug:
             raise
         return None
-    return FlatRegion(fn, plan.n, plan.members[0].vpn, head_pc,
-                      tuple(m.pc for m in plan.members), plan.loop,
-                      tuple((m.pc, m.entries[-1][2] + 4)
-                            for m in plan.members))
+    return Region(fn, plan.n, plan.members[0].vpn, head_pc,
+                  tuple(m.pc for m in plan.members), plan.loop,
+                  tuple((m.pc, m.entries[-1][2] + 4)
+                        for m in plan.members))
 
 
 def _lower(core, plan):
@@ -292,9 +288,10 @@ def _lower(core, plan):
         if kind in ("branch", "jal", "jalr") and not member_last:
             raise ValueError("control flow before member end")
         if j == 0 and i and m.vpn != prev_vpn:
-            # Member page transition: same exit-to-trampoline protocol
-            # as tier 3 (the trampoline recheck retranslates and
-            # resumes at this pc through the member's tier-2 block).
+            # Member page transition whose code page fell out of the
+            # fetch cache: exit to the trampoline, whose own recheck
+            # retranslates identically and resumes at this pc through
+            # the member's tier-2 block.
             emit(OP_MEMCHK, imv=m.vpn, x=pc)
         if j == 0:
             prev_vpn = m.vpn
@@ -509,7 +506,7 @@ def _bind(core, plan, dside, OPS, A, B, C, IM, X, NI, BP, MU, PQ, JX,
     EPB = [0]               # persistent epoch box (monotonic)
 
     # Deferred LRU replay: the lists carry MOVES only; dedup-by-last
-    # replay reconstructs the eager order (tier-3 protocol).
+    # replay reconstructs the eager order.
     dl = []
     dla = dl.append
     cl = []

@@ -79,7 +79,7 @@ class JITBlock:
         self.end_pc = end_pc    # next_pc of the final entry
         self.links = {}         # next-pc -> JITBlock; cleared on flush
         # Successor-pc arrival counts, recorded by the trampoline when
-        # tier 3 is profiling: the branch-direction evidence the region
+        # tier 4 is profiling: the branch-direction evidence the region
         # planner (repro.cpu.regions) specializes on. Cleared on flush.
         self.edges = {}
 

@@ -1,100 +1,28 @@
-"""Tier-3 region compiler: hot superblocks become ONE Python function.
+"""Region planner: hot superblocks selected from the tier-2 edge profile.
 
 Tier 2 (repro.cpu.jit) compiles single basic blocks and chains them,
-but every block boundary still flushes register locals to the
-architectural register file and re-enters the trampoline. Tier 3 uses
-the chain-transition counts the trampoline records on each
-``JITBlock.edges`` as an edge profile, selects a hot single-entry
-region (a loop body and its chained successors, or a straight
-multi-block trace), and inlines every member block into one generated
-function:
+but every block boundary still re-enters the trampoline. The region
+tier uses the chain-transition counts the trampoline records on each
+``JITBlock.edges`` as an edge profile and selects a hot single-entry
+region: a loop body and its chained successors, or a straight
+multi-block trace. Conditional branches are specialized on their
+observed direction — the hot side continues inside the region, the
+cold side becomes a side exit back to the trampoline.
 
-* register locals stay live across former block boundaries — a loop
-  region keeps them in locals across iterations and only writes the
-  register file on the way out (or in the ``except`` repair when a
-  fault propagates, making the architectural file current before any
-  handler can look);
-* conditional branches are specialized on their observed direction:
-  the hot side continues inline, the cold side becomes a side-exit
-  guard that catches counters up and returns to the trampoline (which
-  falls back to tier-2/tier-1 dispatch at the exit pc);
-* the D-side hit path is batched per page: the last load/store page's
-  memo is held in locals (a page+alignment guard ``va & GM == lvb``
-  plus typed ``memoryview.cast`` views of the frame), so same-page
-  accesses skip the memo dict lookup, the tuple unpack, the permission
-  test, and the ``int.from_bytes`` round trip. The D-cache probe keeps
-  a shared last-line memo (``lln``) with a numeric deferred hit count
-  (``ch``): a repeat of the line just probed is provably still
-  resident (only our own probes can evict, and the last one touched
-  this very line), so it costs one compare and one increment. The
-  D-TLB hit gets the same treatment (``ldp`` last-page memo, numeric
-  ``dh``). The LRU replay lists record *changes* only; dedup-by-last-
-  occurrence replay is invariant under collapsing consecutive
-  duplicates, so the reconstructed order is the eager order. All
-  cached state is dropped (``lvb/svb/lln/ldp = -1``) after EVERY call
-  out of generated code — fallbacks, generic handlers, ROLoad loads —
-  because those are the only points a memo (or the D-TLB entry proving
-  it valid) can be purged or a cache line evicted behind our back;
-  between resets a cached hit is exactly the memo hit tier 2 would
-  count;
-* loop regions elide steady-state I-cache probes entirely: after one
-  full iteration has probed every trace line eagerly (and a residency
-  check at the backedge confirms none self-evicted), every later
-  fetch is a proven hit. Hits are credited by the static per-segment
-  catch-up (``pcum``/``pf``), and the LRU permutation a full eager
-  iteration would have produced is replayed from a precomputed
-  rotation table (``_IRT``) at the exit point — bit-identical to
-  probing every line, at the cost of one flag test per line;
-* ROLoad (``ld.ro`` family) is NEVER cached: every execution takes the
-  full ``Core.load`` -> ``MMU.translate`` path so the read-only + key
-  check — the mechanism under test — actually runs (DESIGN.md §8);
-* deferred counters work exactly as in tier 2 (``fc``/``pf`` runtime
-  catch-up locals, ``_lf`` batched LRU/hit replay), with a full
-  catch-up + drain at every loop backedge so the deferred state stays
-  bounded and a mid-region observer sees slow-path-exact values;
-* the loop backedge re-checks the instruction budget (``b``) so
-  ``step_block(limit)`` never overshoots — the snapshot machinery's
-  exact-pause contract survives tier 3;
-* losing a member's code page from the fetch-page cache mid-region is
-  handled as a plain exit back to the trampoline, whose own per-chain
-  recheck performs the identical retranslation the slow path's next
-  fetch would charge (``Core._run_jit``).
-
-Regions are invalidated by ``Core._flush_blocks`` — the same fence.i /
-self-modifying-store / MMU-generation events that flush tiers 1 and 2 —
-and a mid-region SMC store aborts the current pass via the same
-``_block_abort`` protocol as tier 2 (the store's own retirement is
-completed first, so the deopt is bit-identical to the slow path).
+This module only *plans*: :func:`_plan` returns the member blocks in
+trace order, and the tier-4 flat core (repro.cpu.flatcore) lowers the
+plan to pre-decoded arrays run by one dispatch loop. Regions are
+invalidated by ``Core._flush_blocks`` — the same fence.i /
+self-modifying-store / MMU-generation events that flush tiers 1 and 2.
 """
 
 from __future__ import annotations
 
-import sys
+from repro.cpu.jit import _classify
+from repro.utils.bits import to_u64
 
-from repro import config as _config
-from repro.cpu.jit import (
-    _SENTINEL,
-    _Src,
-    _classify,
-    _ind,
-    _operands,
-)
-from repro.cpu.trap import Cause, Trap
-from repro.isa.codegen import (
-    ALU_IMM,
-    ALU_REG,
-    BRANCH_COND,
-    INLINE_MULDIV,
-    LOAD_INFO,
-    RO_INFO,
-    STORE_INFO,
-)
-from repro.utils.bits import sext, to_u64
-
-_M = "0xFFFFFFFFFFFFFFFF"
-
-# Total inlined entries per region; past this the prologue and compile
-# cost stop paying for themselves.
+# Total inlined entries per region; past this the lowering cost and the
+# side-exit bookkeeping stop paying for themselves.
 MAX_REGION_ENTRIES = 1024
 
 # Mnemonics that end a trace outright (side effects a region may not
@@ -106,14 +34,19 @@ _TRACE_END = frozenset({
     "csrrw", "csrrs", "csrrc", "csrrwi", "csrrsi", "csrrci",
 })
 
+# Sentinel: "head is an alternate-entry split of a live region — keep
+# profiling instead of lowering or pinning". The trampoline keeps the
+# arrival counter running until the lowering backend decides the head
+# is hot in its own right (repro.cpu.flatcore.DEFER_FACTOR).
+DEFER = object()
+
 
 class Region:
-    """One compiled superblock. Duck-types JITBlock for the trampoline."""
+    """One lowered superblock. Duck-types JITBlock for the trampoline."""
 
     __slots__ = ("fn", "n", "vpn", "start_pc", "pcs", "loop", "spans")
 
     region = True   # dispatch discriminator (JITBlock.region is False)
-    tier4 = False   # backend discriminator (FlatRegion.tier4 is True)
 
     def __init__(self, fn, n, vpn, start_pc, pcs, loop, spans):
         self.fn = fn            # (budget) -> next pc
@@ -243,932 +176,3 @@ def _plan(core, head_pc):
     if not loop and len(members) < 2:
         return None
     return _Plan(head_pc, members, loop)
-
-
-# Sentinel: "head is an alternate-entry split of a live region — keep
-# profiling instead of compiling or pinning". The trampoline keeps the
-# arrival counter running; once arrivals cross DEFER_FACTOR times the
-# region threshold the head is hot in its own right (the phase-shifted
-# cycle really does execute without passing the live region's head) and
-# the duplicate compile is paid after all. The bar sits near the
-# break-even pass count: a duplicate superblock costs roughly its size
-# times ~0.3 ms/instruction to compile and earns back tens of
-# nanoseconds per instruction per pass, so thousands of passes — not
-# hundreds — justify the second copy.
-DEFER = object()
-DEFER_FACTOR = 256
-
-
-def compile_region(core, head_pc, arrivals=0):
-    """Plan and compile a region anchored at ``head_pc``.
-
-    Returns None when no viable region exists (the caller pins the pc
-    so profiling does not retry it until the next flush), or ``DEFER``
-    for a lukewarm alternate entry of an already-compiled region.
-    """
-    # Overlap suppression: a head lying inside the instruction range of
-    # a live region is an alternate entry split of code that is already
-    # compiled (block splitting gives the same loop several head pcs,
-    # each of which would recompile a near-identical superblock). Most
-    # such heads re-enter the live region within one pass and never get
-    # hot; deferral keeps them in tier 2 without spending the compile.
-    if arrivals < core.region_threshold * DEFER_FACTOR:
-        for region in core._regions.values():
-            if region.covers(head_pc):
-                return DEFER
-    plan = _plan(core, head_pc)
-    if plan is None:
-        return None
-    try:
-        source, ns, hs = _generate(core, plan)
-        code = compile(source, f"<roload-region@{head_pc:#x}>", "exec")
-        exec(code, ns)
-        fn = ns["_factory"](core, hs)
-    except Exception:
-        if _config.current().jit_debug:
-            raise
-        return None
-    return Region(fn, plan.n, plan.members[0].vpn, head_pc,
-                  tuple(m.pc for m in plan.members), plan.loop,
-                  tuple((m.pc, m.entries[-1][2] + 4)
-                        for m in plan.members))
-
-
-# Region D-side probes and templates. Same accounting as the tier-2
-# templates in repro.cpu.jit, restructured around the last-page cached
-# view: the cached arm (``va & GM == lvb``, one mask-and-compare that
-# proves both the page match and the alignment) still records the
-# D-TLB hit (``dla``) and the D-cache probe, but skips the memo dict
-# lookup, the tuple unpack, and the permission test — all proven
-# unchanged since the view was filled (every call out of generated
-# code resets it). ``dok`` needs no recheck in the cached arm: the
-# view was filled under ``dok``, ``mmu.generation`` cannot change
-# mid-region (every generation-bumping instruction is a trace
-# terminator), and ``core._dside_generation`` only catches UP to it.
-
-# On little-endian hosts reads and writes go through typed
-# ``memoryview.cast`` views of the 4 KiB frame (``l4s[of >> 2]``
-# instead of ``int.from_bytes`` over a slice); the cached arm's
-# alignment guard makes the cast index exact. Big-endian hosts keep
-# the byte-slice forms.
-_NATIVE_LE = sys.byteorder == "little"
-
-_CAST_CODES = {(1, True): "b", (1, False): "B", (2, True): "h",
-               (2, False): "H", (4, True): "i", (4, False): "I",
-               (8, True): "q", (8, False): "Q"}
-
-# D-cache probe over a precomputed physical page base (``lpb``/``spb``
-# = ppn << 12). The shared ``lln`` memo short-circuits a repeat of the
-# line probed by the immediately preceding D-access: only these inline
-# probes can evict mid-region, and the last one touched exactly this
-# line, so it is resident — one compare + one deferred-hit increment.
-# ``cl`` records line CHANGES only; dedup-by-last-occurrence replay is
-# invariant under collapsing consecutive duplicates, so the LRU order
-# _lf reconstructs is the eager order. Hit counts ride the numeric
-# ``ch``; pure counts have no mid-region observer (CSR reads expose
-# only cycle/instret), so they drain at exits and raises only. The
-# cold miss path lives in the ``_dmiss`` closure — rare, and keeping
-# it out of line roughly halves the compiled source per access.
-_RDPROBE = """\
-ln = ({pb} | of) >> {dshift}
-if ln == lln:
-    ch += 1
-else:
-    wy = dsets[ln & {dmask}]
-    if ln in wy:
-        cla(ln)
-        ch += 1
-    else:
-        _dmiss(ln, wy)
-    lln = ln"""
-
-# I-cache probe for one static line. Hits are credited by the pcum/pf
-# static catch-up (every fetch site counts toward pcum); a miss
-# compensates with ``pf + 1`` so the site nets zero hits. ``il`` only
-# records the touch order for the LRU replay. Loop regions wrap this
-# in ``if not warm:`` — see the module docstring.
-_RIPROBE = """\
-wy = isets[{si}]
-if {line} in wy:
-    ila({line})
-else:
-    pf = _imiss({line}, wy, pf)"""
-
-_RLOAD_FAST = """\
-va = ({a} + {imm}) & {m}
-if va & {gm} == lvb:
-    if lvp != ldp:
-        dla(lvp)
-        ldp = lvp
-    dh += 1
-    of = va & 0xFFF
-{dc1}    {dst} = {rd1}
-else:
-    v = _S
-    if {cond}:
-        vp = va >> 12
-        t = _lfl(vp, um)
-        if t is not None:
-            if vp != ldp:
-                dla(vp)
-                ldp = vp
-            dh += 1
-            if t is False:
-{rp}                raise Trap(LPF, {pc}, tval=va)
-            lvb, lpb, {lviews} = t
-            lvp = vp
-            of = va & 0xFFF
-{dc2}            v = {rd2}
-    if v is _S:
-{fb}{rs}        v = load(va, {w}, {signed})
-{post}"""
-
-_RSTORE_FAST = """\
-va = ({a} + {imm}) & {m}
-if va & {gm} == svb:
-    if svp != ldp:
-        dla(svp)
-        ldp = svp
-    dh += 1
-    of = va & 0xFFF
-    if cframes and spp in cframes:
-        core._flush_blocks()
-{dc1}    {wr1}
-else:
-    ok = False
-    if {cond}:
-        vp = va >> 12
-        t = _sfl(vp, um)
-        if t is not None:
-            if vp != ldp:
-                dla(vp)
-                ldp = vp
-            dh += 1
-            if t is False:
-{rp}                raise Trap(SPF, {pc}, tval=va)
-            svb, spb, spp, {sviews} = t
-            svp = vp
-            of = va & 0xFFF
-            if cframes and spp in cframes:
-                core._flush_blocks()
-{dc2}            {wr2}
-            ok = True
-    if not ok:
-{fb}{rs}        store(va, {w}, {val})"""
-
-
-def _generate(core, plan):
-    members = plan.members
-    head_pc = plan.head_pc
-    n = plan.n
-    params = core.timing.params
-    cpi = params.base_cpi
-    penalty = params.cache_miss_penalty
-    icache = core.icache
-    dcache = core.dcache
-    mmu = core.mmu
-    dtlb = getattr(mmu, "dtlb", None)
-    dside = bool(core._dside_cap) and dtlb is not None and not mmu.bare
-
-    # Flatten the trace; classify; collect register/handler footprints.
-    flat = []   # (member, j_in_member, global_index, entry)
-    gi = 0
-    for m in members:
-        for j, e in enumerate(m.entries):
-            flat.append((m, j, gi, e))
-            gi += 1
-    kinds = []
-    reg_locals = set()
-    written = set()
-    hs = []
-    hidx = {}
-    lw_used = set()     # (width, signed) pairs of inline loads
-    sw_used = set()     # widths of inline stores
-    for m, j, i, (handler, insn, pc, next_pc, paddr, paddr2) in flat:
-        kind = _classify(insn.name)
-        if kind in ("branch", "jal", "jalr") and j != len(m.entries) - 1:
-            raise ValueError("control flow before member end")
-        kinds.append(kind)
-        if kind == "load":
-            lw_used.add(LOAD_INFO[insn.name])
-        elif kind == "store":
-            sw_used.add(STORE_INFO[insn.name])
-        reads, writes = _operands(kind, insn.name, insn)
-        for r in reads:
-            if r:
-                reg_locals.add(r)
-        for w in writes:
-            if w:
-                reg_locals.add(w)
-                written.add(w)
-        if kind == "generic":
-            hidx[i] = len(hs)
-            hs.append((handler, insn))
-    wlist = sorted(written)
-
-    def rx(k):
-        return "0" if k == 0 else f"r{k}"
-
-    any_load = any(k in ("load", "roload") for k in kinds)
-    any_store = "store" in kinds
-    use_ds = dside and (("load" in kinds) or any_store)
-    use_dc = dcache is not None and use_ds
-    use_lf = use_ds or icache is not None
-    cache_l = use_ds and "load" in kinds    # last-load-page view live
-    cache_s = use_ds and any_store          # last-store-page view live
-    multi_page = len({m.vpn for m in members}) > 1
-
-    # Warm-loop I-cache elision applies to loop regions only: straight
-    # traces run each site once, so there is no steady state to elide.
-    warm_mach = plan.loop and icache is not None
-
-    def dprobe(pb, levels):
-        if not use_dc:
-            return ""
-        return _ind(_RDPROBE.format(pb=pb, dshift=dcache.line_shift,
-                                    dmask=dcache.num_sets - 1),
-                    levels)
-
-    _SHIFT = {2: 1, 4: 2, 8: 3}
-
-    def read_expr(width, signed):
-        """The cached-view read for one load width/signedness."""
-        if _NATIVE_LE:
-            idx = "of" if width == 1 else f"of >> {_SHIFT[width]}"
-            if signed:
-                return f"l{width}s[{idx}] & {_M}"
-            return f"l{width}u[{idx}]"
-        base = f'ifb(lmv[of:of + {width}], "little")'
-        if signed and width < 8:
-            sbit = 1 << (width * 8 - 1)
-            return f"(({base} ^ {sbit}) - {sbit}) & {_M}"
-        return base
-
-    def write_stmt(width, val):
-        """The cached-view write for one store width."""
-        if _NATIVE_LE:
-            if width == 8:
-                return f"s8[of >> 3] = {val}"
-            idx = "of" if width == 1 else f"of >> {_SHIFT[width]}"
-            return f"s{width}[{idx}] = ({val}) & {(1 << (width * 8)) - 1}"
-        wmask = (1 << (width * 8)) - 1
-        return (f"smv[of:of + {width}] = "
-                f'itb(({val}) & {wmask}, {width}, "little")')
-
-    # Fill-arm closures return everything the cached arm needs as one
-    # tuple — page bases plus every typed view the region's accesses
-    # use — or None (no memo: eager fallback) / False (permission
-    # fault). Factoring the cold fill out of line keeps the per-access
-    # source small, which is most of the region compile cost.
-    if _NATIVE_LE:
-        lview_names = [f"l{w}{'s' if s else 'u'}"
-                       for w, s in sorted(lw_used)]
-        lview_items = [f'_vb.cast("{_CAST_CODES[(w, s)]}")'
-                       for w, s in sorted(lw_used)]
-        sview_names = [f"s{w}" for w in sorted(sw_used)]
-        sview_items = [f'_vb.cast("{_CAST_CODES[(w, False)]}")'
-                       for w in sorted(sw_used)]
-    else:
-        lview_names, lview_items = ["lmv"], ["_vb"]
-        sview_names, sview_items = ["smv"], ["_vb"]
-    lviews = ", ".join(lview_names)
-    sviews = ", ".join(sview_names)
-
-    def fill_closure(fname, get, fill, memo, shadow, extra):
-        src(f"def {fname}(vp, um):")
-        src.indent()
-        src(f"mo = {get}(vp)")
-        src("if mo is None:")
-        src(f"    mo = {fill}(vp)")
-        src("    if mo is None:")
-        src("        return None")
-        src("fb, okk, oku, pp = mo")
-        src("if not (okk if um else oku):")
-        src(f"    del {shadow}[vp]")
-        src(f"    del {memo}[vp]")
-        src("    return False")
-        src("_vb = mv(fb)")
-        src(f"return (vp << 12, pp << 12{extra}, "
-            + ", ".join(sview_items if fname == "_sfl" else lview_items)
-            + ")")
-        src.dedent()
-
-    if icache is not None:
-        ishift = icache.line_shift
-        imask = icache.num_sets - 1
-        iways = icache.ways
-
-    src = _Src()
-    src("def _factory(core, _hs):")
-    src.indent()
-    src("regs = core.regs")
-    src("mmu = core.mmu")
-    src("stats = core.timing.stats")
-    if any_load:
-        src("load = core.load")
-    if any_store:
-        src("store = core.store")
-    if use_ds:
-        src("mmu_stats = mmu.stats")
-        src("dtlb = mmu.dtlb")
-        src("tent = dtlb.entry_map")
-        src("mv = memoryview")
-        if cache_l:
-            src("dload = core._dload_pages")
-            src("jload = core._jload_memo")
-            src("jlget = jload.get")
-            src("jlf = core._jload_fill")
-            if not _NATIVE_LE:
-                src("ifb = int.from_bytes")
-        if cache_s:
-            src("dstore = core._dstore_pages")
-            src("jstore = core._jstore_memo")
-            src("jsget = jstore.get")
-            src("jsf = core._jstore_fill")
-            src("cframes = core._code_frames")
-            if not _NATIVE_LE:
-                src("itb = int.to_bytes")
-    if use_dc:
-        src("dcache = core.dcache")
-        src("dsets = dcache.line_sets")
-    if icache is not None:
-        src("icache = core.icache")
-        src("isets = icache.line_sets")
-    if multi_page:
-        src("fpages = core._fetch_pages")
-    for k in range(len(hs)):
-        src(f"H{k}, I{k} = _hs[{k}]")
-    if use_lf:
-        # Deferred LRU bookkeeping. Unlike tier 2, the lists carry
-        # MOVES only — hit counts ride the numeric locals (ch/dh) and
-        # the static pcum/pf catch-up — so _lf replays reorders and
-        # nothing else. It runs before anything can observe or evict.
-        if use_ds:
-            src("dl = []")
-            src("dla = dl.append")
-        if use_dc:
-            src("cl = []")
-            src("cla = cl.append")
-        if icache is not None:
-            src("il = []")
-            src("ila = il.append")
-        src("def _lf():")
-        src.indent()
-        if use_ds:
-            src("if dl:")
-            src.indent()
-            src("for _k in reversed(dict.fromkeys(reversed(dl))):")
-            src("    tent.move_to_end(_k)")
-            src("dl.clear()")
-            src.dedent()
-        if use_dc:
-            src("if cl:")
-            src.indent()
-            src("for _k in reversed(dict.fromkeys(reversed(cl))):")
-            src(f"    dsets[_k & {dcache.num_sets - 1}].move_to_end(_k)")
-            src("cl.clear()")
-            src.dedent()
-        if icache is not None:
-            src("if il:")
-            src.indent()
-            src("for _k in reversed(dict.fromkeys(reversed(il))):")
-            src(f"    isets[_k & {imask}].move_to_end(_k)")
-            src("il.clear()")
-            src.dedent()
-        src.dedent()
-    if use_dc:
-        # Cold D-cache miss, out of line (rare; keeps the per-access
-        # source small). Hits — same-line repeats and resident line
-        # changes — stay inline.
-        src("def _dmiss(ln, wy):")
-        src.indent()
-        src("_lf()")
-        src("dcache.misses += 1")
-        src("wy[ln] = True")
-        src(f"if len(wy) > {dcache.ways}:")
-        src("    wy.popitem(last=False)")
-        src("stats.dcache_misses += 1")
-        src(f"stats.cycles += {penalty}")
-        src.dedent()
-    if icache is not None:
-        # Cold I-cache miss. Returns pf + 1: the site was counted in
-        # pcum as a hit, so the miss compensates one credit away.
-        src("def _imiss(line, wy, pf):")
-        src.indent()
-        src("_lf()")
-        src("icache.misses += 1")
-        src("wy[line] = True")
-        src(f"if len(wy) > {iways}:")
-        src("    wy.popitem(last=False)")
-        src("stats.icache_misses += 1")
-        src(f"stats.cycles += {penalty}")
-        src("return pf + 1")
-        src.dedent()
-    if warm_mach:
-        # Steady-state I-side replay: _IRT[j] is the dedup-by-last
-        # rotation of the per-iteration line sequence ending at exit
-        # point j — the LRU permutation eager probing would have left.
-        # _wchk proves every trace line survived the eager iteration
-        # (membership peeks; no LRU touch) before probes are elided.
-        src("def _irp(j):")
-        src.indent()
-        src("for _k in _IRT[j]:")
-        src(f"    isets[_k & {imask}].move_to_end(_k)")
-        src.dedent()
-        src("def _wchk():")
-        src.indent()
-        src("for _k in _ILINES:")
-        src(f"    if _k not in isets[_k & {imask}]:")
-        src("        return False")
-        src("return True")
-        src.dedent()
-    if cache_l:
-        fill_closure("_lfl", "jlget", "jlf", "jload", "dload", "")
-    if cache_s:
-        fill_closure("_sfl", "jsget", "jsf", "jstore", "dstore", ", pp")
-    # Shared cold-path sync: every fallback / raise site catches the
-    # deferred retire and fetch-hit counters up and drains the LRU
-    # replay in ONE generated line (the static per-site values ride
-    # the arguments; the updated runtime locals ride the return).
-    sy_args = ["i"]
-    sy_rets = ["i"]
-    if icache is not None:
-        sy_args.append("pq")
-        sy_rets.append("pq")
-    if warm_mach:
-        sy_args.append("j")
-        sy_rets.append("j")
-    sy_args += ["pc", "fc"]
-    if icache is not None:
-        sy_args.append("pf")
-    src(f"def _sy({', '.join(sy_args)}):")
-    src.indent()
-    src("core.pc = pc")
-    src("core._current_pc = pc")
-    src("stats.instructions += i - fc")
-    if cpi == 1:
-        src("stats.cycles += i - fc")
-    else:
-        src(f"stats.cycles += (i - fc) * {cpi}")
-    if icache is not None:
-        src("icache.hits += pq - pf")
-    if use_lf:
-        src("_lf()")
-    src(f"return {', '.join(sy_rets)}")
-    src.dedent()
-    src("def _block(b):")
-    src.indent()
-    if use_ds:
-        src("gen = mmu.generation")
-        src("dok = core._dside_generation == gen")
-        src("um = not mmu.user_mode")
-    src("fc = 0")
-    if icache is not None:
-        src("pf = 0")
-    if warm_mach:
-        src("warm = False")
-        src("ip = 0")
-    if cache_l:
-        src("lvb = -1")
-    if cache_s:
-        src("svb = -1")
-    if use_ds:
-        src("ldp = -1")
-        src("dh = 0")
-    if use_dc:
-        src("lln = -1")
-        src("ch = 0")
-    for k in sorted(reg_locals):
-        src(f"r{k} = regs[{k}]")
-    if wlist:
-        src("try:")
-        src.indent()
-
-    def flush():
-        for k in wlist:
-            src(f"regs[{k}] = r{k}")
-
-    def drain_lines():
-        """Drain of the numeric deferred hit counts. Pure counts have
-        no mid-region observer (CSR reads expose only cycle/instret),
-        so these are emitted at exits and in the except repair only —
-        call-outs increment the same counters commutatively."""
-        lines = []
-        if use_dc:
-            lines += ["if ch:", "    dcache.hits += ch", "    ch = 0"]
-        if use_ds:
-            lines += ["if dh:", "    dtlb.hits += dh",
-                      "    mmu_stats.translations += dh", "    dh = 0"]
-        return lines
-
-    def lf():
-        for line in drain_lines():
-            src(line)
-        if use_lf:
-            src("_lf()")
-
-    def warm_exit(j):
-        # Loop exits replay the steady-state I-side LRU permutation
-        # for this exit point. warm=True implies il is empty (probes
-        # were elided), so this never double-applies with _lf.
-        if warm_mach:
-            src("if warm:")
-            src(f"    _irp({j})")
-
-    # Drop the cached page views and the last-line/page memos after
-    # every call out of generated code: the call may have purged a
-    # memo (TLB shadow purge, D-side resync, page del) or probed the
-    # D-cache/D-TLB eagerly (evictions, LRU reorders).
-    reset_vars = ([v for v, on in (("lvb", cache_l), ("svb", cache_s),
-                                   ("ldp", use_ds), ("lln", use_dc))
-                   if on])
-    reset_line = " = ".join(reset_vars) + " = -1" if reset_vars else ""
-
-    def resets():
-        if reset_line:
-            src(reset_line)
-
-    def reset_chunk(levels):
-        return _ind(reset_line, levels) if reset_line else ""
-
-    # Deferred retire/fetch-hit counters: fc / pf are runtime locals
-    # counting what has been credited THIS pass; pcum is the static
-    # count of fetch-line touches along the trace (every site counts —
-    # probe misses compensate via ``pf + 1``). isite_seq is the static
-    # per-iteration line sequence (changes only) feeding the warm-loop
-    # replay tables.
-    pcum = 0
-    last_line = None
-    isite_seq = []
-
-    def catchup(i):
-        lines = []
-        if i:
-            lines.append(f"stats.instructions += {i} - fc")
-            if cpi == 1:
-                lines.append(f"stats.cycles += {i} - fc")
-            else:
-                lines.append(f"stats.cycles += ({i} - fc) * {cpi}")
-            lines.append(f"fc = {i}")
-        if pcum:
-            lines.append(f"icache.hits += {pcum} - pf")
-            lines.append(f"pf = {pcum}")
-        return lines
-
-    def cflush(i):
-        for line in catchup(i):
-            src(line)
-
-    def sync_chunk(i, pc, levels):
-        # One line per site: the static position (entry index, pcum,
-        # warm exit point, pc) is baked into the _sy call. ``ip``
-        # records the exit position for the shared except repair.
-        args, targets = [str(i)], ["fc"]
-        if icache is not None:
-            args.append(str(pcum))
-            targets.append("pf")
-        if warm_mach:
-            args.append(str(len(isite_seq)))
-            targets.append("ip")
-        args += [str(pc), "fc"]
-        if icache is not None:
-            args.append("pf")
-        return _ind(f"{', '.join(targets)} = _sy({', '.join(args)})",
-                    levels)
-
-    def sync(i, pc):
-        src.block(sync_chunk(i, pc, 0).rstrip("\n"))
-
-    def side_exit(i, target, taken_penalty):
-        # Cold-direction guard: catch everything up through the branch,
-        # charge its penalty if the exit direction is the taken one,
-        # and hand the exit pc back to the trampoline.
-        cflush(i + 1)
-        if taken_penalty:
-            src(f"stats.branch_penalty_cycles += {taken_penalty}")
-            src(f"stats.cycles += {taken_penalty}")
-        flush()
-        lf()
-        warm_exit(len(isite_seq))
-        src("core.region_side_exits += 1")
-        src(f"return {target}")
-
-    def backedge():
-        # Full catch-up + drain, budget check, cheap re-hoists; then
-        # the while loop re-enters the head with registers still local.
-        cflush(n)
-        lf()
-        if warm_mach:
-            # One full eager iteration is behind us; elide probes from
-            # here on iff every trace line actually survived it (a
-            # pathological set conflict can self-evict in iteration 1).
-            src("if not warm:")
-            src("    warm = _wchk()")
-        src("fc = 0")
-        if pcum:
-            src("pf = 0")
-        src(f"b -= {n}")
-        src(f"if b < {n}:")
-        src.indent()
-        flush()
-        warm_exit(0)
-        src(f"return {head_pc}")
-        src.dedent()
-        if use_ds:
-            src("if not dok:")
-            src("    dok = core._dside_generation == gen")
-
-    if plan.loop:
-        src("while True:")
-        src.indent()
-        if multi_page:
-            # Later members' pages can evict the head page from the
-            # fetch cache on capacity. Exit: the trampoline's own
-            # recheck performs the identical retranslation before
-            # re-dispatching this region. Counters and deferred state
-            # are fully drained at the loop top (fc == 0 after every
-            # backedge), so the exit is a bare flush.
-            src(f"if {members[0].vpn} not in fpages:")
-            src.indent()
-            flush()
-            warm_exit(0)
-            src("core.region_side_exits += 1")
-            src(f"return {head_pc}")
-            src.dedent()
-
-    prev_vpn = members[0].vpn
-    for m, j, i, (handler, insn, pc, next_pc, paddr, paddr2) in flat:
-        kind = kinds[i]
-        member_last = j == len(m.entries) - 1
-        # Trace-final entries replicate tier 2's block-final emission.
-        final = member_last and not m.inline_next and not m.backedge
-        if j == 0 and i and m.vpn != prev_vpn:
-            # Page transition between members whose code page fell out
-            # of the fetch cache: exit to the trampoline, whose own
-            # recheck retranslates identically and resumes at this pc
-            # through the member's tier-2 block.
-            src(f"if {m.vpn} not in fpages:")
-            src.indent()
-            cflush(i)
-            flush()
-            lf()
-            warm_exit(len(isite_seq))
-            src("core.region_side_exits += 1")
-            src(f"return {pc}")
-            src.dedent()
-        if j == 0:
-            prev_vpn = m.vpn
-        if icache is not None:
-            for pa in (paddr,) if paddr2 is None else (paddr, paddr2):
-                line = pa >> ishift
-                pcum += 1
-                if line != last_line:
-                    probe = _RIPROBE.format(si=line & imask, line=line)
-                    if warm_mach:
-                        src("if not warm:")
-                        src.indent()
-                        src.block(probe)
-                        src.dedent()
-                    else:
-                        src.block(probe)
-                    isite_seq.append(line)
-                    last_line = line
-        if final and (kind in ("alu", "branch", "jal", "jalr")
-                      or (kind in ("load", "store") and dside)):
-            cflush(i)
-
-        if kind == "alu":
-            name = insn.name
-            if name in INLINE_MULDIV:
-                src(f"stats.muldiv_cycles += {params.mul_latency}")
-                src(f"stats.cycles += {params.mul_latency}")
-            if insn.rd:
-                if name == "lui":
-                    src(f"r{insn.rd} = {to_u64(sext(insn.imm << 12, 32))}")
-                elif name == "auipc":
-                    src(f"r{insn.rd} = "
-                        f"{to_u64(pc + sext(insn.imm << 12, 32))}")
-                elif name in ALU_IMM:
-                    src(f"r{insn.rd} = "
-                        f"{ALU_IMM[name](rx(insn.rs1), insn.imm)}")
-                else:
-                    src(f"r{insn.rd} = "
-                        f"{ALU_REG[name](rx(insn.rs1), rx(insn.rs2))}")
-
-        elif kind == "load":
-            width, signed = LOAD_INFO[insn.name]
-            a = rx(insn.rs1)
-            if not dside:
-                sync(i, pc)
-                src(f"v = load(({a} + {insn.imm}) & {_M}, "
-                    f"{width}, {signed})")
-                if insn.rd:
-                    src(f"r{insn.rd} = v")
-            else:
-                cond = "dok" if width == 1 else \
-                    f"not va & {width - 1} and dok"
-                src.block(_RLOAD_FAST.format(
-                    a=a, imm=insn.imm, m=_M, cond=cond,
-                    gm=hex(0xFFFFFFFFFFFFF000 | (width - 1)),
-                    dst=f"r{insn.rd}" if insn.rd else "v",
-                    rd1=read_expr(width, signed),
-                    rd2=read_expr(width, signed),
-                    lviews=lviews,
-                    dc1=dprobe("lpb", 1), dc2=dprobe("lpb", 3),
-                    w=width, signed=signed, pc=pc,
-                    fb=sync_chunk(i, pc, 2),
-                    rp=sync_chunk(i, pc, 4),
-                    rs=reset_chunk(2),
-                    post=f"    r{insn.rd} = v" if insn.rd else ""))
-
-        elif kind == "roload":
-            # Never cached: the full MMU.translate path runs the
-            # read-only + key check every time (DESIGN.md §8), then the
-            # page views are dropped (translate may purge memos).
-            width, signed = RO_INFO[insn.name]
-            sync(i, pc)
-            src(f"v = load({rx(insn.rs1)}, {width}, {signed}, "
-                f"\"read_ro\", {insn.key})")
-            if insn.rd:
-                src(f"r{insn.rd} = v")
-            resets()
-
-        elif kind == "store":
-            width = STORE_INFO[insn.name]
-            a = rx(insn.rs1)
-            val = rx(insn.rs2)
-            if not dside:
-                sync(i, pc)
-                src(f"store(({a} + {insn.imm}) & {_M}, {width}, {val})")
-            else:
-                cond = "dok" if width == 1 else \
-                    f"not va & {width - 1} and dok"
-                src.block(_RSTORE_FAST.format(
-                    a=a, imm=insn.imm, m=_M, cond=cond,
-                    gm=hex(0xFFFFFFFFFFFFF000 | (width - 1)),
-                    wr1=write_stmt(width, val),
-                    wr2=write_stmt(width, val),
-                    sviews=sviews,
-                    dc1=dprobe("spb", 1), dc2=dprobe("spb", 3),
-                    w=width, val=val,
-                    pc=pc, fb=sync_chunk(i, pc, 2),
-                    rp=sync_chunk(i, pc, 4),
-                    rs=reset_chunk(2)))
-            if not final:
-                # The store may have hit cached code: this region is
-                # stale past this point. Retire the store and deopt to
-                # the trampoline, exactly like tier 2 mid-block.
-                src("if core._block_abort:")
-                src.indent()
-                cflush(i)
-                src("stats.instructions += 1")
-                src(f"stats.cycles += {cpi}")
-                flush()
-                lf()
-                warm_exit(len(isite_seq))
-                src(f"return {next_pc}")
-                src.dedent()
-
-        elif kind == "generic":
-            slot = hidx[i]
-            sync(i, pc)
-            flush()
-            if final:
-                src(f"res = H{slot}(core, I{slot}, {pc})")
-                src("stats.instructions += 1")
-                src(f"stats.cycles += {cpi}")
-                src(f"return {next_pc} if res is None else res")
-            else:
-                src(f"H{slot}(core, I{slot}, {pc})")
-                if insn.rd and insn.rd in reg_locals:
-                    src(f"r{insn.rd} = regs[{insn.rd}]")
-                if use_ds:
-                    src("um = not mmu.user_mode")
-                resets()
-                src("if core._block_abort:")
-                src.indent()
-                src("stats.instructions += 1")
-                src(f"stats.cycles += {cpi}")
-                for line in drain_lines():
-                    src(line)
-                warm_exit(len(isite_seq))
-                src(f"return {next_pc}")
-                src.dedent()
-
-        elif kind == "branch":
-            cond = BRANCH_COND[insn.name](rx(insn.rs1), rx(insn.rs2))
-            tbp = params.taken_branch_penalty
-            if final:
-                # Trace ends on this branch: tier-2-final emission
-                # (counters were pre-flushed by cflush(i) above).
-                src(f"if {cond}:")
-                src.indent()
-                src(f"stats.branch_penalty_cycles += {tbp}")
-                src("stats.instructions += 1")
-                src(f"stats.cycles += {tbp + cpi}")
-                flush()
-                lf()
-                src(f"return {m.taken_pc}")
-                src.dedent()
-                src("stats.instructions += 1")
-                src(f"stats.cycles += {cpi}")
-                flush()
-                lf()
-                src(f"return {m.fall_pc}")
-            elif m.chosen_taken:
-                src(f"if not ({cond}):")
-                src.indent()
-                side_exit(i, m.fall_pc, 0)
-                src.dedent()
-                src(f"stats.branch_penalty_cycles += {tbp}")
-                src(f"stats.cycles += {tbp}")
-            else:
-                src(f"if {cond}:")
-                src.indent()
-                side_exit(i, m.taken_pc, tbp)
-                src.dedent()
-
-        elif kind == "jal":
-            jp = params.jump_penalty
-            if final:
-                if insn.rd:
-                    src(f"r{insn.rd} = {pc + insn.length}")
-                src(f"stats.branch_penalty_cycles += {jp}")
-                src("stats.instructions += 1")
-                src(f"stats.cycles += {jp + cpi}")
-                flush()
-                lf()
-                src(f"return {to_u64(pc + insn.imm)}")
-            else:
-                if insn.rd:
-                    src(f"r{insn.rd} = {pc + insn.length}")
-                src(f"stats.branch_penalty_cycles += {jp}")
-                src(f"stats.cycles += {jp}")
-
-        elif kind == "jalr":
-            jp = params.jump_penalty
-            src(f"t = ({rx(insn.rs1)} + {insn.imm}) & "
-                f"0xFFFFFFFFFFFFFFFE")
-            if insn.rd:
-                src(f"r{insn.rd} = {pc + insn.length}")
-            src(f"stats.branch_penalty_cycles += {jp}")
-            src("stats.instructions += 1")
-            src(f"stats.cycles += {jp + cpi}")
-            flush()
-            lf()
-            src("return t")
-
-        if final and kind in ("alu", "load", "store", "roload"):
-            src("stats.instructions += 1")
-            src(f"stats.cycles += {cpi}")
-            flush()
-            lf()
-            src(f"return {next_pc}")
-
-        if member_last and m.backedge:
-            backedge()
-
-    if plan.loop:
-        src.dedent()    # close while True
-    if wlist:
-        src.dedent()
-        src("except BaseException:")
-        src.indent()
-        # In a loop region the locals run AHEAD of the register file
-        # (backedges do not flush); this repair makes the architectural
-        # registers current before the Trap reaches any handler. The
-        # counters were synced at the raising site (which also stamped
-        # ``ip``), so it is exact.
-        for line in drain_lines():
-            src(line)
-        if use_lf:
-            src("_lf()")
-        if warm_mach:
-            src("if warm:")
-            src("    _irp(ip)")
-        for k in wlist:
-            src(f"regs[{k}] = r{k}")
-        src("raise")
-        src.dedent()
-    src.dedent()
-    src("return _block")
-
-    ns = {
-        "_S": _SENTINEL,
-        "Trap": Trap,
-        "LPF": Cause.LOAD_PAGE_FAULT,
-        "SPF": Cause.STORE_PAGE_FAULT,
-    }
-    if warm_mach:
-        # _IRT[j]: the LRU permutation one eager iteration ending at
-        # exit point j would have produced — the dedup-by-last of the
-        # line sequence rotated to end at j. _IRT[len] == _IRT[0]
-        # (full rotation) covers sync sites past the last probe.
-        msites = len(isite_seq)
-        irt = []
-        for j in range(msites + 1):
-            order = isite_seq[j:] + isite_seq[:j]
-            irt.append(tuple(reversed(dict.fromkeys(reversed(order)))))
-        ns["_IRT"] = tuple(irt)
-        ns["_ILINES"] = tuple(dict.fromkeys(isite_seq))
-    return src.text(), ns, hs

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro import config as _config
 from repro.compiler import compile_module
@@ -69,27 +68,10 @@ class Measurement:
         return self.system_profile
 
 
-def _resolve_profile(profile: "Optional[str]",
-                     system_profile: "Optional[str]",
-                     default: str = "processor+kernel") -> str:
-    """Keyword alignment shim: ``profile=`` is canonical everywhere a
-    system profile is meant; ``system_profile=`` keeps working with a
-    :class:`DeprecationWarning`."""
-    if system_profile is not None:
-        warnings.warn(
-            "the system_profile= keyword is deprecated; use profile=",
-            DeprecationWarning, stacklevel=3)
-        if profile is None:
-            return system_profile
-    return profile if profile is not None else default
-
-
 def run_variant(program: WorkloadProgram, variant: str, *,
-                profile: "Optional[str]" = None,
-                system_profile: "Optional[str]" = None,
+                profile: str = "processor+kernel",
                 max_instructions: int = 100_000_000) -> Measurement:
     """Compile one variant of a generated workload and run it."""
-    profile = _resolve_profile(profile, system_profile)
     image = compile_module(program.module,
                            hardening=make_hardening(variant, program))
     system = build_system(profile)
@@ -167,9 +149,9 @@ def _run_pair(task: tuple) -> "Tuple[str, str, Measurement]":
     Each worker regenerates the workload (generation is deterministic in
     the profile seed) and builds its own system — processes share nothing.
     """
-    name, variant, scale, system_profile, max_instructions = task
+    name, variant, scale, profile, max_instructions = task
     program = build_workload(_workload_profile(name), scale=scale)
-    measurement = run_variant(program, variant, profile=system_profile,
+    measurement = run_variant(program, variant, profile=profile,
                               max_instructions=max_instructions)
     return name, variant, measurement
 
@@ -204,8 +186,7 @@ def _check_exit_codes(name: str,
 
 
 def run_benchmark(name: str, variants=VARIANTS, *, scale: float = 0.2,
-                  profile: "Optional[str]" = None,
-                  system_profile: "Optional[str]" = None,
+                  profile: str = "processor+kernel",
                   jobs: "int | None" = None) -> BenchmarkRun:
     """Generate, compile, and run all variants of one benchmark.
 
@@ -213,7 +194,6 @@ def run_benchmark(name: str, variants=VARIANTS, *, scale: float = 0.2,
     binary must be functionally identical. With ``jobs`` (or REPRO_JOBS)
     above 1, variants are measured in parallel worker processes.
     """
-    profile = _resolve_profile(profile, system_profile)
     jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(variants) <= 1:
         program = build_workload(_workload_profile(name), scale=scale)
@@ -232,12 +212,10 @@ def run_benchmark(name: str, variants=VARIANTS, *, scale: float = 0.2,
 
 def run_benchmarks(names: "Iterable[str]", variants=VARIANTS, *,
                    scale: float = 0.2,
-                   profile: "Optional[str]" = None,
-                   system_profile: "Optional[str]" = None,
+                   profile: str = "processor+kernel",
                    jobs: "int | None" = None) -> "Dict[str, BenchmarkRun]":
     """Run a benchmark sweep, fanning benchmark x variant pairs across
     worker processes (REPRO_JOBS or ``jobs``; serial when 1)."""
-    profile = _resolve_profile(profile, system_profile)
     names = list(names)
     jobs = resolve_jobs(jobs)
     tasks = [(name, v, scale, profile, 100_000_000)
@@ -256,7 +234,6 @@ def run_system_comparison(name: str, *, scale: float = 0.2) \
     """§V-B: the same unhardened binary on the three system profiles."""
     program = build_workload(_workload_profile(name), scale=scale)
     out: "Dict[str, Measurement]" = {}
-    for system_profile in ("baseline", "processor", "processor+kernel"):
-        out[system_profile] = run_variant(program, "base",
-                                          profile=system_profile)
+    for profile in ("baseline", "processor", "processor+kernel"):
+        out[profile] = run_variant(program, "base", profile=profile)
     return out

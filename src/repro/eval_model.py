@@ -12,10 +12,9 @@ module is the single typed surface they all speak now:
 * :class:`CampaignResult` — a whole campaign: baseline facts plus the
   classified runs, rendering and serializing through the table.
 
-Compatibility: the old dict shapes (``InjectionRecord.to_dict()``,
-``CampaignReport.to_dict()``) are preserved bit-for-bit by
-:meth:`RunResult.to_dict` / :meth:`CampaignResult.to_dict`; the old
-class names survive as deprecated aliases in :mod:`repro.replay.inject`.
+The serialized shapes (:meth:`RunResult.to_dict` /
+:meth:`CampaignResult.to_dict`) are the ones the committed detection
+tables and campaign records were written in.
 """
 
 from __future__ import annotations

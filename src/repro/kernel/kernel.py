@@ -149,9 +149,7 @@ class Kernel:
                          tier1=core.tier1_retired,
                          tier2=(core.instret - core.tier0_retired
                                 - core.tier1_retired
-                                - core.tier3_retired
                                 - core.tier4_retired),
-                         tier3=core.tier3_retired,
                          tier4=core.tier4_retired)
 
     def _handle_trap(self, process: Process, trap: Trap) -> None:

@@ -3,7 +3,7 @@
 The interpreter already attributes every retired instruction to a tier
 (DESIGN.md §10); this module attributes them to *guest code* as well,
 at the grain the tiers naturally batch at: tier 1 records per replayed
-block, tier 2 per compiled block, tiers 3/4 per region, each keyed by
+block, tier 2 per compiled block, tier 4 per region, each keyed by
 the unit's start pc. The recording site is the same batch point that
 flushes the deferred counters, so the per-instruction hot paths stay
 untouched; a disabled attribution is one ``is not None`` test at those
@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 
-TIER_NAMES = {0: "tier0", 1: "tier1", 2: "tier2", 3: "tier3", 4: "tier4"}
+TIER_NAMES = {0: "tier0", 1: "tier1", 2: "tier2", 4: "tier4"}
 
 
 class Attribution:

@@ -66,14 +66,12 @@ class Sampler:
             "cycles": stats.cycles,
             "tier0": core.tier0_retired,
             "tier1": core.tier1_retired,
-            "tier3": core.tier3_retired,
             "tier4": core.tier4_retired,
             "jit_compiled": core.jit_compiled,
             "regions_compiled": core.regions_compiled,
             "flat_regions_compiled": core.flat_regions_compiled,
         }
-        row["tier2"] = (instret - row["tier0"] - row["tier1"]
-                        - row["tier3"] - row["tier4"])
+        row["tier2"] = instret - row["tier0"] - row["tier1"] - row["tier4"]
         mstats = getattr(mmu, "stats", None)
         if mstats is not None:
             row["walks"] = mstats.walks
@@ -117,8 +115,7 @@ class Sampler:
             events.append({
                 "ts": ts, "type": "counter.sampled.tiers", "cat": "sim",
                 "tier0": row["tier0"], "tier1": row["tier1"],
-                "tier2": row["tier2"], "tier3": row["tier3"],
-                "tier4": row["tier4"],
+                "tier2": row["tier2"], "tier4": row["tier4"],
             })
             events.append({
                 "ts": ts, "type": "counter.sampled.progress",

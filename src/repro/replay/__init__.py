@@ -23,8 +23,6 @@ from repro.replay.check import (
     verify_replay,
 )
 from repro.replay.inject import (
-    CampaignReport,
-    InjectionRecord,
     apply_injection,
     build_inject_image,
     build_inject_victim,
@@ -48,7 +46,6 @@ __all__ = [
     "ObsCapture",
     "Reference", "ReplayResult", "VerifyReport",
     "record_reference", "replay_tier", "verify_replay",
-    "CampaignReport", "InjectionRecord",
     "apply_injection", "classify_outcome",
     "build_inject_victim", "build_inject_image", "run_campaign",
 ]

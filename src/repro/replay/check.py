@@ -183,8 +183,8 @@ class VerifyReport:
 
 
 def verify_replay(reference: Reference,
-                  tiers: "Tuple[str, ...]" = ("slow", "tier1", "tier2", "tier3",
-                            "tier4")) \
+                  tiers: "Tuple[str, ...]" = ("slow", "tier1", "tier2",
+                                              "tier4")) \
         -> VerifyReport:
     """Replay the reference under every tier; all digests must match."""
     report = VerifyReport(reference=reference.result)

@@ -26,14 +26,11 @@ The perturbation primitives (:func:`apply_injection`) and the verdict
 classifier (:func:`classify_outcome`) are public: the coverage-guided
 fuzzer (:mod:`repro.fuzz`) composes them into multi-entry injection
 schedules over mutated victims. Results are the typed
-:class:`~repro.eval_model.RunResult` / :class:`~repro.eval_model.CampaignResult`;
-the pre-PR 10 names ``InjectionRecord`` / ``CampaignReport`` remain as
-deprecated aliases with unchanged ``to_dict()`` shapes.
+:class:`~repro.eval_model.RunResult` / :class:`~repro.eval_model.CampaignResult`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Tuple
 
 from repro.errors import ReplayError
@@ -109,28 +106,6 @@ def build_inject_image(reps: int = 8):
     from repro.defenses import TypeBasedCFI, VCallProtection
     return compile_module(build_inject_victim(reps),
                           hardening=[VCallProtection(), TypeBasedCFI()])
-
-
-class InjectionRecord(RunResult):
-    """Deprecated alias for :class:`repro.eval_model.RunResult`.
-
-    Kept so pre-PR 10 callers (and pickles of old reports) keep working;
-    ``to_dict()`` output is bit-identical. New code should construct
-    :class:`RunResult` with a :class:`Verdict`.
-    """
-
-    def __init__(self, kind, trigger, target, outcome, detail="",
-                 exit_code=None, signal=None):
-        warnings.warn("InjectionRecord is deprecated; use "
-                      "repro.eval_model.RunResult", DeprecationWarning,
-                      stacklevel=2)
-        super().__init__(kind=kind, trigger=trigger, target=target,
-                         verdict=outcome, detail=detail,
-                         exit_code=exit_code, signal=signal)
-
-
-# Deprecated alias: the campaign result moved to the shared typed model.
-CampaignReport = CampaignResult
 
 
 def _keyed_pages(process) -> "list[Tuple[int, int]]":

@@ -306,7 +306,7 @@ def main(argv=None) -> int:
     parser.add_argument("--boot", type=int, default=None,
                         help="snapshot boot point in instructions "
                              "(default: REPRO_SERVE_BOOT)")
-    parser.add_argument("--tiers", default="tier1,tier2,tier3,tier4",
+    parser.add_argument("--tiers", default="tier1,tier2,tier4",
                         help="comma-separated tier cycle for sessions")
     parser.add_argument("--out", default=None, metavar="BENCH.json",
                         help="write the bench record here")

@@ -221,7 +221,7 @@ class Session:
         memory = system.memory
         seclog = self.kernel.security_log
         tier2 = (core.instret - core.tier0_retired - core.tier1_retired
-                 - core.tier3_retired - core.tier4_retired)
+                 - core.tier4_retired)
         out = {
             "session": self.sid,
             "state": self.state,
@@ -244,7 +244,7 @@ class Session:
                 "tier0": core.tier0_retired,
                 "tier1": core.tier1_retired,
                 "tier2": tier2,
-                "tier3": core.tier3_retired,
+                "tier3": 0,     # no tier 3; still read by bench/suite.py
                 "tier4": core.tier4_retired,
             },
             "seclog": {"total": seclog.total, "dropped": seclog.dropped,

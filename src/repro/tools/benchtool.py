@@ -8,25 +8,23 @@
 
 Times a fixed workload sweep end to end (generate + compile + simulate)
 and reports simulator throughput in sim-MIPS (millions of simulated
-instructions per wall-clock second). By default it runs the sweep five
+instructions per wall-clock second). By default it runs the sweep four
 times — once per interpreter tier:
 
-    slow   REPRO_FASTPATH=0             the seed configuration, serial
-    tier1  REPRO_FASTPATH=1 REPRO_JIT=0 block replay (PR 1)
-    tier2  REPRO_FASTPATH=1 REPRO_JIT=1 REPRO_TIER3=0 trace compiler (§9)
-    tier3  REPRO_FASTPATH=1 REPRO_JIT=1 REPRO_TIER3=1 region compiler (§12)
-    tier4  ... REPRO_TIER4=1            flat-core backend (§13)
+    slow   REPRO_FASTPATH=0                   the seed configuration, serial
+    tier1  REPRO_FASTPATH=1 REPRO_JIT=0       block replay
+    tier2  REPRO_FASTPATH=1 REPRO_JIT=1 REPRO_TIER4=0  trace compiler (§9)
+    tier4  REPRO_FASTPATH=1 REPRO_JIT=1 REPRO_TIER4=1  regions on the
+                                                       flat core (§12-13)
 
-and records all five, plus the pairwise speedups, in a
+and records all four, plus the pairwise speedups, in a
 ``BENCH_interp.json`` record (schema_version 5) so the performance
-trajectory of the interpreter is tracked PR over PR. Schema v3 added a
-per-tier ``residency`` section: which interpreter tier retired the
-instructions, compile time, and invalidation causes (DESIGN.md §10).
-Schema v4 added the tier-3 sweep (region counters in ``residency``) and
-fixed the host metadata to record the real ``os.cpu_count()`` plus the
-effective worker count. Schema v5 adds the tier-4 flat-core sweep
-(``tier4_retired``/``flat_regions_compiled`` in ``residency``) and the
-``tier4_over_tier3``/``tier4_over_slow`` speedups.
+trajectory of the interpreter is tracked PR over PR. Each sweep carries
+a ``residency`` section: which interpreter tier retired the
+instructions (``tier4_retired``/``flat_regions_compiled`` for the
+region tier), compile time, and invalidation causes (DESIGN.md §10),
+plus host metadata with the real ``os.cpu_count()`` and the effective
+worker count.
 
 ``--profile`` wraps the top-tier sweep in :mod:`cProfile` and writes a
 pstats artifact next to the JSON record (``<out>.pstats``) so a perf
@@ -45,9 +43,8 @@ that changed architecture is worthless.
 ``--check-against`` turns the tool into a regression gate: it re-runs a
 tier-4-only sweep with the baseline record's parameters and fails (exit
 1) when throughput drops more than ``--tolerance`` (default 15%) below
-the recorded value (older v3/v4 baselines gate against their recorded
-tier-3 number). ``--report-only`` prints the verdict but always
-exits 0 — for CI legs on shared, noisy runners.
+the recorded ``tiers.tier4`` value. ``--report-only`` prints the
+verdict but always exits 0 — for CI legs on shared, noisy runners.
 """
 
 from __future__ import annotations
@@ -129,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "only if --out is given explicitly)")
     parser.add_argument("--no-compare", action="store_true",
                         help="run only the tier-4 configuration (skip the "
-                             "tier-3/tier-2/tier-1/seed references)")
+                             "tier-2/tier-1/seed references)")
     parser.add_argument("--profile", action="store_true",
                         help="profile the top-tier sweep with cProfile and "
                              "write <out>.pstats (forces --jobs 1)")
@@ -172,7 +169,7 @@ def host_info(jobs: "int | None" = None) -> dict:
 def aggregate_residency(runs) -> dict:
     """Sum the per-measurement tier-residency profiles of a sweep."""
     total = {"retired": 0, "tier0_retired": 0, "tier1_retired": 0,
-             "tier2_retired": 0, "tier3_retired": 0, "tier4_retired": 0,
+             "tier2_retired": 0, "tier4_retired": 0,
              "jit_compiled": 0, "jit_flushes": 0,
              "jit_compile_seconds": 0.0, "regions_compiled": 0,
              "flat_regions_compiled": 0, "region_side_exits": 0,
@@ -183,7 +180,7 @@ def aggregate_residency(runs) -> dict:
             if not residency:
                 continue
             for key in ("retired", "tier0_retired", "tier1_retired",
-                        "tier2_retired", "tier3_retired", "tier4_retired",
+                        "tier2_retired", "tier4_retired",
                         "jit_compiled", "jit_flushes", "regions_compiled",
                         "flat_regions_compiled", "region_side_exits"):
                 total[key] += residency.get(key, 0)
@@ -195,7 +192,7 @@ def aggregate_residency(runs) -> dict:
     for key in ("jit_compile_seconds", "region_compile_seconds"):
         total[key] = round(total[key], 6)
     if total["retired"]:
-        for tier in ("tier0", "tier1", "tier2", "tier3", "tier4"):
+        for tier in ("tier0", "tier1", "tier2", "tier4"):
             total[f"{tier}_frac"] = round(
                 total[f"{tier}_retired"] / total["retired"], 6)
     return total
@@ -206,7 +203,7 @@ def format_residency(residency: dict) -> str:
     if not retired:
         return "residency: no instructions retired"
     parts = [f"{tier} {100.0 * residency.get(f'{tier}_frac', 0.0):.1f}%"
-             for tier in ("tier4", "tier3", "tier2", "tier1", "tier0")]
+             for tier in ("tier4", "tier2", "tier1", "tier0")]
     return (f"residency: {' / '.join(parts)} of {retired:,d} retired "
             f"({residency.get('jit_compiled', 0)} blocks compiled in "
             f"{residency.get('jit_compile_seconds', 0.0):.3f}s, "
@@ -240,7 +237,6 @@ def _run_sweep(benchmarks, variants, scale, *, tier: str, jobs: int):
         "tier": tier,
         "fast_path": tier_config.fast_path,
         "jit": tier_config.jit,
-        "tier3": tier_config.tier3,
         "tier4": tier_config.tier4,
         "jobs": jobs,
         "wall_seconds": round(elapsed, 3),
@@ -282,10 +278,7 @@ def build_record(benchmarks, variants, scale, tiers: dict,
     for num, den, key in (("tier1", "slow", "tier1_over_slow"),
                           ("tier2", "tier1", "tier2_over_tier1"),
                           ("tier2", "slow", "tier2_over_slow"),
-                          ("tier3", "tier2", "tier3_over_tier2"),
-                          ("tier3", "tier1", "tier3_over_tier1"),
-                          ("tier3", "slow", "tier3_over_slow"),
-                          ("tier4", "tier3", "tier4_over_tier3"),
+                          ("tier4", "tier2", "tier4_over_tier2"),
                           ("tier4", "slow", "tier4_over_slow")):
         if num in tiers and den in tiers and seconds(tiers[num]):
             speedup[key] = round(seconds(tiers[den]) / seconds(tiers[num]), 2)
@@ -295,17 +288,13 @@ def build_record(benchmarks, variants, scale, tiers: dict,
 
 
 def baseline_mips(record: dict) -> float:
-    """Reference sim-MIPS of a recorded run; understands the v5 schema
-    (``tiers.tier4``) down through the PR 1 v1 schema (``fast``)."""
-    if "tiers" in record:
-        tiers = record["tiers"]
-        for tier in ("tier4", "tier3", "tier2", "tier1", "slow"):
-            if tier in tiers:
-                return float(tiers[tier]["sim_mips"])
-        raise ReproError("baseline record has an empty 'tiers' table")
-    if "fast" in record:
-        return float(record["fast"]["sim_mips"])
-    raise ReproError("unrecognized baseline record (no 'tiers', no 'fast')")
+    """Reference sim-MIPS of a recorded run: its ``tiers.tier4`` sweep
+    (every v5 record, full or smoke, sweeps the top tier)."""
+    sweep = record.get("tiers", {}).get("tier4")
+    if sweep is None:
+        raise ReproError("baseline record has no 'tiers.tier4' sweep "
+                         "(not a schema v5 roload-bench record)")
+    return float(sweep["sim_mips"])
 
 
 def evaluate_gate(current_mips: float, baseline: dict,
@@ -406,11 +395,6 @@ def _main(args) -> int:
           f"{tiers['tier4']['sim_mips']} sim-MIPS (jobs={jobs})")
     print(f"tier4 {format_residency(tiers['tier4']['residency'])}")
     if not (args.no_compare or args.smoke):
-        tiers["tier3"] = _run_sweep(benchmarks, variants, scale,
-                                    tier="tier3", jobs=jobs)
-        print(f"tier3: {tiers['tier3']['wall_seconds']}s, "
-              f"{tiers['tier3']['sim_mips']} sim-MIPS (jobs={jobs})")
-        print(f"tier3 {format_residency(tiers['tier3']['residency'])}")
         tiers["tier2"] = _run_sweep(benchmarks, variants, scale,
                                     tier="tier2", jobs=jobs)
         print(f"tier2: {tiers['tier2']['wall_seconds']}s, "
@@ -425,7 +409,7 @@ def _main(args) -> int:
               f"{tiers['slow']['wall_seconds']}s, "
               f"{tiers['slow']['sim_mips']} sim-MIPS")
         reference = tiers["tier4"]["measurements"]
-        for tier in ("tier3", "tier2", "tier1", "slow"):
+        for tier in ("tier2", "tier1", "slow"):
             if tiers[tier]["measurements"] != reference:
                 raise ReproError(
                     f"{tier} and tier4 sweeps disagree architecturally "

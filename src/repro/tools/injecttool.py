@@ -3,7 +3,7 @@
     roload-inject campaign [--points N] [--reps K] [--kinds a,b,...]
                            [--profile P] [--table OUT.json]
     roload-inject verify   [--stop-after N] [--reps K] [--profile P]
-                           [--tiers slow,tier1,tier2,tier3,tier4]
+                           [--tiers slow,tier1,tier2,tier4]
                            [--snapshot-out S.snap] [--journal-out J.json]
 
 ``campaign`` snapshots a hardened victim at stratified instruction
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--profile", default="processor+kernel",
                         help="system profile (§V-B)")
     verify.add_argument("--tiers",
-                        default="slow,tier1,tier2,tier3,tier4",
+                        default="slow,tier1,tier2,tier4",
                         help="comma-separated tiers to replay under")
     verify.add_argument("--snapshot-out", type=Path, default=None,
                         metavar="S.snap",

@@ -13,8 +13,8 @@
 converts a JSONL event dump into Chrome trace-event JSON that opens in
 Perfetto / chrome://tracing.  ``validate`` checks a trace file against
 the trace-event schema — or, when the file is a ``roload-bench``
-record, checks it against the bench record schema (versions 3 through
-5) — and exits 1 on any problem: the CI artifact check.
+record, checks it against the bench record schema (version 5) — and
+exits 1 on any problem: the CI artifact check.
 
 ``top`` ranks the guest-attribution histogram (blocks/regions by
 retired instructions per tier); with ``--image`` the unit heads resolve
@@ -102,18 +102,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Bench record schema (see repro.tools.benchtool): versions the
-# validator accepts, and what each sweep/residency must carry. v5
-# added the tier-4 flat-core sweep; committed v3/v4 records must keep
-# validating so the gate can run against historical baselines.
-BENCH_SCHEMA_VERSIONS = (3, 4, 5)
+# Bench record schema (see repro.tools.benchtool): the versions the
+# validator accepts, and what each sweep/residency must carry. Only v5
+# records are committed; older vintages are rejected.
+BENCH_SCHEMA_VERSIONS = (5,)
 
 _SWEEP_REQUIRED = ("tier", "wall_seconds", "sim_mips",
                    "instructions", "cycles", "residency")
 
-# The newest tier a record of each version is required to include
-# (full and smoke/gate records alike always sweep their top tier).
-_TOP_TIER = {3: "tier2", 4: "tier3", 5: "tier4"}
+_RESIDENCY_REQUIRED = ("retired", "tier4_retired", "flat_regions_compiled")
+
+# The tier every record must include (full and smoke/gate records alike
+# always sweep it; the gate reads its sim_mips).
+_TOP_TIER = "tier4"
 
 
 def is_bench_record(data: dict) -> bool:
@@ -326,31 +327,20 @@ def validate_bench_record(record: dict) -> "list[str]":
     if not isinstance(tiers, dict) or not tiers:
         problems.append("'tiers' must be a non-empty object")
         return problems
-    top = _TOP_TIER[version]
-    if top not in tiers:
+    if _TOP_TIER not in tiers:
         problems.append(f"schema v{version} record lacks the "
-                        f"{top!r} sweep")
+                        f"{_TOP_TIER!r} sweep")
     for name, sweep in tiers.items():
         for key in _SWEEP_REQUIRED:
             if key not in sweep:
                 problems.append(f"tiers.{name}: missing {key!r}")
         residency = sweep.get("residency", {})
-        if "retired" not in residency:
-            problems.append(f"tiers.{name}.residency: missing 'retired'")
-        if version >= 5:
-            for key in ("tier4_retired", "flat_regions_compiled"):
-                if key not in residency:
-                    problems.append(
-                        f"tiers.{name}.residency: missing {key!r} "
-                        f"(required at schema v5)")
-    speedup = record.get("speedup", {})
-    for key, value in speedup.items():
+        for key in _RESIDENCY_REQUIRED:
+            if key not in residency:
+                problems.append(f"tiers.{name}.residency: missing {key!r}")
+    for key, value in record.get("speedup", {}).items():
         if not isinstance(value, (int, float)):
             problems.append(f"speedup.{key}: not a number")
-    if version >= 5 and "tier4" in tiers and "tier3" in tiers \
-            and "tier4_over_tier3" not in speedup:
-        problems.append("schema v5 record with tier3+tier4 sweeps "
-                        "lacks speedup.tier4_over_tier3")
     return problems
 
 
@@ -386,8 +376,8 @@ def _summarize_metrics(snapshot: dict) -> str:
 
 
 def _summarize_bench(record: dict) -> str:
-    """A roload-bench record as a per-tier residency/perf table (all
-    five tiers, tier 4 included)."""
+    """A roload-bench record as a per-tier residency/perf table (every
+    swept tier, tier 4 included)."""
     version = record.get("schema_version", "?")
     lines = [f"roload-bench record (schema v{version}): "
              f"scale {record.get('scale', '?')}, "
@@ -395,10 +385,7 @@ def _summarize_bench(record: dict) -> str:
              f"  {'tier':<8} {'sim_mips':>10} {'retired':>14} "
              f"{'t4_retired':>12} {'flat_regions':>12}"]
     tiers = record.get("tiers", {})
-    for name in ("slow", "tier1", "tier2", "tier3", "tier4"):
-        sweep = tiers.get(name)
-        if sweep is None:
-            continue
+    for name, sweep in tiers.items():
         residency = sweep.get("residency", {})
         lines.append(
             f"  {name:<8} {sweep.get('sim_mips', 0):>10} "
@@ -637,12 +624,10 @@ def cmd_trend(args) -> int:
         failed = _trend_campaigns(campaigns, args.tolerance)
     if not series:
         return 1 if failed else 0
-    print(f"  {'record':<36} {'schema':>6} {'top tier':>8} "
-          f"{'sim_mips':>10}")
+    print(f"  {'record':<36} {'schema':>6} {'sim_mips':>10}")
     for path, record in series:
-        top = _TOP_TIER[record["schema_version"]]
         print(f"  {path.name:<36} {record['schema_version']:>6} "
-              f"{top:>8} {baseline_mips(record):>10.3f}")
+              f"{baseline_mips(record):>10.3f}")
     for (prev_path, prev), (path, record) in zip(series, series[1:]):
         if not _comparable(prev, record):
             print(f"note: {prev_path.name} -> {path.name}: not "

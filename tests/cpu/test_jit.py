@@ -222,21 +222,19 @@ HOT_WALK_WRITABLE = (
 )
 
 TIERS = {
-    "slow": ("0", "0", "0", "0"),
-    "tier1": ("1", "0", "0", "0"),
-    "tier2": ("1", "1", "0", "0"),
-    "tier3": ("1", "1", "1", "0"),
-    "tier4": ("1", "1", "1", "1"),
+    "slow": ("0", "0", "0"),
+    "tier1": ("1", "0", "0"),
+    "tier2": ("1", "1", "0"),
+    "tier4": ("1", "1", "1"),
 }
 
-COMPARED = ("tier1", "tier2", "tier3", "tier4")
+COMPARED = ("tier1", "tier2", "tier4")
 
 
 def run_hot_fault(monkeypatch, source, tier):
-    fastpath, jit, tier3, tier4 = TIERS[tier]
+    fastpath, jit, tier4 = TIERS[tier]
     monkeypatch.setenv("REPRO_FASTPATH", fastpath)
     monkeypatch.setenv("REPRO_JIT", jit)
-    monkeypatch.setenv("REPRO_TIER3", tier3)
     monkeypatch.setenv("REPRO_TIER4", tier4)
     monkeypatch.setenv("REPRO_JIT_THRESHOLD", "2")
     monkeypatch.setenv("REPRO_REGION_THRESHOLD", "2")
@@ -261,20 +259,18 @@ def test_roload_fault_inside_hot_compiled_block(monkeypatch, source,
         assert process.signal.roload, tier
         event = kernel.security_log[0]
         core = kernel.system.core
-        if tier in ("tier2", "tier3", "tier4"):
+        if tier in ("tier2", "tier4"):
             # Non-vacuity: the faulting pc lies inside a block that was
             # compiled and still cached when the fault was delivered.
             assert core.jit_compiled >= 1
             assert any(rec.start_pc <= event.pc < rec.end_pc
                        for rec in core._jit_blocks.values())
-        if tier in ("tier3", "tier4"):
-            # And the hot ld.ro loop really ran as a compiled region.
+        if tier == "tier4":
+            # And the hot ld.ro loop really ran as a flat region,
+            # raising from inside it.
             assert core.regions_compiled >= 1
             assert any(region.covers(event.pc)
                        for region in core._regions.values())
-        if tier == "tier4":
-            # ... lowered by the flat backend, raising from inside it.
-            assert core.flat_regions_compiled >= 1
             assert core.tier4_retired > 0
         results[tier] = (
             core.cycles, core.instret, len(kernel.security_log),
@@ -376,10 +372,9 @@ def test_roload_monitor_complete_under_hot_fault(monkeypatch, source,
     deoptimizes, so the compiled tier cannot hide executions from it."""
     from repro.cpu.tracer import ROLoadMonitor
 
-    fastpath, jit, tier3, tier4 = TIERS[tier]
+    fastpath, jit, tier4 = TIERS[tier]
     monkeypatch.setenv("REPRO_FASTPATH", fastpath)
     monkeypatch.setenv("REPRO_JIT", jit)
-    monkeypatch.setenv("REPRO_TIER3", tier3)
     monkeypatch.setenv("REPRO_TIER4", tier4)
     monkeypatch.setenv("REPRO_JIT_THRESHOLD", "2")
     monkeypatch.setenv("REPRO_REGION_THRESHOLD", "2")

@@ -1,44 +1,44 @@
-"""Region backends: formation, deoptimization, five-tier identity.
+"""Region tier: formation, deoptimization, four-tier identity.
 
-The region compiler (src/repro/cpu/regions.py) inlines hot tier-2 block
-chains into single superblock functions; the tier-4 flat core
-(src/repro/cpu/flatcore.py) lowers the same plans to pre-decoded array
-dispatch. Like the tiers below them, both must be architecturally
-invisible: these tests pin formation (hot loops really become regions),
-the deoptimization edges (an SMC store and an MMU-generation bump taken
-*mid-region* continue bit-identically in all five tiers), and the
-overlap-suppression policy that keeps alternate entry splits of a live
-region from recompiling near-identical superblocks.
+The region planner (src/repro/cpu/regions.py) selects hot tier-2 block
+chains as superblocks; the tier-4 flat core (src/repro/cpu/flatcore.py)
+lowers each plan to pre-decoded array dispatch. Like the tiers below
+it, the region tier must be architecturally invisible: these tests pin
+formation (hot loops really become regions), the deoptimization edges
+(an SMC store and an MMU-generation bump taken *mid-region* continue
+bit-identically in all four tiers), and the overlap-suppression policy
+that keeps alternate entry splits of a live region from lowering
+near-identical superblocks.
 """
 
 from repro.asm import assemble, link
 from repro.cpu import Core, TimingModel
-from repro.cpu.regions import DEFER, Region, compile_region
+from repro.cpu.flatcore import compile_region
+from repro.cpu.regions import DEFER, Region
 from repro.kernel import Kernel, ProcessState
 from repro.mem import MMU, PhysicalMemory
 from repro.soc import build_system
 
 from .conftest import CODE_BASE, I, assemble_at
 
-# tier name -> (fast_path, jit, tier3, tier4) for the Core constructor.
+# tier name -> (fast_path, jit, tier4) for the Core constructor.
 TIERS = {
-    "slow": (False, False, False, False),
-    "tier1": (True, False, False, False),
-    "tier2": (True, True, False, False),
-    "tier3": (True, True, True, False),
-    "tier4": (True, True, True, True),
+    "slow": (False, False, False),
+    "tier1": (True, False, False),
+    "tier2": (True, True, False),
+    "tier4": (True, True, True),
 }
 
-COMPARED = ("tier1", "tier2", "tier3", "tier4")
+COMPARED = ("tier1", "tier2", "tier4")
 
 
 def tier_core(monkeypatch, tier):
-    fast_path, jit, tier3, tier4 = TIERS[tier]
+    fast_path, jit, tier4 = TIERS[tier]
     monkeypatch.setenv("REPRO_JIT_DEBUG", "1")
     memory = PhysicalMemory(1 << 20)
     core = Core(memory, MMU(memory), timing=TimingModel(),
                 fast_path=fast_path, jit=jit, jit_threshold=2,
-                tier3=tier3, tier4=tier4, region_threshold=2)
+                tier4=tier4, region_threshold=2)
     core.pc = CODE_BASE
     return core
 
@@ -65,18 +65,12 @@ def test_hot_loop_forms_region(monkeypatch):
         core.run(10_000, trap_handler=None)  # stops at ebreak
         outcomes[tier] = (core.regs[5], core.regs[6], core.regs[7],
                          core.instret, core.cycles)
-        if tier in ("tier3", "tier4"):
+        if tier == "tier4":
             assert core.regions_compiled >= 1
             region = core._regions[loop_pc]
             assert region.loop
             assert loop_pc in region.pcs
-            if tier == "tier4":
-                assert region.tier4
-                assert core.flat_regions_compiled >= 1
-                assert core.tier4_retired > 0
-            else:
-                assert not region.tier4
-                assert core.tier3_retired > 0
+            assert core.tier4_retired > 0
         else:
             assert core.regions_compiled == 0 and not core._regions
     for tier in COMPARED:
@@ -85,29 +79,28 @@ def test_hot_loop_forms_region(monkeypatch):
 
 
 def test_residency_attributes_region_instructions(monkeypatch):
-    core = tier_core(monkeypatch, "tier3")
-    countdown_loop(core, 50)
-    core.run(10_000, trap_handler=None)
-    residency = core.tier_residency()
-    assert residency["tier3_retired"] == core.tier3_retired > 0
-    assert (residency["tier0_retired"] + residency["tier1_retired"]
-            + residency["tier2_retired"] + residency["tier3_retired"]
-            + residency["tier4_retired"]) == residency["retired"]
-    assert residency["regions_compiled"] == core.regions_compiled >= 1
-
-
-def test_residency_attributes_flat_region_instructions(monkeypatch):
     core = tier_core(monkeypatch, "tier4")
     countdown_loop(core, 50)
     core.run(10_000, trap_handler=None)
     residency = core.tier_residency()
     assert residency["tier4_retired"] == core.tier4_retired > 0
-    assert residency["tier3_retired"] == 0
     assert (residency["tier0_retired"] + residency["tier1_retired"]
-            + residency["tier2_retired"] + residency["tier3_retired"]
+            + residency["tier2_retired"]
             + residency["tier4_retired"]) == residency["retired"]
+    assert residency["regions_compiled"] == core.regions_compiled >= 1
+
+
+def test_residency_attributes_flat_region_instructions(monkeypatch):
+    """Every region is a flat region: the record keeps the flat-core
+    counter name, and the legacy tier-3 attribute stays a constant 0."""
+    core = tier_core(monkeypatch, "tier4")
+    countdown_loop(core, 50)
+    core.run(10_000, trap_handler=None)
+    residency = core.tier_residency()
+    assert "tier3_retired" not in residency
+    assert core.tier3_retired == 0
     assert residency["flat_regions_compiled"] \
-        == core.flat_regions_compiled >= 1
+        == core.flat_regions_compiled == core.regions_compiled >= 1
 
 
 # -- overlap suppression -----------------------------------------------------
@@ -126,14 +119,14 @@ def test_region_covers_spans():
 
 def test_alternate_entry_inside_live_region_defers(monkeypatch):
     """A head pc lying inside a live region's instruction range is an
-    alternate entry split: compilation defers while lukewarm instead of
+    alternate entry split: lowering defers while lukewarm instead of
     building a near-identical superblock (or pinning the pc)."""
-    core = tier_core(monkeypatch, "tier3")
+    core = tier_core(monkeypatch, "tier4")
     loop_pc = countdown_loop(core, 50)
     core.run(10_000, trap_handler=None)
     assert core._regions[loop_pc].covers(loop_pc + 4)
     assert compile_region(core, loop_pc + 4, 0) is DEFER
-    # Past the escalated arrival bar the duplicate compile is allowed
+    # Past the escalated arrival bar the duplicate lowering is allowed
     # again; here there is no tier-2 block at the split, so planning
     # (not deferral) rejects it.
     assert compile_region(core, loop_pc + 4, 10 ** 9) is None
@@ -178,7 +171,7 @@ def test_smc_store_mid_region_deoptimizes_identically(monkeypatch):
         core.run(10_000, trap_handler=None)
         outcomes[tier] = (core.regs[9], core.regs[10], core.instret,
                          core.cycles)
-        if tier in ("tier3", "tier4"):
+        if tier == "tier4":
             # The region formed during the clean phase, before the SMC
             # store invalidated it.
             assert core.regions_compiled >= 1
@@ -229,10 +222,9 @@ loop2:                # hot loop 2: the same page, now keyed ld.ro
 
 
 def run_kernel_tier(monkeypatch, source, tier):
-    fast_path, jit, tier3, tier4 = TIERS[tier]
+    fast_path, jit, tier4 = TIERS[tier]
     monkeypatch.setenv("REPRO_FASTPATH", "1" if fast_path else "0")
     monkeypatch.setenv("REPRO_JIT", "1" if jit else "0")
-    monkeypatch.setenv("REPRO_TIER3", "1" if tier3 else "0")
     monkeypatch.setenv("REPRO_TIER4", "1" if tier4 else "0")
     monkeypatch.setenv("REPRO_JIT_THRESHOLD", "2")
     monkeypatch.setenv("REPRO_REGION_THRESHOLD", "2")
@@ -245,7 +237,7 @@ def run_kernel_tier(monkeypatch, source, tier):
 
 def test_mmu_generation_bump_mid_region_identical(monkeypatch):
     """mprotect between two hot loops bumps the MMU generation while
-    tier 3 has live regions; execution must continue bit-identically
+    tier 4 has live regions; execution must continue bit-identically
     (same cycles, instructions, TLB behavior) in all four tiers."""
     results = {}
     for tier in TIERS:
@@ -255,13 +247,10 @@ def test_mmu_generation_bump_mid_region_identical(monkeypatch):
         assert process.exit_code == 0, tier
         core = kernel.system.core
         mmu = kernel.system.mmu
-        if tier in ("tier3", "tier4"):
+        if tier == "tier4":
             # Both hot loops became regions, before and after the bump.
             assert core.regions_compiled >= 2
-            if tier == "tier4":
-                assert core.tier4_retired > 0
-            else:
-                assert core.tier3_retired > 0
+            assert core.tier4_retired > 0
         results[tier] = (
             core.cycles, core.instret, mmu.generation,
             mmu.dtlb.hits, mmu.dtlb.misses, mmu.stats.walks,

@@ -14,26 +14,16 @@ def tier(mips, seconds=10.0):
             "measurements": {}}
 
 
-V2_RECORD = {
-    "schema_version": 2,
+V5_RECORD = {
+    "schema_version": 5,
     "scale": 1.0,
-    "tiers": {"slow": tier(0.2), "tier1": tier(0.5), "tier2": tier(0.8)},
+    "tiers": {"slow": tier(0.2), "tier1": tier(0.5), "tier2": tier(0.6),
+              "tier4": tier(0.8)},
 }
 
-V1_RECORD = {"fast": {"sim_mips": 0.5}}  # the PR 1 schema
 
-
-def test_baseline_prefers_tier2():
-    assert baseline_mips(V2_RECORD) == 0.8
-
-
-def test_baseline_falls_back_through_tiers():
-    assert baseline_mips({"tiers": {"tier1": tier(0.5)}}) == 0.5
-    assert baseline_mips({"tiers": {"slow": tier(0.2)}}) == 0.2
-
-
-def test_baseline_reads_v1_schema():
-    assert baseline_mips(V1_RECORD) == 0.5
+def test_baseline_reads_tier4():
+    assert baseline_mips(V5_RECORD) == 0.8
 
 
 def test_baseline_rejects_unknown_schema():
@@ -43,30 +33,44 @@ def test_baseline_rejects_unknown_schema():
         baseline_mips({"something": "else"})
 
 
+def test_baseline_rejects_record_without_tier4():
+    # Only v5 records (which always sweep tier 4) are baselines: there
+    # is no fallback to a lower tier's throughput.
+    with pytest.raises(ReproError):
+        baseline_mips({"tiers": {"tier2": tier(0.8), "tier1": tier(0.5)}})
+    with pytest.raises(ReproError):
+        baseline_mips({"tiers": {"slow": tier(0.2)}})
+
+
+def test_baseline_rejects_v1_schema():
+    with pytest.raises(ReproError):
+        baseline_mips({"fast": {"sim_mips": 0.5}})
+
+
 def test_gate_passes_within_tolerance():
     # 15% default tolerance: floor is 0.8 * 0.85 = 0.68.
-    ok, reference, floor = evaluate_gate(0.70, V2_RECORD)
+    ok, reference, floor = evaluate_gate(0.70, V5_RECORD)
     assert ok and reference == 0.8 and floor == pytest.approx(0.68)
 
 
 def test_gate_fails_below_floor():
-    ok, __, floor = evaluate_gate(0.60, V2_RECORD)
+    ok, __, floor = evaluate_gate(0.60, V5_RECORD)
     assert not ok and 0.60 < floor
 
 
 def test_gate_faster_is_never_an_error():
-    ok, __, __ = evaluate_gate(5.0, V2_RECORD)
+    ok, __, __ = evaluate_gate(5.0, V5_RECORD)
     assert ok
 
 
 def test_gate_custom_tolerance():
-    assert not evaluate_gate(0.70, V2_RECORD, tolerance=0.05)[0]
-    assert evaluate_gate(0.70, V2_RECORD, tolerance=0.20)[0]
+    assert not evaluate_gate(0.70, V5_RECORD, tolerance=0.05)[0]
+    assert evaluate_gate(0.70, V5_RECORD, tolerance=0.20)[0]
 
 
 def test_build_record_schema():
     tiers = {"slow": tier(0.2, 40.0), "tier1": tier(0.5, 16.0),
-             "tier2": tier(0.8, 10.0)}
+             "tier2": tier(0.8, 10.0), "tier4": tier(1.0, 8.0)}
     record = build_record(["429.mcf"], ["base", "cfi"], 0.5, tiers)
     assert record["schema_version"] == SCHEMA_VERSION
     assert record["tool"] == "roload-bench"
@@ -76,9 +80,11 @@ def test_build_record_schema():
     assert set(record["host"]) == {"python", "platform", "cpu_count"}
     assert record["speedup"] == {"tier1_over_slow": 2.5,
                                  "tier2_over_tier1": 1.6,
-                                 "tier2_over_slow": 4.0}
+                                 "tier2_over_slow": 4.0,
+                                 "tier4_over_tier2": 1.25,
+                                 "tier4_over_slow": 5.0}
     # The gate reads its reference straight back out of the record.
-    assert baseline_mips(record) == 0.8
+    assert baseline_mips(record) == 1.0
 
 
 def test_build_record_prefers_sim_seconds():
@@ -92,7 +98,8 @@ def test_build_record_prefers_sim_seconds():
 
 
 def test_build_record_partial_tiers():
-    record = build_record([], [], 1.0, {"tier1": tier(0.5, 16.0)})
+    # The smoke/gate shape: tier 4 alone, no speedups to report.
+    record = build_record([], [], 1.0, {"tier4": tier(0.5, 16.0)})
     assert "speedup" not in record
     assert baseline_mips(record) == 0.5
 

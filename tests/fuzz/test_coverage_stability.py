@@ -1,8 +1,8 @@
 """Coverage signatures are tier-stable: the fork-determinism contract
 extended to the fuzzer's feedback.
 
-The same input — a loop victim long enough to push the tier-2/3/4
-compilers past their thresholds, plus a multi-entry injection schedule
+The same input — a loop victim long enough to push the tier-2 and
+tier-4 compilers past their thresholds, plus a multi-entry injection schedule
 — must hash to the same signature and the same divergence point on
 every interpreter tier. Without this, a corpus built on one tier would
 be garbage on another, and "new coverage" could mean "different
@@ -15,7 +15,7 @@ from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.executor import WarmVictimPool
 from repro.fuzz.target import VictimSpec
 
-TIERS = ("slow", "tier1", "tier2", "tier3", "tier4")
+TIERS = ("slow", "tier1", "tier2", "tier4")
 
 
 @pytest.fixture(scope="module")

@@ -142,12 +142,3 @@ class TestCampaignResult:
         assert not campaign.ok
         assert len(campaign.escapes) == 1
 
-
-def test_injection_record_alias_warns_but_works():
-    from repro.replay.inject import CampaignReport, InjectionRecord
-    with pytest.warns(DeprecationWarning, match="RunResult"):
-        record = InjectionRecord(kind="pte-key", trigger=3,
-                                 target="obj", outcome="detected")
-    assert isinstance(record, RunResult)
-    assert record.verdict is Verdict.DETECTED
-    assert CampaignReport is CampaignResult

@@ -170,7 +170,7 @@ class TestInjectTool:
              "--snapshot-out", str(snap), "--journal-out", str(journal)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "replay deterministic across slow, tier1, tier2, tier3" in out
+        assert "replay deterministic across slow, tier1, tier2, tier4" in out
         assert "DIVERGED" not in out
         assert snap.exists() and journal.exists()
 

@@ -111,13 +111,12 @@ def test_leaf_clear_faults_and_drops_memo(setup):
 
 # -- every tier: the fast paths ride the same memo ---------------------------
 
-# tier name -> (fast_path, jit, tier3, tier4) for the Core constructor.
+# tier name -> (fast_path, jit, tier4) for the Core constructor.
 TIERS = {
-    "slow": (False, False, False, False),
-    "tier1": (True, False, False, False),
-    "tier2": (True, True, False, False),
-    "tier3": (True, True, True, False),
-    "tier4": (True, True, True, True),
+    "slow": (False, False, False),
+    "tier1": (True, False, False),
+    "tier2": (True, True, False),
+    "tier4": (True, True, True),
 }
 
 CODE_VA = 0x1000
@@ -143,7 +142,7 @@ def _program():
 
 
 def _tier_system(tier):
-    fast_path, jit, tier3, tier4 = TIERS[tier]
+    fast_path, jit, tier4 = TIERS[tier]
     mem = PhysicalMemory(64 << 20)
     builder = PageTableBuilder(mem, FrameAllocator(1 << 20, 32 << 20))
     builder.map_page(CODE_VA, CODE_VA, readable=True, executable=True)
@@ -157,7 +156,7 @@ def _tier_system(tier):
         mem.write(addr, 4, encode(insn))
         addr += 4
     core = Core(mem, mmu, timing=TimingModel(), fast_path=fast_path,
-                jit=jit, jit_threshold=2, tier3=tier3, tier4=tier4,
+                jit=jit, jit_threshold=2, tier4=tier4,
                 region_threshold=2)
     core.pc = CODE_VA
     core.regs[8] = DATA_VA
@@ -172,7 +171,7 @@ def _run_phase(core):
 
 
 def test_memo_invalidation_identical_across_tiers(monkeypatch):
-    """Phase 1 makes the load loop hot (a live region in tiers 3/4);
+    """Phase 1 makes the load loop hot (a live region in tier 4);
     between phases the host rewrites the data page's leaf PTE — first
     mprotect-style through the builder, then directly in physical
     memory, retargeting the frame. Every tier must observe each rewrite
@@ -193,10 +192,8 @@ def test_memo_invalidation_identical_across_tiers(monkeypatch):
         mmu.flush()
         assert DATA_VA >> 12 in mmu._walk_memo  # stale entry still there
         _run_phase(core)  # phase 3: loads must see frame B
-        if tier in ("tier3", "tier4"):
-            assert core.regions_compiled >= 1
         if tier == "tier4":
-            assert core.flat_regions_compiled >= 1
+            assert core.regions_compiled >= 1
             assert core.tier4_retired > 0
         results[tier] = (
             tuple(core.regs[r] for r in _LOOP_REGS),
@@ -205,7 +202,7 @@ def test_memo_invalidation_identical_across_tiers(monkeypatch):
             mmu.itlb.hits, mmu.itlb.misses,
             mmu.stats.walks, mmu.stats.translations,
         )
-    for tier in ("tier1", "tier2", "tier3", "tier4"):
+    for tier in ("tier1", "tier2", "tier4"):
         assert results[tier] == results["slow"], tier
     sums = results["slow"][0]
     assert sums == (40 * 1234, 40 * 1234, 40 * 99)

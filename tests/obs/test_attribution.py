@@ -28,9 +28,9 @@ def test_record_accumulates_per_tier_and_pc():
     attrib = Attribution()
     attrib.record(2, 0x1000, 10)
     attrib.record(2, 0x1000, 5)
-    attrib.record(3, 0x1000, 7)
+    attrib.record(4, 0x1000, 7)
     table = attrib.export()
-    assert table == {"tier2": {"0x1000": 15}, "tier3": {"0x1000": 7}}
+    assert table == {"tier2": {"0x1000": 15}, "tier4": {"0x1000": 7}}
     attrib.clear()
     assert attrib.export() == {}
 
@@ -72,11 +72,11 @@ def test_tier2_blocks_attribute_to_their_start_pc(monkeypatch):
     assert core._jit_blocks
     table = core._attrib.export()
     # The hot loop retired most of its instructions through compiled
-    # units headed at the loop pc (tier 2 blocks first; with tier 3 on
+    # units headed at the loop pc (tier 2 blocks first; with tier 4 on
     # by default the region takes over the same head).
     assert table["tier2"][f"{loop_pc:#x}"] > 0
     at_loop = sum(table.get(tier, {}).get(f"{loop_pc:#x}", 0)
-                  for tier in ("tier2", "tier3", "tier4"))
+                  for tier in ("tier2", "tier4"))
     assert at_loop > 100
     # Attribution observed, never perturbed: the counters balance.
     retired = sum(sum(pcs.values()) for pcs in table.values())

@@ -4,8 +4,8 @@ Three layers of proof:
 
 * behavioural — a full kernel run with the switchboard off allocates no
   buffers and emits no events;
-* structural — the per-instruction slow path and the generated tier-2,
-  tier-3, and tier-4 code contain no reference to the obs layer at all
+* structural — the per-instruction slow path, the generated tier-2
+  code, and the tier-4 flat core contain no reference to the obs layer at all
   (the only hot-path cost anywhere is one ``enabled`` attribute test at
   cold sites, plus one ``is not None`` test at the batch observation
   points);
@@ -22,7 +22,6 @@ from repro.asm import assemble, link
 from repro.cpu import TimingModel
 from repro.cpu.core import Core
 from repro.cpu.jit import _generate
-from repro.cpu import regions as regions_mod
 from repro.kernel import Kernel
 from repro.mem import MMU, PhysicalMemory
 from repro.soc import build_system
@@ -102,28 +101,14 @@ def test_tier2_generated_source_has_no_obs_reference(monkeypatch):
     assert "obs" not in source.lower()
 
 
-def _region_core(monkeypatch, tier4=False):
+def _region_core(monkeypatch):
     monkeypatch.setenv("REPRO_JIT_DEBUG", "1")
     memory = PhysicalMemory(1 << 20)
     core = Core(memory, MMU(memory), timing=TimingModel(),
                 fast_path=True, jit=True, jit_threshold=2,
-                tier3=True, tier4=tier4, region_threshold=2)
+                tier4=True, region_threshold=2)
     core.pc = CODE_BASE
     return core
-
-
-def test_tier3_region_source_has_no_obs_reference(monkeypatch):
-    """Tier-3 superblocks are also pure generated Python: the region
-    compiler must emit no observability reference either."""
-    core = _region_core(monkeypatch)
-    countdown_loop(core, 50)
-    run_to_ebreak(core)
-    assert core.regions_compiled >= 1
-    head_pc = next(iter(core._regions))
-    plan = regions_mod._plan(core, head_pc)
-    assert plan is not None
-    source, __, __ = regions_mod._generate(core, plan)
-    assert "obs" not in source.lower()
 
 
 def test_tier4_flat_core_has_no_obs_reference(monkeypatch):
@@ -135,16 +120,37 @@ def test_tier4_flat_core_has_no_obs_reference(monkeypatch):
     assert "_OBS" not in source
     assert "repro.obs" not in source
 
-    core = _region_core(monkeypatch, tier4=True)
+    core = _region_core(monkeypatch)
     countdown_loop(core, 50)
     run_to_ebreak(core)
-    assert core.flat_regions_compiled >= 1
+    assert core.regions_compiled >= 1
     region = next(iter(core._regions.values()))
-    assert region.tier4
     names = set(region.fn.__code__.co_names)
     names |= set(region.fn.__code__.co_freevars)
     names |= set(region.fn.__code__.co_varnames)
     assert not any("obs" in name.lower() for name in names)
+
+
+# Each side of a timed comparison is the best of this many sweeps, run
+# alternately, so a burst of load on a shared host does not land on one
+# side only. The gate and its tolerance are unchanged.
+REPEATS = 3
+
+
+def _best_of_paired_sweeps(run_reference, run_current):
+    """Alternate the two sweeps REPEATS times; return the fastest of
+    each. Repeats of one side must agree architecturally."""
+    references, currents = [], []
+    for __ in range(REPEATS):
+        references.append(run_reference())
+        currents.append(run_current())
+    for sweeps in (references, currents):
+        assert all(s["measurements"] == sweeps[0]["measurements"]
+                   for s in sweeps)
+
+    def fastest(sweeps):
+        return max(sweeps, key=lambda s: s["sim_mips"])
+    return fastest(references), fastest(currents)
 
 
 def test_tier2_sweep_with_obs_off_passes_the_bench_gate(monkeypatch):
@@ -158,12 +164,15 @@ def test_tier2_sweep_with_obs_off_passes_the_bench_gate(monkeypatch):
     monkeypatch.setenv("REPRO_JIT", "1")
     obs.disable()
     benchmarks, variants, scale = ("429.mcf",), ("base",), 0.5
-    reference = _run_sweep(benchmarks, variants, scale,
-                           tier="tier2", jobs=1)
+
+    def sweep():
+        return _run_sweep(benchmarks, variants, scale, tier="tier2", jobs=1)
+
+    reference, current = _best_of_paired_sweeps(sweep, sweep)
+    # The gate reads a record's tier-4 slot; the tier-2 reference sweep
+    # stands in for it so like is compared with like.
     record = build_record(benchmarks, variants, scale,
-                          {"tier2": reference})
-    current = _run_sweep(benchmarks, variants, scale,
-                         tier="tier2", jobs=1)
+                          {"tier4": reference})
     ok, ref_mips, floor = evaluate_gate(current["sim_mips"], record)
     assert ok, (f"obs-off tier-2 throughput {current['sim_mips']} "
                 f"sim-MIPS fell below the gate floor {floor:.4f} "
@@ -180,25 +189,30 @@ def test_tier4_sweep_with_sampling_on_passes_the_bench_gate(monkeypatch):
     monkeypatch.setenv("REPRO_OBS", "0")
     monkeypatch.setenv("REPRO_FASTPATH", "1")
     monkeypatch.setenv("REPRO_JIT", "1")
-    monkeypatch.setenv("REPRO_TIER3", "1")
     monkeypatch.setenv("REPRO_TIER4", "1")
     obs.disable()
     benchmarks, variants, scale = ("429.mcf",), ("base",), 0.5
-    reference = _run_sweep(benchmarks, variants, scale,
-                           tier="tier4", jobs=1)
+
+    def reference_sweep():
+        return _run_sweep(benchmarks, variants, scale, tier="tier4", jobs=1)
+
+    def sampled_sweep():
+        obs.enable(sample=5_000)
+        try:
+            sweep = reference_sweep()
+            sampler = obs.OBS.sampler
+            assert sampler is not None and sampler.taken > 0
+            attributed = sum(sum(pcs.values()) for pcs
+                             in obs.OBS.attribution.export().values())
+            assert attributed > 0
+        finally:
+            obs.disable()
+        return sweep
+
+    reference, current = _best_of_paired_sweeps(reference_sweep,
+                                                sampled_sweep)
     record = build_record(benchmarks, variants, scale,
                           {"tier4": reference})
-    obs.enable(sample=5_000)
-    try:
-        current = _run_sweep(benchmarks, variants, scale,
-                             tier="tier4", jobs=1)
-        sampler = obs.OBS.sampler
-        assert sampler is not None and sampler.taken > 0
-        attributed = sum(sum(pcs.values()) for pcs
-                         in obs.OBS.attribution.export().values())
-        assert attributed > 0
-    finally:
-        obs.disable()
     ok, ref_mips, floor = evaluate_gate(current["sim_mips"], record)
     assert ok, (f"obs-on (sampled) tier-4 throughput "
                 f"{current['sim_mips']} sim-MIPS fell below the gate "

@@ -91,7 +91,7 @@ def test_system_dump_matches_architectural_counters(enabled_obs):
     assert residency["retired"] == timing.instructions
     assert (residency["tier0_retired"] + residency["tier1_retired"]
             + residency["tier2_retired"]
-            + residency["tier3_retired"]) == residency["retired"]
+            + residency["tier4_retired"]) == residency["retired"]
 
 
 def test_reregistering_replaces_namespace(enabled_obs):

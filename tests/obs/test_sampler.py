@@ -36,7 +36,6 @@ class _StubCore:
         self.mmu = object()
         self.tier0_retired = 0
         self.tier1_retired = 0
-        self.tier3_retired = 0
         self.tier4_retired = 0
         self.jit_compiled = 0
         self.regions_compiled = 0

@@ -61,7 +61,8 @@ def test_validate_rejects_bad_trace(tmp_path, capsys):
 
 
 def _bench_record(version, tiers, speedup=None):
-    """A minimal roload-bench record of the given schema vintage."""
+    """A minimal roload-bench record of the given schema vintage (every
+    sweep carries the v5 residency keys)."""
     record = {
         "tool": "roload-bench",
         "schema_version": version,
@@ -72,10 +73,8 @@ def _bench_record(version, tiers, speedup=None):
         "tiers": {},
     }
     for name in tiers:
-        residency = {"retired": 1000}
-        if version >= 5:
-            residency["tier4_retired"] = 900
-            residency["flat_regions_compiled"] = 3
+        residency = {"retired": 1000, "tier4_retired": 900,
+                     "flat_regions_compiled": 3}
         record["tiers"][name] = {
             "tier": name,
             "wall_seconds": 1.0,
@@ -96,41 +95,38 @@ def _validate(tmp_path, record):
 
 
 def test_validate_accepts_each_bench_schema_version(tmp_path, capsys):
-    """One fixture per supported vintage: v3 (tier2-top), v4
-    (tier3-top), v5 (tier4-top with flat-core residency)."""
+    """v5 is the one supported vintage, in each shape it is written:
+    a full four-tier sweep, a smoke/gate record (tier 4 only), and the
+    committed record that still carries a tier3 column."""
     fixtures = [
-        _bench_record(3, ["slow", "tier1", "tier2"],
-                      speedup={"tier2_over_slow": 3.0}),
-        _bench_record(4, ["slow", "tier2", "tier3"],
-                      speedup={"tier3_over_tier2": 1.5}),
+        _bench_record(5, ["slow", "tier1", "tier2", "tier4"],
+                      speedup={"tier4_over_tier2": 1.3}),
+        _bench_record(5, ["tier4"]),
         _bench_record(5, ["tier3", "tier4"],
                       speedup={"tier4_over_tier3": 1.4}),
     ]
     for record in fixtures:
         assert _validate(tmp_path, record) == 0
-        out = capsys.readouterr().out
-        assert f"schema v{record['schema_version']}" in out
+        assert "schema v5" in capsys.readouterr().out
 
 
 def test_validate_rejects_malformed_bench_records(tmp_path, capsys):
-    # Unknown vintage.
-    assert _validate(tmp_path, _bench_record(2, ["tier2"])) == 1
-    assert "schema_version 2" in capsys.readouterr().err
+    # Unknown vintages, including the retired v3 (tier2-top) and v4
+    # (tier3-top) records.
+    for version, top in ((2, "tier2"), (3, "tier2"), (4, "tier3")):
+        assert _validate(tmp_path, _bench_record(version, [top])) == 1
+        assert f"schema_version {version}" in capsys.readouterr().err
     # A v5 record must sweep the flat core.
-    assert _validate(tmp_path, _bench_record(5, ["tier3"])) == 1
+    assert _validate(tmp_path, _bench_record(5, ["tier2"])) == 1
     assert "lacks the 'tier4' sweep" in capsys.readouterr().err
-    # A v5 record with both top sweeps must report their speedup.
-    record = _bench_record(5, ["tier3", "tier4"])
-    assert _validate(tmp_path, record) == 1
-    assert "tier4_over_tier3" in capsys.readouterr().err
     # v5 residency must carry the flat-core counters.
     record = _bench_record(5, ["tier4"])
     del record["tiers"]["tier4"]["residency"]["flat_regions_compiled"]
     assert _validate(tmp_path, record) == 1
     assert "flat_regions_compiled" in capsys.readouterr().err
     # Incomplete sweeps are named field by field.
-    record = _bench_record(4, ["tier3"])
-    del record["tiers"]["tier3"]["sim_mips"]
+    record = _bench_record(5, ["tier2", "tier4"])
+    del record["tiers"]["tier2"]["sim_mips"]
     assert _validate(tmp_path, record) == 1
     assert "missing 'sim_mips'" in capsys.readouterr().err
 
@@ -166,8 +162,8 @@ def test_summary_of_bench_record_reports_tier4_residency(tmp_path,
     """`summary` on a bench record must show the flat-core residency
     columns — tier-4 retires and lowered region count — not just the
     raw metric names."""
-    record = _bench_record(5, ["tier3", "tier4"],
-                           speedup={"tier4_over_tier3": 1.4})
+    record = _bench_record(5, ["tier2", "tier4"],
+                           speedup={"tier4_over_tier2": 1.4})
     path = tmp_path / "bench.json"
     path.write_text(json.dumps(record))
     assert stats_main(["summary", str(path)]) == 0
@@ -175,7 +171,7 @@ def test_summary_of_bench_record_reports_tier4_residency(tmp_path,
     assert "schema v5" in out
     assert "t4_retired" in out and "flat_regions" in out
     assert "tier4" in out and "900" in out and "3" in out
-    assert "tier4_over_tier3=1.4x" in out
+    assert "tier4_over_tier2=1.4x" in out
 
 
 def test_top_ranks_and_annotates(tmp_path, capsys):
@@ -185,13 +181,13 @@ def test_top_ranks_and_annotates(tmp_path, capsys):
     metrics = tmp_path / "metrics.json"
     metrics.write_text(json.dumps({"attribution": {
         "tier2": {"0x10004": 400, "0x10020": 10},
-        "tier3": {"0x10004": 4000},
+        "tier4": {"0x10004": 4000},
     }}))
     assert stats_main(["top", str(metrics)]) == 0
     out = capsys.readouterr().out
     assert "3 attributed units" in out
     lines = out.splitlines()
-    assert "tier3" in lines[2]     # 4000 retires ranks first
+    assert "tier4" in lines[2]     # 4000 retires ranks first
     # --annotate without --image is a usage error.
     assert stats_main(["top", str(metrics), "--annotate", "f"]) == 2
     capsys.readouterr()
@@ -250,8 +246,8 @@ def test_audit_verify_cli_end_to_end(tmp_path, capsys):
 
 def test_trend_gates_comparable_records(tmp_path, capsys):
     def _write(name, mips):
-        record = _bench_record(5, ["tier3", "tier4"],
-                               speedup={"tier4_over_tier3": 1.4})
+        record = _bench_record(5, ["tier2", "tier4"],
+                               speedup={"tier4_over_tier2": 1.4})
         record["tiers"]["tier4"]["sim_mips"] = mips
         path = tmp_path / name
         path.write_text(json.dumps(record))
@@ -275,8 +271,8 @@ def test_trend_skips_non_comparable_records(tmp_path, capsys):
     """A smoke record gated against a full-scale baseline is apples to
     oranges: trend must say so and exit 0, not produce a fake verdict —
     exactly what CI does with its smoke artifact."""
-    full = _bench_record(5, ["tier3", "tier4"],
-                         speedup={"tier4_over_tier3": 1.4})
+    full = _bench_record(5, ["tier2", "tier4"],
+                         speedup={"tier4_over_tier2": 1.4})
     smoke = json.loads(json.dumps(full))
     smoke["scale"] = 0.05
     smoke["tiers"]["tier4"]["sim_mips"] = 0.01   # would fail if gated
@@ -421,8 +417,8 @@ def test_trend_mixes_bench_and_campaign_series(tmp_path, capsys):
     """One trend invocation can carry both artifact kinds — CI hands it
     BENCH_interp.json and BENCH_campaign.json together — and each
     subseries is gated on its own axis."""
-    bench = _bench_record(5, ["tier3", "tier4"],
-                          speedup={"tier4_over_tier3": 1.4})
+    bench = _bench_record(5, ["tier2", "tier4"],
+                          speedup={"tier4_over_tier2": 1.4})
     bench_path = tmp_path / "bench.json"
     bench_path.write_text(json.dumps(bench))
     camp_path = tmp_path / "camp.json"

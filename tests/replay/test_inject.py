@@ -9,8 +9,8 @@ import json
 
 import pytest
 
-from repro.replay import (CampaignReport, build_inject_image,
-                          run_campaign)
+from repro.eval_model import CampaignResult
+from repro.replay import build_inject_image, run_campaign
 from repro.replay.inject import KINDS, OUTCOMES
 
 
@@ -89,5 +89,5 @@ class TestHarness:
             run_campaign(points=1, kinds=("pte-unicorn",))
 
     def test_report_type(self, campaign):
-        assert isinstance(campaign, CampaignReport)
+        assert isinstance(campaign, CampaignResult)
         assert campaign.total_instructions > 0

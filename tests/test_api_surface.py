@@ -1,6 +1,6 @@
 """The unified API surface — every public name importable, every
-``__all__`` honest, and the ``system_profile=`` → ``profile=`` rename
-kept alive through deprecation shims."""
+``__all__`` honest, and ``profile=`` as the one system-profile
+keyword."""
 
 import warnings
 
@@ -64,8 +64,7 @@ def test_replay_exports_injection_primitives():
                       fromlist=["apply_injection"]).apply_injection
     assert repro.replay.classify_outcome is not None
     assert repro.replay.ObsCapture is not None
-    for name in ("apply_injection", "classify_outcome", "ObsCapture",
-                 "CampaignReport", "InjectionRecord"):
+    for name in ("apply_injection", "classify_outcome", "ObsCapture"):
         assert name in repro.replay.__all__
 
 
@@ -81,16 +80,3 @@ class TestProfileKeyword:
                                       profile="processor+kernel")
         assert measurement.system_profile == "processor+kernel"
         assert measurement.profile == "processor+kernel"
-
-    def test_system_profile_keyword_warns_but_works(self, program):
-        with pytest.warns(DeprecationWarning, match="system_profile"):
-            measurement = run_variant(program, "base",
-                                      system_profile="processor+kernel")
-        assert measurement.profile == "processor+kernel"
-
-    def test_run_benchmark_shim(self):
-        from repro.eval.measure import run_benchmark
-        with pytest.warns(DeprecationWarning, match="profile="):
-            run = run_benchmark("456.hmmer", ("base",), scale=0.02,
-                                system_profile="processor+kernel")
-        assert run.measurements["base"].profile == "processor+kernel"

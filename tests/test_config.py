@@ -73,6 +73,17 @@ class TestTierProperty:
         assert not cfg.effective_jit
         assert cfg.tier == "slow"
 
+    def test_one_region_tier_knob(self):
+        """Four tiers, one region switch: REPRO_TIER4=0 pins tier 2,
+        tier 4 needs jit, and the removed tier-3 knob is rejected."""
+        assert tuple(config.TIERS) == ("slow", "tier1", "tier2", "tier4")
+        cfg = config.Config.from_env({"REPRO_TIER4": "0"})
+        assert cfg.tier == "tier2" and not cfg.effective_tier4
+        assert not config.Config(jit=False).effective_tier4
+        assert config.Config().tier == "tier4"
+        with pytest.raises(ConfigError, match="REPRO_TIER3"):
+            config.parse_kv(["REPRO_TIER3=0"])
+
 
 class TestOverrides:
     def test_overrides_nest_and_restore(self):

@@ -1,16 +1,16 @@
 """Differential proof that the interpreter fast paths change nothing.
 
-The simulator has five interpreter tiers (src/repro/cpu/core.py,
+The simulator has four interpreter tiers (src/repro/cpu/core.py,
 src/repro/cpu/jit.py, src/repro/cpu/regions.py and
 src/repro/cpu/flatcore.py):
 
-  slow   REPRO_FASTPATH=0              the seed decode-dispatch loop
-  tier1  REPRO_FASTPATH=1 REPRO_JIT=0  block replay + D-side page cache
-  tier2  REPRO_FASTPATH=1 REPRO_JIT=1  hot blocks compiled to Python
-  tier3  ... REPRO_TIER3=1             hot loops compiled to superblocks
-  tier4  ... REPRO_TIER4=1             regions lowered to flat arrays
+  slow   REPRO_FASTPATH=0                 the seed decode-dispatch loop
+  tier1  REPRO_FASTPATH=1 REPRO_JIT=0     block replay + D-side page cache
+  tier2  ... REPRO_JIT=1 REPRO_TIER4=0    hot blocks compiled to Python
+  tier4  ... REPRO_TIER4=1                hot loops planned as superblocks
+                                          and lowered to flat arrays
 
-All five are pure implementation details: every test here runs the same
+All four are pure implementation details: every test here runs the same
 program under each tier and asserts the architectural results are
 bit-identical: cycles, retired instructions, memory, exit codes,
 cache/TLB miss rates, and fault delivery (including the ROLoad security
@@ -30,23 +30,21 @@ from repro.mem import MMU, PhysicalMemory
 from repro.soc import build_system
 from repro.workloads import build_workload, profile
 
-# tier name -> (REPRO_FASTPATH, REPRO_JIT, REPRO_TIER3, REPRO_TIER4)
+# tier name -> (REPRO_FASTPATH, REPRO_JIT, REPRO_TIER4)
 TIERS = {
-    "slow": ("0", "0", "0", "0"),
-    "tier1": ("1", "0", "0", "0"),
-    "tier2": ("1", "1", "0", "0"),
-    "tier3": ("1", "1", "1", "0"),
-    "tier4": ("1", "1", "1", "1"),
+    "slow": ("0", "0", "0"),
+    "tier1": ("1", "0", "0"),
+    "tier2": ("1", "1", "0"),
+    "tier4": ("1", "1", "1"),
 }
 
-COMPARED = ("tier1", "tier2", "tier3", "tier4")
+COMPARED = ("tier1", "tier2", "tier4")
 
 
 def set_tier(monkeypatch, tier):
-    fastpath, jit, tier3, tier4 = TIERS[tier]
+    fastpath, jit, tier4 = TIERS[tier]
     monkeypatch.setenv("REPRO_FASTPATH", fastpath)
     monkeypatch.setenv("REPRO_JIT", jit)
-    monkeypatch.setenv("REPRO_TIER3", tier3)
     monkeypatch.setenv("REPRO_TIER4", tier4)
     # Low promotion thresholds so the scaled-down workloads really do
     # execute compiled blocks and regions, and debug mode so a compile
@@ -125,14 +123,12 @@ def test_roload_key_mismatch_through_fast_path(monkeypatch):
         if tier != "slow":
             # Guard against vacuity: the block cache really engaged.
             assert core._blocks
-        if tier in ("tier2", "tier3", "tier4"):
+        if tier in ("tier2", "tier4"):
             assert core.jit_compiled > 0 and core._jit_blocks
-        if tier in ("tier3", "tier4"):
-            # Guard against vacuity: the hot ld.ro loop really did run
-            # as a compiled region when the tier-3/4 knobs are on.
-            assert core.regions_compiled > 0
         if tier == "tier4":
-            assert core.flat_regions_compiled > 0
+            # Guard against vacuity: the hot ld.ro loop really did run
+            # as a lowered region when the tier-4 knob is on.
+            assert core.regions_compiled > 0
             assert core.tier4_retired > 0
         results[tier] = (
             core.cycles, core.instret,
@@ -207,5 +203,5 @@ def test_budget_exhaustion_identical(monkeypatch):
         with pytest.raises(SimulationError):
             core.run(100)
         assert core.instret == 100, f"tier={tier} retired {core.instret}"
-        if tier in ("tier2", "tier3", "tier4"):
+        if tier in ("tier2", "tier4"):
             assert core.jit_compiled > 0  # the loop really was compiled
