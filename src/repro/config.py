@@ -1,7 +1,7 @@
 """Typed configuration surface for every ``REPRO_*`` knob.
 
 One :class:`Config` dataclass replaces the ad-hoc ``os.environ`` reads
-that used to be scattered through ``cpu/core.py``, ``cpu/jit.py``,
+that used to be scattered through ``cpu/core.py``, the compiled tiers,
 ``obs``, ``kernel/fault.py`` and the tools. Environment variables remain
 the *default source* — :meth:`Config.from_env` is the single reader —
 but every consumer now goes through :func:`current`, which also honours
@@ -16,13 +16,15 @@ environment variable    Config field        default  meaning
 REPRO_FASTPATH          fast_path           1        tier-1 basic-block
                                                      interpreter (0 = slow
                                                      per-instruction seed path)
-REPRO_JIT               jit                 1        tier-2 trace compiler
-                                                     (needs fast_path)
+REPRO_JIT               jit                 1        tier 2: hot blocks lowered
+                                                     to the flat core (needs
+                                                     fast_path)
 REPRO_JIT_THRESHOLD     jit_threshold       16       block dispatches before
-                                                     tier-2 compilation
-REPRO_JIT_DEBUG         jit_debug           0        re-raise tier-2 compile and
-                                                     tier-4 lowering errors
-                                                     instead of pinning the pc
+                                                     tier-2 lowering
+REPRO_JIT_DEBUG         jit_debug           0        re-raise tier-2 block and
+                                                     tier-4 region lowering
+                                                     errors instead of pinning
+                                                     the pc
 REPRO_TIER4             tier4               1        tier-4 region tier: hot
                                                      superblocks on the flat
                                                      core (needs jit; 0 pins
@@ -85,7 +87,8 @@ configurations over the three execution switches (:data:`TIERS`);
 ``roload-bench`` sweeps them and the replay determinism checker
 restores the same snapshot under each. Tier 4 keeps its historical
 number: it is the only region tier since the generated-source tier 3
-was removed.
+was removed. Tiers 2 and 4 both run on the flat core: tier 2 lowers
+single blocks, tier 4 multi-block regions.
 """
 
 from __future__ import annotations
@@ -269,11 +272,11 @@ KNOBS: "tuple[Knob, ...]" = (
     Knob("fast_path", "REPRO_FASTPATH", _parse_flag_default_on,
          _flag_to_env, "tier-1 basic-block interpreter (0 = slow seed)"),
     Knob("jit", "REPRO_JIT", _parse_flag_default_on, _flag_to_env,
-         "tier-2 trace compiler (needs fast_path)"),
+         "tier 2: hot blocks lowered to the flat core (needs fast_path)"),
     Knob("jit_threshold", "REPRO_JIT_THRESHOLD", _parse_positive_int(16),
-         str, "block dispatches before tier-2 compilation"),
+         str, "block dispatches before tier-2 lowering"),
     Knob("jit_debug", "REPRO_JIT_DEBUG", _parse_flag_default_off,
-         _flag_to_env, "re-raise tier-2 compile / tier-4 lowering errors"),
+         _flag_to_env, "re-raise tier-2/tier-4 lowering errors"),
     Knob("tier4", "REPRO_TIER4", _parse_flag_default_on, _flag_to_env,
          "tier-4 region tier on the flat core (needs jit; 0 = tier 2)"),
     Knob("region_threshold", "REPRO_REGION_THRESHOLD",

@@ -22,10 +22,17 @@ from repro.errors import DecodingError, SimulationError
 from repro.isa.compressed import decode_compressed
 from repro.isa.encoding import decode
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import MemOp
+from repro.isa.opcodes import (
+    LOAD_INFO as _LOAD_INFO,
+    RO_INFO as _RO_INFO,
+    STORE_INFO as _STORE_INFO,
+    MemOp,
+)
 from repro.cpu.csr import CSRFile
-from repro.cpu.flatcore import compile_region as _compile_region
-from repro.cpu.jit import compile_block as _compile_block
+from repro.cpu.flatcore import (
+    compile_block as _compile_block,
+    compile_region as _compile_region,
+)
 from repro.cpu.regions import DEFER as _REGION_DEFER
 from repro.cpu.timing import TimingModel
 from repro.cpu.trap import Cause, Trap
@@ -38,14 +45,6 @@ from repro.utils.bits import (
     sext32_to_u64,
     to_s64,
     to_u64,
-)
-
-# Width/signedness per load/store mnemonic (plain and ROLoad variants),
-# shared with the tier-2 trace compiler (repro.cpu.jit).
-from repro.isa.codegen import (  # noqa: E402
-    LOAD_INFO as _LOAD_INFO,
-    RO_INFO as _RO_INFO,
-    STORE_INFO as _STORE_INFO,
 )
 
 # Decode caches are keyed on raw instruction bits; bound them so large or
@@ -68,12 +67,12 @@ def _fastpath_default() -> bool:
 
 
 def _jit_default() -> bool:
-    """REPRO_JIT=0 disables the tier-2 trace compiler (DESIGN.md §9)."""
+    """REPRO_JIT=0 disables tier 2: hot blocks on the flat core (§9)."""
     return _config.current().jit
 
 
 def _jit_threshold_default() -> int:
-    """Dispatches of a cached block before it is compiled to tier 2."""
+    """Dispatches of a cached block before it is lowered to tier 2."""
     return _config.current().jit_threshold
 
 
@@ -177,9 +176,9 @@ class Core:
         self._dload_pages: "dict[int, int]" = {}
         self._dstore_pages: "dict[int, int]" = {}
         self._dside_generation = -1
-        # Tier-2 trace compiler (DESIGN.md §9): blocks dispatched at
-        # least jit_threshold times are compiled to one specialized
-        # Python function each (repro.cpu.jit) and chained directly.
+        # Tier 2 (DESIGN.md §9): blocks dispatched at least
+        # jit_threshold times are lowered to the flat core one block
+        # each (repro.cpu.flatcore.compile_block) and chained directly.
         self.jit_enabled = (_jit_default() if jit is None else jit) \
             and self.fast_path_enabled
         self.jit_threshold = _jit_threshold_default() \
@@ -189,7 +188,7 @@ class Core:
         self._jit_nojit: "set[int]" = set()          # pcs pinned to tier 1
         self.jit_compiled = 0   # blocks compiled (cumulative)
         self.jit_flushes = 0    # times the compiled cache was dropped
-        self.jit_compile_seconds = 0.0   # host time spent in compile_block
+        self.jit_compile_seconds = 0.0   # host time lowering tier-2 blocks
         # Tier-4 region tier (DESIGN.md §12-13): pcs arrived at
         # region_threshold times through the compiled-block trampoline
         # get a superblock planned around them (repro.cpu.regions) and
@@ -222,7 +221,7 @@ class Core:
         # delta across each region call (regions bump stats directly);
         # tier 2 stays the derived remainder.
         self.tier4_retired = 0
-        # Tier-2 merged page memos: vpn -> (frame, ok_kernel, ok_user,
+        # Flat-core merged page memos: vpn -> (frame, ok_kernel, ok_user,
         # ppn), collapsing the D-side page lookup + D-TLB revalidation +
         # frame fetch into one dict hit. An entry is valid only while
         # (a) the vpn stays in the matching _d*_pages map — every del/
@@ -542,7 +541,7 @@ class Core:
             self._dstore_pages[vaddr >> 12] = tr.paddr >> 12
 
     def _jload_fill(self, vpn: int) -> "tuple | None":
-        """Populate the tier-2 load memo for one page (repro.cpu.jit).
+        """Populate the flat core's load memo for one page.
 
         Fills only when the full inline fast path would succeed right
         now: vpn in the D-side page cache, D-TLB entry resident with a
@@ -1040,10 +1039,11 @@ class Core:
         feeds the region profile: the block's ``edges`` counters record
         observed successors (the branch-direction profile) and the
         per-pc arrival counters trigger ``compile_region`` past
-        ``region_threshold``. Regions take a budget argument (their
-        internal loop re-checks it at every backedge) and retire a
-        variable number of instructions per call, measured as the
-        architectural-counter delta and attributed to tier 4.
+        ``region_threshold``. Both kinds of unit take the budget
+        argument; only a region's internal loop re-checks it (at every
+        backedge), so regions retire a variable number of instructions
+        per call, measured as the architectural-counter delta and
+        attributed to tier 4.
         """
         mmu = self.mmu
         stats = self.timing.stats
@@ -1091,7 +1091,7 @@ class Core:
                     return
                 rec = nxt
                 continue
-            pc = rec.fn()
+            pc = rec.fn(limit)
             limit -= rec.n
             if attrib is not None:
                 attrib.record(2, rec.start_pc, rec.n)

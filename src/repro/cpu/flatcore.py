@@ -1,9 +1,11 @@
-"""Tier-4 flat core: regions lowered to pre-decoded arrays, no compile().
+"""Flat core: compiled units lowered to pre-decoded arrays, no compile().
 
-The region tier keeps the superblock selection over the tier-2 edge
-profile (repro.cpu.regions) and lowers each plan instead of generating
-code for it: every member instruction becomes one or more entries in
-parallel integer arrays — opcode-handler index, rd/rs1/rs2, folded
+The only compiled backend. Tier 2 lowers one hot basic block as a
+one-member, non-loop plan (:func:`compile_block`); the tier-4 region
+tier plans superblocks over the tier-2 edge profile (repro.cpu.regions)
+and lowers each plan (:func:`compile_region`). Either way nothing is
+generated as code: every member instruction becomes one or more
+entries in parallel integer arrays — opcode-handler index, rd/rs1/rs2, folded
 immediates, and static per-site catch-up metadata — executed by one
 shared dispatch loop (``_run``) whose hot state lives in function
 locals.
@@ -34,8 +36,8 @@ locals.
 ``ld.ro`` (the ROLoad family) is never cached: every execution syncs
 and takes the full ``Core.load`` -> ``MMU.translate`` path so the
 read-only + key check actually runs (DESIGN.md paragraph 8), then drops
-the cached views. Flat regions are invalidated by ``Core._flush_blocks``
-exactly like tiers 1-2 (they live in the same ``core._regions`` map).
+the cached views. Lowered blocks and regions are invalidated by
+``Core._flush_blocks`` together with the tier-1 blocks.
 
 Array layout (parallel, one slot per stream entry):
 
@@ -64,10 +66,17 @@ from __future__ import annotations
 import sys
 
 from repro import config as _config
-from repro.cpu.jit import _classify
-from repro.cpu.regions import DEFER, Region, _plan
+from repro.cpu.regions import (
+    DEFER,
+    MAX_REGION_ENTRIES,
+    JITBlock,
+    Region,
+    _Member,
+    _Plan,
+    _plan,
+)
 from repro.cpu.trap import Cause, Trap
-from repro.isa.codegen import INLINE_MULDIV, LOAD_INFO, RO_INFO, STORE_INFO
+from repro.isa.opcodes import INLINE_MULDIV, LOAD_INFO, RO_INFO, STORE_INFO
 from repro.utils.bits import sext, to_u64
 
 _M64 = 0xFFFFFFFFFFFFFFFF
@@ -183,6 +192,42 @@ _LD_OPS = {(8, True): OP_LD8, (4, True): OP_LD4S, (1, False): OP_LD1U}
 _ST_OPS = {8: OP_ST8, 4: OP_ST4, 1: OP_ST1}
 
 
+def _classify(name):
+    """Lowering kind of a mnemonic; "generic" runs its core handler."""
+    if name in _IMM_OPS or name in _REG_OPS or name in ("lui", "auipc"):
+        return "alu"
+    if name in LOAD_INFO:
+        return "load"
+    if name in STORE_INFO:
+        return "store"
+    if name in RO_INFO:
+        return "roload"
+    if name in _BR_CODE:
+        return "branch"
+    if name in ("jal", "jalr"):
+        return name
+    return "generic"
+
+
+def compile_block(core, block, start_pc):
+    """Lower a hot tier-1 block to a :class:`JITBlock` (tier 2).
+
+    A single block is a one-member, non-loop plan, run by the same
+    dispatch loop as a region. A block longer than
+    ``MAX_REGION_ENTRIES`` lowers only a prefix: control flow never
+    leaves a straight line mid-block, so the prefix's fall-through pc
+    is exact and the dispatch loop grows (and eventually lowers) the
+    suffix as an ordinary block of its own. Returns None when lowering
+    fails (the caller pins the pc to tier 1).
+    """
+    entries = block[0][:MAX_REGION_ENTRIES]
+    plan = _Plan(start_pc, (_Member(start_pc, entries, block[1]),), False)
+    fn = _try_lower(core, plan)
+    if fn is None:
+        return None
+    return JITBlock(fn, plan.n, block[1], start_pc, entries[-1][3])
+
+
 def compile_region(core, head_pc, arrivals=0):
     """Plan and lower a flat region anchored at ``head_pc``.
 
@@ -203,16 +248,23 @@ def compile_region(core, head_pc, arrivals=0):
     plan = _plan(core, head_pc)
     if plan is None:
         return None
-    try:
-        fn = _lower(core, plan)
-    except Exception:
-        if _config.current().jit_debug:
-            raise
+    fn = _try_lower(core, plan)
+    if fn is None:
         return None
     return Region(fn, plan.n, plan.members[0].vpn, head_pc,
                   tuple(m.pc for m in plan.members), plan.loop,
                   tuple((m.pc, m.entries[-1][2] + 4)
                         for m in plan.members))
+
+
+def _try_lower(core, plan):
+    """:func:`_lower`, or None on failure (re-raised under jit_debug)."""
+    try:
+        return _lower(core, plan)
+    except Exception:
+        if _config.current().jit_debug:
+            raise
+        return None
 
 
 def _lower(core, plan):

@@ -1,29 +1,36 @@
-"""Region planner: hot superblocks selected from the tier-2 edge profile.
+"""Compiled units and the region planner.
 
-Tier 2 (repro.cpu.jit) compiles single basic blocks and chains them,
-but every block boundary still re-enters the trampoline. The region
-tier uses the chain-transition counts the trampoline records on each
+Both compiled tiers run on the flat core (repro.cpu.flatcore). Tier 2
+lowers one hot basic block into a :class:`JITBlock`; the trampoline
+(``Core._run_jit``) chains blocks through their ``links`` memo, but
+every block boundary still re-enters it. The region tier uses the
+chain-transition counts the trampoline records on each
 ``JITBlock.edges`` as an edge profile and selects a hot single-entry
 region: a loop body and its chained successors, or a straight
 multi-block trace. Conditional branches are specialized on their
 observed direction — the hot side continues inside the region, the
 cold side becomes a side exit back to the trampoline.
 
-This module only *plans*: :func:`_plan` returns the member blocks in
-trace order, and the tier-4 flat core (repro.cpu.flatcore) lowers the
-plan to pre-decoded arrays run by one dispatch loop. Regions are
-invalidated by ``Core._flush_blocks`` — the same fence.i /
-self-modifying-store / MMU-generation events that flush tiers 1 and 2.
+Besides the two unit types, this module only *plans*: :func:`_plan`
+returns the member blocks in trace order, and the flat core lowers the
+plan (or a one-member plan for a single block) to pre-decoded arrays
+run by one dispatch loop. Both kinds of unit are invalidated by
+``Core._flush_blocks`` — the same fence.i / self-modifying-store /
+MMU-generation events that flush tier 1.
 """
 
 from __future__ import annotations
 
-from repro.cpu.jit import _classify
 from repro.utils.bits import to_u64
 
-# Total inlined entries per region; past this the lowering cost and the
+# Total lowered entries per unit. A region stops growing here; a longer
+# single block lowers as a prefix plus an organically promoted suffix
+# (flatcore.compile_block). Past this the lowering cost and the
 # side-exit bookkeeping stop paying for themselves.
 MAX_REGION_ENTRIES = 1024
+
+# Conditional branches: the planner follows their profiled direction.
+_BRANCHES = frozenset({"beq", "bne", "blt", "bge", "bltu", "bgeu"})
 
 # Mnemonics that end a trace outright (side effects a region may not
 # run past): indirect jumps and the generic terminators. Mirrors
@@ -39,6 +46,26 @@ _TRACE_END = frozenset({
 # arrival counter running until the lowering backend decides the head
 # is hot in its own right (repro.cpu.flatcore.DEFER_FACTOR).
 DEFER = object()
+
+
+class JITBlock:
+    """One lowered tier-2 block plus its direct-chaining memo."""
+
+    __slots__ = ("fn", "n", "vpn", "start_pc", "end_pc", "links", "edges")
+
+    region = False  # dispatch discriminator (Region.region is True)
+
+    def __init__(self, fn, n, vpn, start_pc, end_pc):
+        self.fn = fn            # (budget) -> next pc
+        self.n = n              # instructions retired per execution
+        self.vpn = vpn          # code page, for the fetch-cache recheck
+        self.start_pc = start_pc
+        self.end_pc = end_pc    # next_pc of the final entry
+        self.links = {}         # next-pc -> JITBlock; cleared on flush
+        # Successor-pc arrival counts, recorded by the trampoline when
+        # the region tier is profiling: the branch-direction evidence
+        # the planner specializes on. Cleared on flush.
+        self.edges = {}
 
 
 class Region:
@@ -66,7 +93,14 @@ class Region:
 
 
 class _Member:
-    """One member block of a planned trace."""
+    """One member block of a planned trace (or a lone tier-2 block).
+
+    The exit shape comes from the block's last entry: a conditional
+    branch (both successors known), a direct ``jal``, a trace end
+    (indirect jump or generic terminator), or a fall-through to the
+    next straight-line pc (a page boundary, a decode break, or an
+    oversized block's prefix cut).
+    """
 
     __slots__ = ("pc", "entries", "vpn", "ctrl", "taken_pc", "fall_pc",
                  "chosen_taken", "inline_next", "backedge")
@@ -75,9 +109,19 @@ class _Member:
         self.pc = pc
         self.entries = entries
         self.vpn = vpn
-        self.ctrl = "end"       # branch | jal | fall | end
-        self.taken_pc = 0
-        self.fall_pc = 0
+        handler, insn, epc, next_pc, paddr, paddr2 = entries[-1]
+        name = insn.name
+        if name in _BRANCHES:
+            self.ctrl = "branch"
+        elif name == "jal":
+            self.ctrl = "jal"
+        elif name in _TRACE_END:
+            self.ctrl = "end"
+        else:
+            self.ctrl = "fall"
+        self.taken_pc = to_u64(epc + insn.imm) \
+            if self.ctrl in ("branch", "jal") else 0
+        self.fall_pc = next_pc
         self.chosen_taken = False
         self.inline_next = False
         self.backedge = False
@@ -131,13 +175,8 @@ def _plan(core, head_pc):
         if total + len(entries) > MAX_REGION_ENTRIES:
             break
         m = _Member(pc, entries, block[1])
-        handler, insn, epc, next_pc, paddr, paddr2 = entries[-1]
-        kind = _classify(insn.name)
         nxt = None
-        if kind == "branch":
-            m.ctrl = "branch"
-            m.taken_pc = to_u64(epc + insn.imm)
-            m.fall_pc = next_pc
+        if m.ctrl == "branch":
             edges = jrec.edges
             ct = edges.get(m.taken_pc, 0)
             cf = edges.get(m.fall_pc, 0)
@@ -147,20 +186,14 @@ def _plan(core, head_pc):
             else:
                 m.chosen_taken = ct > cf
             nxt = m.taken_pc if m.chosen_taken else m.fall_pc
-        elif kind == "jal":
-            m.ctrl = "jal"
-            nxt = to_u64(epc + insn.imm)
-        elif kind == "jalr" or insn.name in _TRACE_END:
-            m.ctrl = "end"
-        else:
-            # Block ended at a page boundary or a decode break: the
-            # trace falls through to the next straight-line pc.
-            m.ctrl = "fall"
-            nxt = next_pc
+        elif m.ctrl == "jal":
+            nxt = m.taken_pc
+        elif m.ctrl == "fall":
+            nxt = m.fall_pc
         members.append(m)
         visited.add(pc)
         total += len(entries)
-        if m.ctrl == "end" or nxt is None:
+        if nxt is None:
             break
         if nxt == head_pc:
             m.backedge = True

@@ -223,6 +223,22 @@ LOAD_SIGNED = {0b000: True, 0b001: True, 0b010: True, 0b011: True,
                0b100: False, 0b101: False, 0b110: False}
 STORE_WIDTH = {0b000: 1, 0b001: 2, 0b010: 4, 0b011: 8}
 
+# Width/signedness per load/store mnemonic (plain and ROLoad variants),
+# shared by the interpreter handler tables (repro.cpu.core) and the flat
+# core's lowering (repro.cpu.flatcore).
+LOAD_INFO = {
+    "lb": (1, True), "lh": (2, True), "lw": (4, True), "ld": (8, True),
+    "lbu": (1, False), "lhu": (2, False), "lwu": (4, False),
+}
+RO_INFO = {"lb.ro": (1, True), "lh.ro": (2, True), "lw.ro": (4, True),
+           "ld.ro": (8, True), "lbu.ro": (1, False), "lhu.ro": (2, False),
+           "lwu.ro": (4, False)}
+STORE_INFO = {"sb": 1, "sh": 2, "sw": 4, "sd": 8}
+
+# The M-extension ops the flat core runs inline; they must also charge
+# TimingParams.mul_latency (the rest stay on their generic handlers).
+INLINE_MULDIV = frozenset({"mul", "mulw"})
+
 
 def spec_for(name: str) -> InsnSpec:
     """Look up the spec for a mnemonic; KeyError on unknown names."""

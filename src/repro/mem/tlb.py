@@ -43,9 +43,9 @@ class TLB:
         self.flushes = 0
         # Shadow maps (vpn-keyed dicts) whose entries are only valid
         # while the TLB entry they were derived from stays resident and
-        # unreplaced. The tier-2 compiler (repro.cpu.jit) registers its
-        # page memos here; purging on insert/evict/flush is what makes
-        # "memo hit" imply "this exact entry is still live".
+        # unreplaced. The core registers the flat core's page memos
+        # (repro.cpu.flatcore) here; purging on insert/evict/flush is
+        # what makes "memo hit" imply "this exact entry is still live".
         self.shadows: "tuple[dict, ...]" = ()
 
     def lookup(self, vpn: int) -> Optional[TLBEntry]:

@@ -13,7 +13,8 @@ times — once per interpreter tier:
 
     slow   REPRO_FASTPATH=0                   the seed configuration, serial
     tier1  REPRO_FASTPATH=1 REPRO_JIT=0       block replay
-    tier2  REPRO_FASTPATH=1 REPRO_JIT=1 REPRO_TIER4=0  trace compiler (§9)
+    tier2  REPRO_FASTPATH=1 REPRO_JIT=1 REPRO_TIER4=0  single blocks on
+                                                       the flat core (§9)
     tier4  REPRO_FASTPATH=1 REPRO_JIT=1 REPRO_TIER4=1  regions on the
                                                        flat core (§12-13)
 

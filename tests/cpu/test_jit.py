@@ -1,7 +1,7 @@
-"""Tier-2 trace compiler: compilation, chaining, invalidation, faults.
+"""Tier 2: hot-block lowering, chaining, invalidation, faults.
 
-The compiled tier (src/repro/cpu/jit.py) must be architecturally
-invisible. These tests pin down the machinery itself: blocks past the
+The compiled tier (single blocks lowered to the flat core,
+src/repro/cpu/flatcore.py) must be architecturally invisible. These tests pin down the machinery itself: blocks past the
 promotion threshold really compile, chain links form and are torn down
 on every invalidation edge (fence.i, MMU generation bumps, SMC), and a
 ROLoad fault raised from *inside* a hot compiled block is delivered
@@ -13,7 +13,7 @@ import pytest
 
 from repro.asm import assemble, link
 from repro.cpu import Core, TimingModel
-from repro.cpu.jit import MAX_COMPILED_ENTRIES
+from repro.cpu.regions import MAX_REGION_ENTRIES
 from repro.kernel import Kernel, ProcessState, SIGSEGV
 from repro.mem import MMU, PhysicalMemory
 from repro.mem.tlb import TLB, TLBEntry
@@ -152,15 +152,15 @@ def test_smc_store_flushes_compiled_blocks(monkeypatch):
 
 
 def test_oversized_block_splits(monkeypatch):
-    """A block longer than MAX_COMPILED_ENTRIES compiles as a prefix;
-    the suffix is promoted organically as its own block."""
-    n = MAX_COMPILED_ENTRIES + 40
+    """A block longer than MAX_REGION_ENTRIES lowers as a prefix; the
+    suffix is promoted organically as its own block. A page holds only
+    1,024 four-byte instructions, so the block is compressed."""
+    n = MAX_REGION_ENTRIES + 40
     outcomes = {}
     for jit in (False, True):
         core = jit_core(monkeypatch, jit=jit, threshold=2)
-        addr = CODE_BASE
-        for __ in range(n):
-            addr = assemble_at(core, [I("addi", rd=6, rs1=6, imm=1)], addr)
+        addr = assemble_at(core, [(I("addi", rd=6, rs1=6, imm=1), "c")] * n)
+        assert addr <= CODE_BASE + 0x1000 - 4  # one page, jal included
         assemble_at(core, [I("jal", rd=0, imm=CODE_BASE - addr)], addr)
         with pytest.raises(Exception):
             core.run(6 * (n + 1))
@@ -168,7 +168,7 @@ def test_oversized_block_splits(monkeypatch):
         if jit:
             assert core.jit_compiled >= 2  # prefix + promoted suffix
             sizes = sorted(rec.n for rec in core._jit_blocks.values())
-            assert sizes[-1] == MAX_COMPILED_ENTRIES
+            assert sizes[-1] == MAX_REGION_ENTRIES
     assert outcomes[True] == outcomes[False]
 
 

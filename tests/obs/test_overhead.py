@@ -4,8 +4,8 @@ Three layers of proof:
 
 * behavioural — a full kernel run with the switchboard off allocates no
   buffers and emits no events;
-* structural — the per-instruction slow path, the generated tier-2
-  code, and the tier-4 flat core contain no reference to the obs layer at all
+* structural — the per-instruction slow path and the flat core that
+  runs both compiled tiers contain no reference to the obs layer at all
   (the only hot-path cost anywhere is one ``enabled`` attribute test at
   cold sites, plus one ``is not None`` test at the batch observation
   points);
@@ -21,7 +21,6 @@ from repro import obs
 from repro.asm import assemble, link
 from repro.cpu import TimingModel
 from repro.cpu.core import Core
-from repro.cpu.jit import _generate
 from repro.kernel import Kernel
 from repro.mem import MMU, PhysicalMemory
 from repro.soc import build_system
@@ -31,8 +30,8 @@ from repro.tools.benchtool import (
     evaluate_gate,
 )
 
-from tests.cpu.conftest import CODE_BASE, I, assemble_at
-from tests.cpu.test_jit import jit_core, countdown_loop, run_to_ebreak
+from tests.cpu.conftest import CODE_BASE
+from tests.cpu.test_jit import countdown_loop, run_to_ebreak
 
 WORKLOAD = r"""
 .globl _start
@@ -89,26 +88,31 @@ def test_slow_path_step_has_no_obs_reference():
     assert "OBS.events" not in inspect.getsource(Core.step)
 
 
-def test_tier2_generated_source_has_no_obs_reference(monkeypatch):
-    """The compiled tier runs pure generated Python: if the word 'obs'
-    ever shows up in it, instrumentation leaked into the hot loop."""
-    core = jit_core(monkeypatch, threshold=2)
-    loop_pc = countdown_loop(core, 10)
-    run_to_ebreak(core)
-    assert core._jit_blocks  # the loop really compiled
-    entries = core._blocks[loop_pc][0]
-    source, __, __ = _generate(core, entries)
-    assert "obs" not in source.lower()
-
-
-def _region_core(monkeypatch):
+def _compiled_core(monkeypatch, tier4=True):
     monkeypatch.setenv("REPRO_JIT_DEBUG", "1")
     memory = PhysicalMemory(1 << 20)
     core = Core(memory, MMU(memory), timing=TimingModel(),
                 fast_path=True, jit=True, jit_threshold=2,
-                tier4=True, region_threshold=2)
+                tier4=tier4, region_threshold=2)
     core.pc = CODE_BASE
     return core
+
+
+def _code_names(fn):
+    code = fn.__code__
+    return set(code.co_names) | set(code.co_freevars) | set(code.co_varnames)
+
+
+def test_tier2_generated_source_has_no_obs_reference(monkeypatch):
+    """Tier 2 generates no source any more: a hot block is lowered by the
+    flat core into one closure. That closure is all the compiled tier
+    runs, so if the word 'obs' ever shows up among its names,
+    instrumentation leaked into the hot loop."""
+    core = _compiled_core(monkeypatch, tier4=False)
+    loop_pc = countdown_loop(core, 10)
+    run_to_ebreak(core)
+    block = core._jit_blocks[loop_pc]  # the loop really lowered
+    assert not any("obs" in name.lower() for name in _code_names(block.fn))
 
 
 def test_tier4_flat_core_has_no_obs_reference(monkeypatch):
@@ -120,15 +124,12 @@ def test_tier4_flat_core_has_no_obs_reference(monkeypatch):
     assert "_OBS" not in source
     assert "repro.obs" not in source
 
-    core = _region_core(monkeypatch)
+    core = _compiled_core(monkeypatch)
     countdown_loop(core, 50)
     run_to_ebreak(core)
     assert core.regions_compiled >= 1
     region = next(iter(core._regions.values()))
-    names = set(region.fn.__code__.co_names)
-    names |= set(region.fn.__code__.co_freevars)
-    names |= set(region.fn.__code__.co_varnames)
-    assert not any("obs" in name.lower() for name in names)
+    assert not any("obs" in name.lower() for name in _code_names(region.fn))
 
 
 # Each side of a timed comparison is the best of this many sweeps, run

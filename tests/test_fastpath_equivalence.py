@@ -1,12 +1,12 @@
 """Differential proof that the interpreter fast paths change nothing.
 
 The simulator has four interpreter tiers (src/repro/cpu/core.py,
-src/repro/cpu/jit.py, src/repro/cpu/regions.py and
-src/repro/cpu/flatcore.py):
+src/repro/cpu/regions.py and src/repro/cpu/flatcore.py):
 
   slow   REPRO_FASTPATH=0                 the seed decode-dispatch loop
   tier1  REPRO_FASTPATH=1 REPRO_JIT=0     block replay + D-side page cache
-  tier2  ... REPRO_JIT=1 REPRO_TIER4=0    hot blocks compiled to Python
+  tier2  ... REPRO_JIT=1 REPRO_TIER4=0    hot blocks lowered to the flat
+                                          core, one block each
   tier4  ... REPRO_TIER4=1                hot loops planned as superblocks
                                           and lowered to flat arrays
 
