@@ -588,6 +588,23 @@ class Core:
         self._decode_cache_c.clear()
         self._flush_blocks(reason)
 
+    def keep_translations(self, generation: int) -> bool:
+        """Carry decoded and lowered code across an MMU generation bump.
+
+        For :meth:`Kernel._schedule <repro.kernel.kernel.Kernel._schedule>`
+        only, after reinstalling the same, unchanged address space that
+        was descheduled at MMU ``generation``. If the cached code was
+        current then, its block generation is re-based onto the MMU's
+        and True is returned; otherwise nothing changes and the caller
+        flushes. The fetch-page cache and the D-side memos still follow
+        the MMU generation, so kept code re-walks its pages exactly as a
+        cold run would.
+        """
+        if self._block_generation != generation:
+            return False
+        self._block_generation = self.mmu.generation
+        return True
+
     def _flush_blocks(self, reason: str = "smc") -> None:
         """Drop cached basic blocks (fence.i, SMC store, generation bump).
 

@@ -196,6 +196,9 @@ class WarmVictimPool:
                 kernel, process, seclog_before,
                 baseline_exit=baseline.exit_code)
             final_instret = kernel.system.core.instret
+            # Free the lowered code (it closes over the core) by
+            # reference counting rather than a full garbage collection.
+            kernel.system.core.flush_decode_cache("release")
 
         sig = signature(events, tuple(checks_at), fingerprint)
         divergence = journal_divergence(baseline.journal_entries,

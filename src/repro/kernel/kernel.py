@@ -42,6 +42,10 @@ class Kernel:
         self.console = bytearray()
         self.processes: "List[Process]" = []
         self._next_pid = 1
+        # (address space, MMU generation, memory writes) at the last
+        # deschedule; _schedule keeps the core's translations only if
+        # all three still match.
+        self._descheduled = None
         # Record/replay boundary (repro.replay.journal). None = live run:
         # entropy comes from the host, nothing is recorded or verified.
         self.journal = None
@@ -63,10 +67,24 @@ class Kernel:
         return process
 
     def _schedule(self, process: Process) -> None:
-        """Context switch: install the address space and register file."""
+        """Context switch: install the address space and register file.
+
+        ``set_root`` always flushes the TLBs. The core's translations
+        survive only a reschedule of the address space that was last
+        descheduled, when nothing has bumped the MMU generation or
+        written memory since (DESIGN.md §8).
+        """
         core = self.system.core
-        self.system.mmu.set_root(process.address_space.root_ppn)
-        core.flush_decode_cache("context_switch")
+        mmu = self.system.mmu
+        space = process.address_space
+        last = self._descheduled
+        self._descheduled = None
+        unchanged = last is not None and last[0] is space \
+            and last[1] == mmu.generation \
+            and last[2] == self.system.memory.writes
+        mmu.set_root(space.root_ppn)
+        if not (unchanged and core.keep_translations(last[1])):
+            core.flush_decode_cache("context_switch")
         core.regs[:] = process.saved_regs
         core.pc = process.saved_pc
         process.state = ProcessState.RUNNING
@@ -75,6 +93,9 @@ class Kernel:
         core = self.system.core
         process.saved_regs = list(core.regs)
         process.saved_pc = core.pc
+        self._descheduled = (process.address_space,
+                             self.system.mmu.generation,
+                             self.system.memory.writes)
 
     # -- the run loop ------------------------------------------------------------
 

@@ -68,6 +68,12 @@ class PhysicalMemory:
                                f"multiple of the page size")
         self.size = size
         self._frames: dict[int, bytearray] = {}
+        # Bumped by write/write_bytes/restore_frames, the path of every
+        # writer outside the core (loader, syscalls, page-table edits,
+        # attack primitives, fault injection). The kernel compares it
+        # across a deschedule: translations survive a reschedule only
+        # if nothing wrote memory in between (DESIGN.md §8).
+        self.writes = 0
 
     # -- frame helpers ------------------------------------------------------
 
@@ -130,6 +136,7 @@ class PhysicalMemory:
         if address < 0 or address + size > self.size:
             raise MemoryError_(f"physical write [{address:#x}+{size}] out "
                                f"of range")
+        self.writes += 1
         frame_index = address >> PAGE_SHIFT
         offset = address & PAGE_MASK
         data = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
@@ -164,6 +171,7 @@ class PhysicalMemory:
         if address < 0 or address + len(data) > self.size:
             raise MemoryError_(f"physical write [{address:#x}+{len(data)}] "
                                f"out of range")
+        self.writes += 1
         view = memoryview(data)
         while view:
             frame_index = address >> PAGE_SHIFT
@@ -229,6 +237,7 @@ class PhysicalMemory:
         :class:`~repro.errors.MemoryError_` before anything is touched).
         """
         self._validate_frames(frames)
+        self.writes += 1
         self._frames.clear()
         for index, data in frames.items():
             self._frames[index] = bytearray(data)

@@ -21,6 +21,7 @@ import argparse
 import asyncio
 import multiprocessing
 import os
+import signal
 import sys
 from time import perf_counter
 from typing import Optional
@@ -176,7 +177,7 @@ async def serve(path: "Optional[str]" = None,
                 host: "Optional[str]" = None, port: int = 0,
                 workers: "Optional[int]" = None,
                 ready=None) -> None:
-    """Run the server until cancelled.
+    """Run the server until cancelled or sent SIGTERM.
 
     ``ready``, if given, is called with the listening address once the
     socket is bound — the load generator and tests use it to connect
@@ -195,11 +196,25 @@ async def serve(path: "Optional[str]" = None,
             raise ServeError("serve() needs a socket path or a host")
         server = await asyncio.start_unix_server(on_client, path)
         address = path
+    loop = asyncio.get_running_loop()
     try:
-        if ready is not None:
-            ready(address)
-        async with server:
-            await server.serve_forever()
+        async with server:      # start_*_server is already accepting
+            # SIGTERM's default action would end this process and orphan
+            # the workers; stop serving instead, so the shutdown below
+            # joins them. Not available off the main thread or on Windows.
+            terminated = asyncio.Event()
+            try:
+                loop.add_signal_handler(signal.SIGTERM, terminated.set)
+                handling = True
+            except (NotImplementedError, RuntimeError):
+                handling = False
+            try:
+                if ready is not None:
+                    ready(address)
+                await terminated.wait()
+            finally:
+                if handling:
+                    loop.remove_signal_handler(signal.SIGTERM)
     finally:
         front.shutdown()
         if host is None and path is not None:

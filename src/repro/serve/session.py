@@ -267,5 +267,9 @@ class Session:
                               instret=self._instret())
             self.audit.seal()
             self.state = DESTROYED
+            # Lowered code closes over the core that holds it; dropping
+            # it here lets reference counting free it (and the frames it
+            # pins) instead of leaving cycles for a full collection.
+            self.kernel.system.core.flush_decode_cache("release")
         return {"session": self.sid, "state": self.state,
                 "audit": list(self.audit.records)}

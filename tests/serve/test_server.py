@@ -8,9 +8,15 @@ lives in the CI serve leg (repro.serve.loadgen).
 
 import asyncio
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
+import repro
 from repro.serve import protocol
 from repro.serve.server import serve
 from repro.serve.worker import Worker
@@ -125,6 +131,62 @@ class TestServerEndToEnd:
             assert "exceeds the server maximum" in reply["error"]
 
         _drive(_with_server(scenario, workers=1))
+
+
+def _children(pid):
+    """Pids whose parent is ``pid`` (Linux /proc)."""
+    out = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        # The ppid follows the parenthesised command name.
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            out.append(int(entry))
+    return out
+
+
+def _gone(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="needs Linux /proc")
+def test_sigterm_stops_the_server_and_its_workers(tmp_path):
+    # The child imports the same repro package as this test.
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.serve", "--socket",
+         str(tmp_path / "serve.sock"), "--workers", "2"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True)
+    try:
+        line = server.stdout.readline()
+        assert "listening" in line, line
+        workers = _children(server.pid)
+        assert len(workers) == 2, workers
+        server.send_signal(signal.SIGTERM)
+        server.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline \
+                and not all(_gone(pid) for pid in workers):
+            time.sleep(0.05)
+        assert all(_gone(pid) for pid in workers), workers
+        assert server.returncode == 0
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+        server.stdout.close()
 
 
 class TestWorkerInline:

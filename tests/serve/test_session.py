@@ -5,6 +5,9 @@ budget or frame cap; cap requests above the server maxima must be
 denied at create; detached sessions must refuse to step.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro import config
@@ -86,6 +89,29 @@ class TestSessionLifecycle:
         assert session.state == DESTROYED
         assert verify_chain(out["audit"]) == []
         assert out["audit"][-1]["type"] == "audit.seal"
+
+    def test_destroy_releases_lowered_code_without_a_gc(
+            self, pool, warm_key, monkeypatch):
+        # Lowered units close over the core that holds them; destroy
+        # must break that cycle so refcounting alone frees them.
+        monkeypatch.setenv("REPRO_JIT_THRESHOLD", "2")
+        monkeypatch.setenv("REPRO_REGION_THRESHOLD", "2")
+        session = _fork_session(pool, warm_key, tier="tier4")
+        for _ in range(8):
+            session.step(1000)
+        core = session.kernel.system.core
+        units = list(core._jit_blocks.values()) \
+            + list(core._regions.values())
+        assert units
+        refs = [weakref.ref(unit.fn) for unit in units]
+        del core, units
+        gc.disable()
+        try:
+            session.destroy()
+            del session
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 class TestFailClosed:
