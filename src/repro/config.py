@@ -84,8 +84,8 @@ REPRO_FUZZ_SCHEDULE     fuzz_schedule       3        max injection-schedule
 
 The four interpreter tiers (slow, tier1, tier2, tier4) are named
 configurations over the three execution switches (:data:`TIERS`);
-``roload-bench`` sweeps them and the replay determinism checker
-restores the same snapshot under each. Tier 4 keeps its historical
+the CI test matrix pins the suite to each and the replay determinism
+checker restores the same snapshot under each. Tier 4 keeps its historical
 number: it is the only region tier since the generated-source tier 3
 was removed. Tiers 2 and 4 both run on the flat core: tier 2 lowers
 single blocks, tier 4 multi-block regions.

@@ -18,8 +18,8 @@ Public surface (also re-exported from :mod:`repro`):
 """
 
 from repro.fuzz.campaign import (Campaign, CampaignReportV1,
-                                 SCHEMA_VERSION, comparison_from_records,
-                                 comparison_record, run_comparison)
+                                 SCHEMA_VERSION, comparison_record,
+                                 run_comparison)
 from repro.fuzz.corpus import (Corpus, FRAC_SCALE, FUZZ_KINDS, FuzzInput,
                                ScheduleEntry)
 from repro.fuzz.coverage import CoverageMap, final_fingerprint, signature
@@ -35,7 +35,7 @@ from repro.fuzz.target import VictimSpec, build_image, build_victim
 __all__ = [
     "BOOT", "FRAC_SCALE", "FUZZ_KINDS", "SCHEMA_VERSION",
     "Campaign", "CampaignReportV1", "run_comparison",
-    "comparison_record", "comparison_from_records",
+    "comparison_record",
     "Corpus", "FuzzInput", "ScheduleEntry", "VictimSpec",
     "build_victim", "build_image",
     "Mutator", "SpecMutator", "TriggerMutator", "ScheduleMutator",

@@ -11,8 +11,13 @@ detected runs are grouped by the same key (no minimization — they are
 the expected outcome, the groups just show behavioral diversity).
 
 :func:`run_comparison` runs guided and random arms at equal budget from
-the same seed and reports both — the coverage-growth claim in
-``BENCH_campaign.json`` comes from here.
+the same seed and reports both; :func:`comparison_record` folds them
+into one record whose ``ok`` also requires guided coverage to win —
+the coverage-growth claim ``roload-fuzz campaign --compare`` gates on.
+
+A campaign is ``ok`` only when it injected something, nothing escaped,
+every escape finding replay-verified, and the detection rate is at
+least :data:`MIN_DETECTION_RATE`; ``roload-fuzz`` exits 1 otherwise.
 """
 
 from __future__ import annotations
@@ -35,10 +40,16 @@ from repro.obs import OBS as _OBS
 
 SCHEMA_VERSION = 1
 
+# Floor on the detection rate (DetectionTable.rate) of any ok campaign.
+# ROLoad discriminates every consumed injection in every recorded
+# campaign (rate 1.0); a run that falls more than 0.15 below that —
+# crashes count as misses — fails its own verdict.
+MIN_DETECTION_RATE = 0.85
+
 
 @dataclass
 class CampaignReportV1:
-    """Everything a campaign produced, ready for BENCH_campaign.json."""
+    """Everything a campaign produced, ready for its schema-v1 record."""
 
     mode: str
     seed: int
@@ -64,10 +75,11 @@ class CampaignReportV1:
     def ok(self) -> bool:
         return (self.result.injections > 0
                 and not self.result.escapes
-                and self.unexplained_escapes == 0)
+                and self.unexplained_escapes == 0
+                and self.result.table.rate() >= MIN_DETECTION_RATE)
 
     def to_record(self) -> dict:
-        """The schema-v1 campaign record (``roload-stats validate``)."""
+        """The schema-v1 campaign record (``roload-fuzz --out``)."""
         table = self.result.table
         return {
             "schema": SCHEMA_VERSION,
@@ -295,24 +307,15 @@ def run_comparison(*, executions: "Optional[int]" = None,
 def comparison_record(guided: CampaignReportV1,
                       rand: CampaignReportV1) -> dict:
     """The guided record, annotated with the control-arm comparison."""
-    return comparison_from_records(guided.to_record(), rand.to_record())
-
-
-def comparison_from_records(guided: dict, rand: dict) -> dict:
-    """:func:`comparison_record` over two saved schema-v1 records — for
-    arms run in separate processes or on separate machines (the nightly
-    CI job runs them back to back and merges here)."""
-    record = dict(guided)
-    guided_unique = guided["coverage"]["unique_signatures"]
-    random_unique = rand["coverage"]["unique_signatures"]
+    record = guided.to_record()
     record["guided_vs_random"] = {
-        "budget": rand["executions"],
-        "guided_unique": guided_unique,
-        "random_unique": random_unique,
-        "guided_wins": guided_unique > random_unique,
-        "random_escapes": rand["escapes"]["total"],
-        "random_unexplained": rand["escapes"]["unexplained"],
+        "budget": rand.executions,
+        "guided_unique": guided.unique_signatures,
+        "random_unique": rand.unique_signatures,
+        "guided_wins": guided.unique_signatures > rand.unique_signatures,
+        "random_escapes": len(rand.result.escapes),
+        "random_unexplained": rand.unexplained_escapes,
     }
-    record["ok"] = bool(record["ok"] and rand["ok"]
+    record["ok"] = bool(guided.ok and rand.ok
                         and record["guided_vs_random"]["guided_wins"])
     return record

@@ -27,7 +27,7 @@ Usage (the tools do exactly this):
 from __future__ import annotations
 
 from repro import config as _config
-from repro.obs.attribution import Attribution
+from repro.obs.attribution import Attribution, SlowPathTap
 from repro.obs.audit import (AuditTrail, record_hash, sealed_view,
                              verify_chain, verify_file)
 from repro.obs.events import (
@@ -150,7 +150,9 @@ def register_system(system, registry: "MetricsRegistry | None" = None,
     system in the same process) replaces the previous namespace.
 
     Also installs the flight-recorder and attribution taps on the core
-    (plain attributes the batch observation points test for ``None``).
+    (plain attributes the batch observation points test for ``None``);
+    a core without the fast path also gets the tier-0 retire hook
+    (:class:`~repro.obs.attribution.SlowPathTap`).
     """
     if registry is None:
         if OBS.registry is None:
@@ -189,6 +191,8 @@ def register_system(system, registry: "MetricsRegistry | None" = None,
     if OBS.sampler is not None:
         core._sampler = OBS.sampler
     if OBS.attribution is not None:
+        if core._attrib is None and not core.fast_path_enabled:
+            core.add_retire_hook(SlowPathTap(core))
         core._attrib = OBS.attribution
 
 

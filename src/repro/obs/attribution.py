@@ -7,9 +7,11 @@ block, tier 2 per compiled block, tier 4 per region, each keyed by
 the unit's start pc. The recording site is the same batch point that
 flushes the deferred counters, so the per-instruction hot paths stay
 untouched; a disabled attribution is one ``is not None`` test at those
-batch points. (Tier 0 — the per-instruction slow path — is deliberately
-unattributed: ``Core.step`` must contain no observability reference at
-all, which the overhead suite asserts on its source.)
+batch points. Tier 0 — a core on the per-instruction slow path
+(``REPRO_FASTPATH=0``) — is attributed by :class:`SlowPathTap`, a
+retire hook installed only while observing: ``Core.step`` itself holds
+no observability reference (the overhead suite asserts on its source)
+and an unobserved slow run pays nothing.
 
 ``roload-stats top`` turns the exported histogram into a hot-symbol
 report by resolving block/region start pcs through the executable's
@@ -55,6 +57,28 @@ class Attribution:
             by_tier.setdefault(name, {})[pc] = retired
         return {name: {f"{pc:#x}": pcs[pc] for pc in sorted(pcs)}
                 for name, pcs in sorted(by_tier.items())}
+
+
+class SlowPathTap:
+    """Tier-0 attribution for a core without the fast path.
+
+    A retire hook (``Core.add_retire_hook``): each retired instruction
+    is credited to its unit head, the pc reached by the last control
+    transfer (taken branch, jump, or trap return). It records into
+    whatever histogram the core's ``_attrib`` tap currently points at.
+    """
+
+    __slots__ = ("core", "head", "next_pc")
+
+    def __init__(self, core):
+        self.core = core
+        self.head = self.next_pc = -1
+
+    def __call__(self, pc: int, insn) -> None:
+        if pc != self.next_pc:
+            self.head = pc
+        self.next_pc = pc + insn.length
+        self.core._attrib.record(0, self.head, 1)
 
 
 def flatten(table: dict) -> "List[Tuple[str, int, int]]":

@@ -13,8 +13,9 @@ Layers, bottom up:
   operations and fields are denied, never ignored.
 * :mod:`repro.serve.server` — the asyncio front end (``roload-serve``)
   that shards sessions across the worker pool.
-* :mod:`repro.serve.loadgen` — load generator and ``BENCH_serve.json``
-  writer.
+
+The service is measured from outside, as a client would see it, by the
+``serve-fork`` and ``serve-steady`` workloads of ``bench/run.py``.
 """
 
 from repro.serve.pool import PoolKey, SnapshotPool

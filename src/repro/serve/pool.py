@@ -11,8 +11,9 @@ boot point — and builds each at most once per worker process:
 
 Forking a session then *shares* the snapshot's frame bytes through the
 copy-on-write layer (``restore(snap, cow=True)``) instead of copying
-them, so session start is bookkeeping-bound: the fork-latency numbers
-in ``BENCH_serve.json`` are the cold boot amortized away.
+them, so session start is bookkeeping-bound: the cold boot is paid
+once per key (inside ``bench/run.py``'s ``setup_s`` for the serve
+workloads) and every create after it is a fork.
 """
 
 from __future__ import annotations

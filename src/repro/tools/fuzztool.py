@@ -3,7 +3,7 @@
     roload-fuzz campaign [--executions N] [--workers W]
                          [--mode guided|random] [--compare]
                          [--seed S] [--schedule-max K] [--tier T]
-                         [--profile P] [--out BENCH_campaign.json]
+                         [--profile P] [--out RECORD.json]
                          [--quiet]
 
 Runs a fuzz/fault campaign over the parameterized victim family:
@@ -11,12 +11,13 @@ mutated victim shapes x mutated injection schedules, executed as
 copy-on-write forks of warm snapshots across worker processes, guided
 by tier-stable coverage signatures. ``--compare`` runs a random control
 arm at the same budget and annotates the record with the
-guided-vs-random coverage comparison (the BENCH_campaign.json shape CI
-gates on).
+guided-vs-random coverage comparison.
 
 Exit 1 if the campaign is not ok — any escape, any unexplained
-(non-replay-verified) escape, zero injections, or (with ``--compare``)
-guided coverage not strictly above random.
+(non-replay-verified) escape, zero injections, a detection rate below
+``repro.fuzz.campaign.MIN_DETECTION_RATE``, or (with ``--compare``)
+guided coverage not strictly above random. The exit code is the gate:
+CI runs no separate record check.
 """
 
 from __future__ import annotations
@@ -66,9 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--profile", default="processor+kernel",
                           help="system profile (§V-B)")
     campaign.add_argument("--out", type=Path, default=None,
-                          metavar="BENCH_campaign.json",
-                          help="write the schema-v1 campaign record "
-                               "(validate with `roload-stats validate`)")
+                          metavar="RECORD.json",
+                          help="write the schema-v1 campaign record")
     campaign.add_argument("--quiet", action="store_true",
                           help="suppress the per-batch progress lines")
     add_obs_flags(campaign, what="the campaign")
@@ -134,7 +134,8 @@ def _campaign(args) -> int:
         write_obs_outputs(args)
     if not record["ok"]:
         print("roload-fuzz: campaign not ok (escapes, unexplained "
-              "findings, or guided did not beat random)", file=sys.stderr)
+              "findings, detection rate below the floor, or guided did "
+              "not beat random)", file=sys.stderr)
         return 1
     return 0
 

@@ -1,17 +1,18 @@
 """End-to-end campaigns: classification at scale, dedup + minimization
-through the journal, replay verification, and the schema-v1 record."""
+through the journal, replay verification, the schema-v1 record, and
+the campaign verdict that roload-fuzz exits on."""
 
 import pytest
 
-from repro.eval_model import Verdict
-from repro.fuzz import (Campaign, comparison_from_records,
-                        comparison_record, run_comparison)
+from repro.eval_model import CampaignResult, RunResult, Verdict
+from repro.fuzz import (Campaign, CampaignReportV1, comparison_record,
+                        run_comparison)
+from repro.fuzz.campaign import MIN_DETECTION_RATE
 from repro.fuzz.corpus import FuzzInput, ScheduleEntry
 from repro.fuzz.executor import WarmVictimPool
 from repro.fuzz.minimizer import dedup_key, minimize, replay_verify
 from repro.fuzz.target import VictimSpec
-from repro.tools.statstool import (is_campaign_record,
-                                   validate_campaign_record)
+from repro.tools.fuzztool import main as fuzz_main
 
 
 @pytest.fixture(scope="module")
@@ -86,8 +87,11 @@ class TestCampaign:
 
     def test_record_validates_against_schema_v1(self, small_report):
         record = small_report.to_record()
-        assert is_campaign_record(record)
-        assert validate_campaign_record(record) == []
+        assert record["schema"] == 1 and record["tool"] == "roload-fuzz"
+        assert record["ok"] is True
+        assert record["escapes"] == {"total": 0, "unique": 0,
+                                     "unexplained": 0}
+        assert record["detection"]["rate"] >= MIN_DETECTION_RATE
 
     def test_unknown_mode_rejected(self):
         from repro.errors import ReplayError
@@ -117,7 +121,45 @@ class TestComparison:
         assert versus["random_unique"] == rand.unique_signatures
         assert record["ok"] == (guided.ok and rand.ok
                                 and versus["guided_wins"])
-        # Merging the saved records reproduces the same annotation.
-        merged = comparison_from_records(guided.to_record(),
-                                         rand.to_record())
-        assert merged == record
+
+
+def _report(crashed, detected=10):
+    """A campaign report over a synthetic table: ``detected`` runs
+    ROLoad caught and ``crashed`` runs that died of another signal."""
+    records = [RunResult("pte-key", 100, "gfpt", Verdict.DETECTED)
+               for __ in range(detected)]
+    records += [RunResult("wild-ptr", 100, "vptr", Verdict.CRASHED)
+                for __ in range(crashed)]
+    result = CampaignResult(baseline_exit=0, total_instructions=0,
+                            records=records)
+    return CampaignReportV1(mode="guided", seed=0,
+                            executions=len(records), workers=1,
+                            schedule_max=1, result=result,
+                            unique_signatures=1,
+                            coverage_curve=[(len(records), 1)],
+                            corpus_size=1)
+
+
+class TestDetectionFloor:
+    def test_crashes_below_the_floor_fail_the_campaign(self,
+                                                       monkeypatch,
+                                                       capsys):
+        """Crashes score as misses: 10 detected and 1 crashed (rate
+        0.91) is ok; 10 and 2 (0.83) is below the 0.85 floor, so the
+        campaign is not ok and roload-fuzz exits 1 on it."""
+        assert MIN_DETECTION_RATE == 0.85
+        passing = _report(crashed=1)
+        assert passing.ok
+        failing = _report(crashed=2)
+        assert failing.result.table.rate() < MIN_DETECTION_RATE
+        assert not failing.result.escapes      # no escape to blame
+        assert not failing.ok
+        assert failing.to_record()["ok"] is False
+
+        monkeypatch.setattr(Campaign, "run", lambda self: failing)
+        argv = ["campaign", "--executions", "1", "--workers", "1",
+                "--quiet"]
+        assert fuzz_main(argv) == 1
+        assert "campaign not ok" in capsys.readouterr().err
+        monkeypatch.setattr(Campaign, "run", lambda self: passing)
+        assert fuzz_main(argv) == 0

@@ -139,3 +139,25 @@ def test_enable_installs_the_tap_and_annotate_renders():
 
     with pytest.raises(ReproError):
         annotate(image, "no_such_symbol", table)
+
+
+def test_slow_path_attributes_every_retire_to_tier0(monkeypatch):
+    """Without the fast path there are no batch points: the retire hook
+    register_system installs credits each instruction to the pc reached
+    by the last control transfer, so the loop label is the hottest head
+    and the histogram accounts for every retired instruction."""
+    monkeypatch.setenv("REPRO_FASTPATH", "0")
+    obs.enable()
+    system = build_system(memory_size=64 << 20)
+    obs.register_system(system)
+    image = link([assemble(PROGRAM)])
+    kernel = Kernel(system)
+    process = kernel.create_process(image)
+    kernel.run(process)
+    assert process.exit_code == 0
+
+    table = obs.OBS.attribution.export()
+    assert set(table) == {"tier0"}
+    rows = flatten(table)
+    assert SymbolMap(image.symbols).resolve(rows[0][1]) == ("loop", 0)
+    assert sum(row[2] for row in rows) == system.core.instret

@@ -2,8 +2,9 @@
 
 Boots a real server (worker processes included) on a Unix socket in a
 tmpdir and drives it exactly like a client would. Small workload and
-boot point keep this in CI-smoke territory; the heavy concurrency run
-lives in the CI serve leg (repro.serve.loadgen).
+boot point keep this in CI-smoke territory. The cross-tier scenario
+(16 sessions over all four interpreter tiers, interleaved slices) is
+the serve determinism gate; bench/run.py times the service.
 """
 
 import asyncio
@@ -104,6 +105,49 @@ class TestServerEndToEnd:
                 reply = await request(op="destroy", session=sid)
                 assert reply["ok"]
                 from repro.obs.audit import verify_chain
+                assert verify_chain(reply["audit"]) == []
+
+        _drive(_with_server(scenario))
+
+    def test_sessions_across_all_tiers_agree_after_interleaved_slices(self):
+        """16 sessions cycle over the slow path and the three fast
+        tiers, split across two workers, and are stepped round-robin in
+        twelve 500-instruction slices, so every slice after the first
+        resumes a session the worker descheduled for another one.
+        Same workload and step plan: one state hash and one audit head
+        across all of them, and every destroyed session's sealed audit
+        chain verifies."""
+        from repro.obs.audit import verify_chain
+        tiers = ("slow", "tier1", "tier2", "tier4")
+
+        async def scenario(request):
+            reply = await request(op="warm", **BASE)
+            assert reply["ok"], reply
+            sids = []
+            for index in range(16):
+                reply = await request(op="create",
+                                      tier=tiers[index % len(tiers)],
+                                      **BASE)
+                assert reply["ok"], reply
+                sids.append(reply["session"])
+            for __ in range(12):
+                for sid in sids:
+                    reply = await request(op="step", session=sid, n=500)
+                    assert reply["ok"], reply
+                    assert reply["executed"] == 500
+                    assert reply["state"] == "running"
+            hashes, heads = set(), set()
+            for sid in sids:
+                reply = await request(op="query", session=sid,
+                                      hash=True)
+                assert reply["ok"], reply
+                hashes.add(reply["state_hash"])
+                heads.add(reply["audit"]["head"])
+            assert len(hashes) == 1, hashes
+            assert len(heads) == 1, heads
+            for sid in sids:
+                reply = await request(op="destroy", session=sid)
+                assert reply["ok"], reply
                 assert verify_chain(reply["audit"]) == []
 
         _drive(_with_server(scenario))
