@@ -30,8 +30,10 @@ from repro.isa.opcodes import (
 )
 from repro.cpu.csr import CSRFile
 from repro.cpu.flatcore import (
+    bind as _bind_unit,
     compile_block as _compile_block,
     compile_region as _compile_region,
+    lowering_key as _lowering_key,
 )
 from repro.cpu.regions import DEFER as _REGION_DEFER
 from repro.cpu.timing import TimingModel
@@ -160,9 +162,20 @@ class Core:
         # Basic-block translation cache: start pc -> (entries, vpn, frame).
         self._blocks: "dict[int, tuple]" = {}
         self._block_generation = -1
-        # Physical frames holding cached code; stores into them invalidate
-        # the block cache (self-modifying code without fence.i).
+        # Physical frames holding cached or adopted code; guest stores
+        # into them invalidate the block cache (self-modifying code
+        # without fence.i). The memory shares the set and raises
+        # ``code_written`` when a host write lands in one of them
+        # (DESIGN.md §8).
         self._code_frames: "set[int]" = set()
+        memory.code_frames = self._code_frames
+        # Shared translations adopted from a warm snapshot
+        # (repro.cpu.translations), bound unit by unit on first dispatch;
+        # the tier-2 and region maps are None when this core's tiers do
+        # not run them.
+        self._adopted = None
+        self._adopted_jit = None
+        self._adopted_regions = None
         # Set by _flush_blocks so an in-flight replay stops at the end of
         # the current instruction: its remaining pre-decoded entries may
         # be stale (a store patched code later in the same block).
@@ -588,6 +601,32 @@ class Core:
         self._decode_cache_c.clear()
         self._flush_blocks(reason)
 
+    def adopt_translations(self, translations) -> bool:
+        """Start from shared :class:`~repro.cpu.translations.Translations`.
+
+        Only on a core that has translated nothing yet, runs the fast
+        path, and lowers exactly as the value's units were lowered
+        (:func:`~repro.cpu.flatcore.lowering_key`). The units are bound
+        lazily, each on its first dispatch (:meth:`_bind_adopted`,
+        :meth:`_build_block`), and only for the tiers this core runs.
+        Their code frames join ``_code_frames`` at once, so a store or
+        host write into adopted but unbound code invalidates it like
+        bound code. Returns whether
+        the value was adopted; the caller (the kernel) then treats the
+        current MMU generation as the one the code was cached under.
+        """
+        if translations is None or not self.fast_path_enabled \
+                or self._blocks or self._adopted is not None \
+                or translations.key != _lowering_key(self):
+            return False
+        self._adopted = translations
+        self._adopted_jit = translations.jit if self.jit_enabled else None
+        self._adopted_regions = translations.regions \
+            if self.tier4_enabled else None
+        self._code_frames.update(translations.frames)
+        self._block_generation = self.mmu.generation
+        return True
+
     def keep_translations(self, generation: int) -> bool:
         """Carry decoded and lowered code across an MMU generation bump.
 
@@ -610,15 +649,19 @@ class Core:
 
         Tier-2 blocks and their chain links go with them: a stale link
         could otherwise jump straight into code that no longer exists.
-        ``reason`` attributes the invalidation (``flush_causes``) and is
-        exported by the observability layer; causes are only charged for
-        flushes that actually dropped cached state.
+        Adopted translations not yet bound go too. ``reason`` attributes
+        the invalidation (``flush_causes``) and is exported by the
+        observability layer; causes are only charged for flushes that
+        actually dropped cached state.
         """
         dropped_blocks = len(self._blocks)
         dropped_jit = len(self._jit_blocks)
         dropped_regions = len(self._regions)
+        adopted = self._adopted is not None
         self._blocks.clear()
         self._code_frames.clear()
+        self.memory.code_written = False
+        self._adopted = self._adopted_jit = self._adopted_regions = None
         if dropped_jit:
             for rec in self._jit_blocks.values():
                 rec.links.clear()
@@ -634,26 +677,19 @@ class Core:
         self._region_counts.clear()
         self._region_nojit.clear()
         self._block_abort = True
-        if dropped_blocks or dropped_jit:
+        if dropped_blocks or dropped_jit or adopted:
             self.flush_causes[reason] = \
                 self.flush_causes.get(reason, 0) + 1
             if _OBS.enabled:
+                # What a flush drops depends on the tier and on what was
+                # cached or adopted, so it goes on the event stream only;
+                # the audit chain records the guest's fence.i instead
+                # (_h_fence_i).
                 _OBS.events.emit("jit.flush" if dropped_jit
                                  else "block_cache.flush",
                                  reason=reason, blocks=dropped_blocks,
                                  compiled=dropped_jit,
-                                 regions=dropped_regions)
-                # Guest-initiated invalidations are security-relevant
-                # (SMC is how W^X gets probed) and deterministic across
-                # tiers; cache-management flushes (context switches, MMU
-                # generation bumps) are tier-dependent plumbing and stay
-                # out of the audit chain.
-                if _OBS.audit is not None and reason in ("smc", "fence.i"):
-                    _OBS.audit.append("cache.flush", reason=reason,
-                                      blocks=dropped_blocks,
-                                      compiled=dropped_jit,
-                                      regions=dropped_regions,
-                                      instret=self.instret)
+                                 regions=dropped_regions, adopted=adopted)
 
     def _fetch_paddr(self, vaddr: int) -> int:
         """Translate a fetch address with a per-page fast path.
@@ -778,6 +814,14 @@ class Core:
         """
         self._current_pc = pc
         frame = self._fetch_paddr(pc) & ~0xFFF
+        if self._adopted is not None:
+            recipe = self._adopted.blocks.get(pc)
+            if recipe is not None and recipe[2] == frame:
+                # Cached as it is, generic handlers and all, on every
+                # tier: specializing it per fork costs more than its
+                # faster replay saves (DESIGN.md §8).
+                self._cache_block(pc, recipe)
+                return recipe
         vpn = pc >> 12
         memory = self.memory
         entries = []
@@ -836,11 +880,60 @@ class Core:
         if not entries:
             return None
         block = (tuple(entries), vpn, frame)
+        self._cache_block(entries[0][2], block)
+        return block
+
+    def _cache_block(self, pc: int, block: tuple) -> None:
         if len(self._blocks) >= self._block_cache_cap:
             self._flush_blocks("block_cache_capacity")
-        self._blocks[entries[0][2]] = block
-        self._code_frames.add(frame >> 12)
-        return block
+        self._blocks[pc] = block
+        self._code_frames.add(block[2] >> 12)
+
+    def _bind_adopted(self, pc: int):
+        """Bind the adopted tier-2 block and region at ``pc`` on its
+        first arrival, on the tiers this core runs; returns the unit to
+        dispatch (the region first), or None.
+
+        Translates the fetch exactly as :meth:`_build_block` starts, and
+        binds nothing unless the page still maps the frame the code was
+        decoded from; a region's other pages are checked against the
+        live page table. The tier-1 block is left to
+        :meth:`_build_block`, which binds it only if it is replayed —
+        unless a tier-2 block runs ``pc``; then it is cached at once,
+        since the region planner reads it.
+        """
+        self._current_pc = pc
+        frame = self._fetch_paddr(pc) & ~0xFFF
+        recipe = self._adopted.blocks.get(pc)
+        if recipe is None or recipe[2] != frame:
+            return None
+        jit, regions = self._adopted_jit, self._adopted_regions
+        if jit and pc in jit:
+            # The region planner reads tier-2 members' tier-1 blocks.
+            self._cache_block(pc, recipe)
+            if self._adopted is None:
+                return None     # the capacity flush dropped the rest
+        unit = self._jit_blocks.get(pc)
+        if unit is None and jit:
+            lowered = jit.get(pc)
+            if lowered is not None:
+                unit = self._jit_blocks[pc] = _bind_unit(self, lowered)
+        region = self._regions.get(pc)
+        if region is None and regions:
+            lowered = regions.get(pc)
+            if lowered is not None \
+                    and self._pages_mapped(lowered.pages[1:]):
+                region = self._regions[pc] = _bind_unit(self, lowered)
+        return unit if region is None else region
+
+    def _pages_mapped(self, pages) -> bool:
+        """Whether each (vpn, ppn) pair is the live page-table mapping
+        (a walk with no architectural side effects)."""
+        for vpn, ppn in pages:
+            pte = self.mmu.probe(vpn << 12)
+            if pte is None or pte.ppn != ppn:
+                return False
+        return True
 
     def step_block(self, limit: int = 1 << 62) -> None:
         """Execute up to ``limit`` (>= 1) instructions via the block cache.
@@ -860,6 +953,10 @@ class Core:
         if self._block_generation != generation:
             self._flush_blocks("mmu_generation")
             self._block_generation = generation
+        elif self.memory.code_written:
+            # A host write (a syscall copying into a code page) landed
+            # in cached or adopted code since the last dispatch.
+            self._flush_blocks("host_write")
         elif self._jit_blocks or self._regions:
             rec = self._regions.get(pc) if self._regions else None
             if rec is None:
@@ -868,6 +965,12 @@ class Core:
                 self._run_jit(rec, pc, limit, generation)
                 return
         block = self._blocks.get(pc)
+        if block is None and self._adopted is not None:
+            rec = self._bind_adopted(pc)
+            if rec is not None and limit >= rec.n:
+                self._run_jit(rec, pc, limit, generation)
+                return
+            block = self._blocks.get(pc)
         if block is None:
             block = self._build_block(pc)
             if block is None:
@@ -1604,6 +1707,13 @@ def _h_fence(core, insn, pc):
 
 
 def _h_fence_i(core, insn, pc):
+    # The guest's own invalidation is security-relevant (SMC is how
+    # W^X gets probed), so it enters the audit chain — as a function of
+    # guest state only: whatever the flush drops depends on the tier
+    # and stays on the event stream (Core._flush_blocks).
+    if _OBS.enabled and _OBS.audit is not None:
+        _OBS.audit.append("cache.flush", reason="fence.i",
+                          instret=core.instret)
     core.flush_decode_cache()
 
 
@@ -1686,6 +1796,14 @@ def _build_handlers():
 
 
 _HANDLERS = _build_handlers()
+
+
+def generic_entries(entries: tuple) -> tuple:
+    """Block entries with every handler replaced by the generic one of
+    its mnemonic: the core-independent form of a tier-1 block
+    (repro.cpu.translations)."""
+    return tuple((_HANDLERS[entry[1].name],) + entry[1:]
+                 for entry in entries)
 
 
 # ---------------------------------------------------------------------------

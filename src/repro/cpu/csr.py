@@ -8,6 +8,8 @@ illegal-instruction trap, as on real hardware.
 
 from __future__ import annotations
 
+import weakref
+
 from repro.cpu.trap import Cause, Trap
 
 CSR_CYCLE = 0xC00
@@ -23,7 +25,9 @@ class CSRFile:
     """Reads counters live from the core; scratch CSRs live in a dict."""
 
     def __init__(self, core):
-        self._core = core
+        # A proxy, not a reference: the core owns its CSR file, and a
+        # cycle would keep a finished core alive until a full collection.
+        self._core = weakref.proxy(core)
         self._scratch: dict[int, int] = {}
 
     def read(self, csr: int, pc: int) -> int:

@@ -39,6 +39,11 @@ read-only + key check actually runs (DESIGN.md paragraph 8), then drops
 the cached views. Lowered blocks and regions are invalidated by
 ``Core._flush_blocks`` together with the tier-1 blocks.
 
+Lowering (:func:`_lower`) and binding (:func:`bind`) are separate
+steps: a :class:`Lowered` value depends on the code and on the inputs
+named by :func:`lowering_key`, never on one core, so forks of one warm
+snapshot share it and only bind (repro.cpu.translations).
+
 Array layout (parallel, one slot per stream entry):
 
 ====  =====================================================
@@ -64,6 +69,7 @@ produce identical architectural state, counters included.
 from __future__ import annotations
 
 import sys
+from typing import NamedTuple
 
 from repro import config as _config
 from repro.cpu.regions import (
@@ -209,6 +215,71 @@ def _classify(name):
     return "generic"
 
 
+class Lowered(NamedTuple):
+    """One lowered unit as a core-independent value.
+
+    Everything :func:`bind` needs to rebuild the unit on any core whose
+    :func:`lowering_key` matches the one it was lowered under: the unit
+    shape, the code pages it was decoded from, and the parallel arrays
+    (``DC`` is the packed ``zip(OPS, A, B, C, IM, X)`` the dispatch loop
+    reads). It holds no core, frame or closure — the generic-site
+    handlers in ``GH`` are the module-level ones of repro.cpu.core — so
+    forks of one warm snapshot share it (repro.cpu.translations).
+    """
+
+    region: bool
+    n: int              # instructions retired per full pass
+    head_pc: int
+    loop: bool
+    pages: tuple        # ((vpn, ppn), ...) member code pages, head first
+    end_pc: int         # tier-2 block: next pc of the final entry
+    pcs: tuple          # region member start pcs, trace order
+    spans: tuple        # region member (start, end) pc ranges
+    dside: bool
+    DC: tuple
+    NI: tuple
+    BP: tuple
+    MU: tuple
+    PQ: tuple
+    JX: tuple
+    PCA: tuple
+    GH: tuple
+    BPT: int
+    MUT: int
+    PQT: int
+    IRT: tuple
+    ILINES: tuple
+
+
+def _dside(core) -> bool:
+    """Whether loads and stores lower to the flat D-side fast path."""
+    mmu = core.mmu
+    return bool(core._dside_cap) and getattr(mmu, "dtlb", None) is not None \
+        and not mmu.bare and _NATIVE_LE
+
+
+def lowering_key(core) -> tuple:
+    """Every core input a lowered unit or tier-1 recipe bakes in:
+    timing parameters, I-cache geometry, the D-side flag, and whether
+    the core implements ``ld.ro`` (block boundaries depend on it)."""
+    icache = core.icache
+    geometry = None if icache is None else \
+        (icache.line_shift, icache.num_sets)
+    return (core.timing.params, geometry, _dside(core), core.roload_enabled)
+
+
+def bind(core, lowered):
+    """A runnable unit (:class:`JITBlock` or :class:`Region`) of
+    ``lowered`` on ``core``."""
+    fn = _bind(core, lowered)
+    vpn = lowered.pages[0][0]
+    if lowered.region:
+        return Region(fn, lowered.n, vpn, lowered.head_pc, lowered.pcs,
+                      lowered.loop, lowered.spans, lowered)
+    return JITBlock(fn, lowered.n, vpn, lowered.head_pc, lowered.end_pc,
+                    lowered)
+
+
 def compile_block(core, block, start_pc):
     """Lower a hot tier-1 block to a :class:`JITBlock` (tier 2).
 
@@ -222,10 +293,7 @@ def compile_block(core, block, start_pc):
     """
     entries = block[0][:MAX_REGION_ENTRIES]
     plan = _Plan(start_pc, (_Member(start_pc, entries, block[1]),), False)
-    fn = _try_lower(core, plan)
-    if fn is None:
-        return None
-    return JITBlock(fn, plan.n, block[1], start_pc, entries[-1][3])
+    return _try_lower(core, plan, False)
 
 
 def compile_region(core, head_pc, arrivals=0):
@@ -248,37 +316,33 @@ def compile_region(core, head_pc, arrivals=0):
     plan = _plan(core, head_pc)
     if plan is None:
         return None
-    fn = _try_lower(core, plan)
-    if fn is None:
-        return None
-    return Region(fn, plan.n, plan.members[0].vpn, head_pc,
-                  tuple(m.pc for m in plan.members), plan.loop,
-                  tuple((m.pc, m.entries[-1][2] + 4)
-                        for m in plan.members))
+    return _try_lower(core, plan, True)
 
 
-def _try_lower(core, plan):
-    """:func:`_lower`, or None on failure (re-raised under jit_debug)."""
+def _try_lower(core, plan, region):
+    """:func:`_lower` and :func:`bind`, or None on failure (re-raised
+    under jit_debug)."""
     try:
-        return _lower(core, plan)
+        return bind(core, _lower(core, plan, region))
     except Exception:
         if _config.current().jit_debug:
             raise
         return None
 
 
-def _lower(core, plan):
-    """Flatten a plan into the parallel arrays and bind the runner."""
+def _lower(core, plan, region):
+    """Flatten a plan into the parallel arrays of a :class:`Lowered`."""
+    # Generic sites run the module-level handler of their mnemonic, never
+    # the entry's (possibly core-specialized) one, so the value holds no
+    # closure. Imported here: repro.cpu.core imports this module.
+    from repro.cpu.core import _HANDLERS
     members = plan.members
     head_pc = plan.head_pc
     params = core.timing.params
     tbp = params.taken_branch_penalty
     jp = params.jump_penalty
-    mmu = core.mmu
     icache = core.icache
-    dtlb = getattr(mmu, "dtlb", None)
-    dside = bool(core._dside_cap) and dtlb is not None and not mmu.bare \
-        and _NATIVE_LE
+    dside = _dside(core)
     multi_page = len({m.vpn for m in members}) > 1
     warm_mach = plan.loop and icache is not None
     if icache is not None:
@@ -333,7 +397,7 @@ def _lower(core, plan):
             gi += 1
 
     prev_vpn = members[0].vpn
-    for m, j, i, (handler, insn, pc, next_pc, paddr, paddr2) in flat:
+    for m, j, i, (_, insn, pc, next_pc, paddr, paddr2) in flat:
         kind = _classify(insn.name)
         member_last = j == len(m.entries) - 1
         final = member_last and not m.inline_next and not m.backedge
@@ -457,7 +521,7 @@ def _lower(core, plan):
 
         else:   # generic
             slot = len(gh)
-            gh.append((handler, insn))
+            gh.append((_HANDLERS[insn.name], insn))
             emit(OP_GEN_F if final else OP_GEN, a=slot, x=next_pc,
                  pc=pc)
             k += 1
@@ -480,19 +544,31 @@ def _lower(core, plan):
         irt = ()
         ilines = ()
 
-    return _bind(core, plan, dside,
-                 tuple(ops), tuple(aa), tuple(bb), tuple(cc),
-                 tuple(im), tuple(xx), tuple(ni), tuple(bp),
-                 tuple(mu), tuple(pq), tuple(jx), tuple(pca),
-                 tuple(gh), bpc, muc, pcum, irt, ilines)
+    pages = tuple(dict.fromkeys((m.vpn, m.entries[0][4] >> 12)
+                                for m in members))
+    return Lowered(
+        region, plan.n, head_pc, plan.loop, pages,
+        0 if region else members[-1].entries[-1][3],
+        tuple(m.pc for m in members) if region else (),
+        tuple((m.pc, m.entries[-1][2] + 4) for m in members)
+        if region else (),
+        dside, tuple(zip(ops, aa, bb, cc, im, xx)), tuple(ni), tuple(bp),
+        tuple(mu), tuple(pq), tuple(jx), tuple(pca), tuple(gh),
+        bpc, muc, pcum, irt, ilines)
 
 
-def _bind(core, plan, dside, OPS, A, B, C, IM, X, NI, BP, MU, PQ, JX,
-          PCA, GH, BPT, MUT, PQT, IRT, ILINES):
-    """Close the shared runner over one region's arrays and the core's
+def _bind(core, lowered):
+    """Close the shared runner over one unit's arrays and the core's
     hot state. Everything the dispatch loop touches per instruction is
     a local of ``_run`` or an argument-free closure; ``stats`` and the
     cache objects are only reached at syncs, misses, and exits."""
+    NT, HEAD, LOOP, dside = \
+        lowered.n, lowered.head_pc, lowered.loop, lowered.dside
+    DC, NI, BP, MU, PQ, JX, PCA, GH = (
+        lowered.DC, lowered.NI, lowered.BP, lowered.MU, lowered.PQ,
+        lowered.JX, lowered.PCA, lowered.GH)
+    BPT, MUT, PQT, IRT, ILINES = (
+        lowered.BPT, lowered.MUT, lowered.PQT, lowered.IRT, lowered.ILINES)
     mmu = core.mmu
     stats = core.timing.stats
     timing = core.timing.params
@@ -500,9 +576,6 @@ def _bind(core, plan, dside, OPS, A, B, C, IM, X, NI, BP, MU, PQ, JX,
     PEN = timing.cache_miss_penalty
     TBP = timing.taken_branch_penalty
     JP = timing.jump_penalty
-    NT = plan.n
-    HEAD = plan.head_pc
-    LOOP = plan.loop
     load = core.load
     store = core.store
     icache = core.icache
@@ -539,12 +612,11 @@ def _bind(core, plan, dside, OPS, A, B, C, IM, X, NI, BP, MU, PQ, JX,
     LPF = Cause.LOAD_PAGE_FAULT
     SPF = Cause.STORE_PAGE_FAULT
 
-    # Packed decode: one tuple fetch + unpack per dispatch instead of
-    # four to six parallel-array subscripts. The static catch-up arrays
-    # (NI/BP/MU/PQ/JX/PCA) stay separate — they are only read on the
-    # cold sync/exit paths.
-    DC = tuple(zip(OPS, A, B, C, IM, X))
-    NSITE = len(OPS)
+    # Packed decode (DC): one tuple fetch + unpack per dispatch instead
+    # of four to six parallel-array subscripts. The static catch-up
+    # arrays (NI/BP/MU/PQ/JX/PCA) stay separate — they are only read on
+    # the cold sync/exit paths.
+    NSITE = len(DC)
     # Per-site inline page caches: when the shared one-entry guard
     # misses (two streams alternating pages), the site's own last
     # page is tried before the memo fill. Entries are valid only for

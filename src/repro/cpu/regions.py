@@ -51,16 +51,18 @@ DEFER = object()
 class JITBlock:
     """One lowered tier-2 block plus its direct-chaining memo."""
 
-    __slots__ = ("fn", "n", "vpn", "start_pc", "end_pc", "links", "edges")
+    __slots__ = ("fn", "n", "vpn", "start_pc", "end_pc", "lowered",
+                 "links", "edges")
 
     region = False  # dispatch discriminator (Region.region is True)
 
-    def __init__(self, fn, n, vpn, start_pc, end_pc):
+    def __init__(self, fn, n, vpn, start_pc, end_pc, lowered=None):
         self.fn = fn            # (budget) -> next pc
         self.n = n              # instructions retired per execution
         self.vpn = vpn          # code page, for the fetch-cache recheck
         self.start_pc = start_pc
         self.end_pc = end_pc    # next_pc of the final entry
+        self.lowered = lowered  # the core-independent value fn runs
         self.links = {}         # next-pc -> JITBlock; cleared on flush
         # Successor-pc arrival counts, recorded by the trampoline when
         # the region tier is profiling: the branch-direction evidence
@@ -71,11 +73,13 @@ class JITBlock:
 class Region:
     """One lowered superblock. Duck-types JITBlock for the trampoline."""
 
-    __slots__ = ("fn", "n", "vpn", "start_pc", "pcs", "loop", "spans")
+    __slots__ = ("fn", "n", "vpn", "start_pc", "pcs", "loop", "spans",
+                 "lowered")
 
     region = True   # dispatch discriminator (JITBlock.region is False)
 
-    def __init__(self, fn, n, vpn, start_pc, pcs, loop, spans):
+    def __init__(self, fn, n, vpn, start_pc, pcs, loop, spans,
+                 lowered=None):
         self.fn = fn            # (budget) -> next pc
         self.n = n              # instructions retired per full pass
         self.vpn = vpn          # head code page, for the fetch recheck
@@ -83,6 +87,7 @@ class Region:
         self.pcs = pcs          # member block start pcs, trace order
         self.loop = loop
         self.spans = spans      # member (start, end) pc ranges
+        self.lowered = lowered  # the core-independent value fn runs
 
     def covers(self, pc) -> bool:
         """Whether ``pc`` lies inside any member's instruction range."""

@@ -12,6 +12,10 @@ The pool is per-process: worker processes (forked by the campaign) each
 lazily warm the victims they are handed and LRU-cache them by spec, so
 a 10k-execution campaign pays the image build + baseline run once per
 distinct victim shape per worker, and ~a CoW restore per execution.
+The baseline run also publishes the code it decoded and lowered onto
+its victim (:class:`~repro.cpu.translations.Translations`), and every
+execution's fork adopts it instead of re-translating: injections are
+data writes, which keep translations (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro import config as _config
+from repro.cpu.translations import Translations, publish
 from repro.errors import ReplayError
 from repro.eval_model import RunResult
 from repro.fuzz.corpus import FRAC_SCALE, FuzzInput
@@ -56,6 +61,7 @@ class WarmVictim:
     image: object
     snapshot: object
     baseline: Baseline
+    translations: "Optional[Translations]" = None
 
 
 @dataclass
@@ -124,7 +130,11 @@ class WarmVictimPool:
             exit_code=process.exit_code, events=events,
             journal_entries=journal.entries,
             signature=signature(events, (), fingerprint))
-        return WarmVictim(image=image, snapshot=snap, baseline=baseline)
+        core = kernel.system.core
+        translations = publish(None, core, snap)
+        core.flush_decode_cache("release")
+        return WarmVictim(image=image, snapshot=snap, baseline=baseline,
+                          translations=translations)
 
     # -- execution -----------------------------------------------------------
 
@@ -156,7 +166,8 @@ class WarmVictimPool:
         scope = _config.overrides(**_config.TIERS[tier]) if tier \
             else nullcontext()
         with scope:
-            kernel, process = restore(victim.snapshot, cow=True)
+            kernel, process = restore(victim.snapshot, cow=True,
+                                      translations=victim.translations)
             journal = replay_journal if replay_journal is not None \
                 else Journal.recording()
             kernel.journal = journal

@@ -89,6 +89,10 @@ class AddressSpace:
     def memory_kib(self) -> float:
         return self.mapped_pages() * PAGE_SIZE / 1024
 
+    def user_frames(self) -> "set[int]":
+        """Frame numbers of every page mapped into this space."""
+        return {frame >> 12 for frame in self._frames.values()}
+
     def phys_addr(self, vaddr: int) -> Optional[int]:
         """Kernel-side translation (for copy-in/copy-out)."""
         frame = self._frames.get(vaddr // PAGE_SIZE * PAGE_SIZE)
@@ -148,6 +152,27 @@ class AddressSpace:
                         PAGE_SIZE - ((vaddr + offset) & (PAGE_SIZE - 1)))
             self.memory.write_bytes(paddr, data[offset:offset + chunk])
             offset += chunk
+
+    def copy_out(self, vaddr: int, data: bytes) -> bool:
+        """Syscall copy-out (read(), clock_gettime(), getrandom()).
+
+        All or nothing: every byte must lie in a mapping whose VMA has
+        ``PROT_WRITE``, or nothing is written and False is returned (the
+        syscall's ``-EFAULT``). The kernel never writes a read-only page
+        on the guest's behalf — a keyed page is read-only, and writing
+        it would bypass pointee integrity. The loader's
+        :meth:`write_initial` stays privileged.
+        """
+        end = vaddr + len(data)
+        page = align_down(vaddr, PAGE_SIZE)
+        while page < end:
+            vma = self.vma_at(max(page, vaddr))
+            if vma is None or not vma.prot & PROT_WRITE \
+                    or self.phys_addr(page) is None:
+                return False
+            page += PAGE_SIZE
+        self.write_initial(vaddr, data)
+        return True
 
     def read_memory(self, vaddr: int, length: int) -> bytes:
         """Kernel copy-out (e.g. the write() syscall gathering a buffer)."""

@@ -42,9 +42,9 @@ class Kernel:
         self.console = bytearray()
         self.processes: "List[Process]" = []
         self._next_pid = 1
-        # (address space, MMU generation, memory writes) at the last
-        # deschedule; _schedule keeps the core's translations only if
-        # all three still match.
+        # (address space, MMU generation) at the last deschedule;
+        # _schedule keeps the core's translations only if both still
+        # match and no host write since touched code or kernel frames.
         self._descheduled = None
         # Record/replay boundary (repro.replay.journal). None = live run:
         # entropy comes from the host, nothing is recorded or verified.
@@ -71,17 +71,22 @@ class Kernel:
 
         ``set_root`` always flushes the TLBs. The core's translations
         survive only a reschedule of the address space that was last
-        descheduled, when nothing has bumped the MMU generation or
-        written memory since (DESIGN.md §8).
+        descheduled, when nothing has bumped the MMU generation since
+        and every host write in between landed in one of its plain
+        data frames — not in code, page tables or kernel frames
+        (DESIGN.md §8).
         """
         core = self.system.core
         mmu = self.system.mmu
+        memory = self.system.memory
         space = process.address_space
         last = self._descheduled
         self._descheduled = None
+        written = memory.written_frames
+        memory.written_frames = None
         unchanged = last is not None and last[0] is space \
-            and last[1] == mmu.generation \
-            and last[2] == self.system.memory.writes
+            and last[1] == mmu.generation and not memory.code_written \
+            and (not written or written <= space.user_frames())
         mmu.set_root(space.root_ppn)
         if not (unchanged and core.keep_translations(last[1])):
             core.flush_decode_cache("context_switch")
@@ -93,9 +98,29 @@ class Kernel:
         core = self.system.core
         process.saved_regs = list(core.regs)
         process.saved_pc = core.pc
+        self._hold_translations(process)
+
+    def _hold_translations(self, process: Process) -> None:
+        """Record that the core's translations are current for
+        ``process``'s space at this MMU generation, and collect the
+        frames of host writes until the next schedule."""
         self._descheduled = (process.address_space,
-                             self.system.mmu.generation,
-                             self.system.memory.writes)
+                             self.system.mmu.generation)
+        self.system.memory.written_frames = set()
+
+    def adopt_translations(self, process: Process, translations) -> bool:
+        """Start the core warm from shared translations (a fork of a
+        warm snapshot, repro.replay.snapshot.restore).
+
+        ``process`` must be the one the core state belongs to, not yet
+        run on this kernel. On success its first schedule keeps the
+        adopted code exactly as a reschedule of an unchanged space
+        keeps the core's own.
+        """
+        if not self.system.core.adopt_translations(translations):
+            return False
+        self._hold_translations(process)
+        return True
 
     # -- the run loop ------------------------------------------------------------
 

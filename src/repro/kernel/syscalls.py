@@ -16,6 +16,8 @@ ignored and mappings always get key 0.
 
 from __future__ import annotations
 
+import weakref
+
 from repro.errors import KernelError
 from repro.kernel.address_space import PROT_WRITE
 from repro.obs import OBS as _OBS
@@ -48,6 +50,7 @@ SYSCALL_NAMES = {
 }
 
 EINVAL = 22
+EFAULT = 14
 EBADF = 9
 ENOMEM = 12
 ENOSYS = 38
@@ -63,7 +66,10 @@ class SyscallDispatcher:
     """Decodes and executes system calls for the kernel."""
 
     def __init__(self, kernel):
-        self.kernel = kernel
+        # A proxy, not a reference: the kernel owns the dispatcher, and a
+        # cycle would keep a finished machine (its core included) alive
+        # until a full garbage collection.
+        self.kernel = weakref.proxy(kernel)
         self.counts: "dict[int, int]" = {}
 
     def dispatch(self, process, core) -> bool:
@@ -135,20 +141,8 @@ def _sys_read(dispatcher, process, core, args):
     chunk = bytes(pending[:length])
     if not chunk:
         return 0  # EOF
-    space = process.address_space
-    try:
-        # copy-out path reused for copy-in: write through phys mapping.
-        offset = 0
-        while offset < len(chunk):
-            paddr = space.phys_addr(buf + offset)
-            if paddr is None:
-                return -EINVAL
-            piece = min(len(chunk) - offset,
-                        4096 - ((buf + offset) & 0xFFF))
-            space.memory.write_bytes(paddr, chunk[offset:offset + piece])
-            offset += piece
-    except KernelError:
-        return -EINVAL
+    if not process.address_space.copy_out(buf, chunk):
+        return -EFAULT
     process.stdin = pending[len(chunk):]
     return len(chunk)
 
@@ -161,12 +155,9 @@ def _sys_clock_gettime(dispatcher, process, core, args):
     nanos = int(core.timing.stats.cycles
                 / (system.config.frequency_mhz * 1e6) * 1e9)
     seconds, nanos = divmod(nanos, 1_000_000_000)
-    space = process.address_space
-    for offset, value in ((0, seconds), (8, nanos)):
-        paddr = space.phys_addr(timespec_ptr + offset)
-        if paddr is None:
-            return -EINVAL
-        space.memory.write(paddr, 8, value)
+    data = seconds.to_bytes(8, "little") + nanos.to_bytes(8, "little")
+    if not process.address_space.copy_out(timespec_ptr, data):
+        return -EFAULT
     return 0
 
 
@@ -177,15 +168,8 @@ def _sys_getrandom(dispatcher, process, core, args):
     if length == 0:
         return 0
     data = dispatcher.kernel.random_bytes(length)
-    space = process.address_space
-    offset = 0
-    while offset < len(data):
-        paddr = space.phys_addr(buf + offset)
-        if paddr is None:
-            return -EINVAL
-        piece = min(len(data) - offset, 4096 - ((buf + offset) & 0xFFF))
-        space.memory.write_bytes(paddr, data[offset:offset + piece])
-        offset += piece
+    if not process.address_space.copy_out(buf, data):
+        return -EFAULT
     return length
 
 

@@ -68,14 +68,27 @@ class PhysicalMemory:
                                f"multiple of the page size")
         self.size = size
         self._frames: dict[int, bytearray] = {}
-        # Bumped by write/write_bytes/restore_frames, the path of every
-        # writer outside the core (loader, syscalls, page-table edits,
-        # attack primitives, fault injection). The kernel compares it
-        # across a deschedule: translations survive a reschedule only
-        # if nothing wrote memory in between (DESIGN.md §8).
-        self.writes = 0
+        # Host-write guard (DESIGN.md §8). write/write_bytes/fill and
+        # restore_frames are the path of every writer outside the core:
+        # the loader, syscalls, page-table edits, attack primitives and
+        # fault injection. ``code_frames`` is the core's set of frames
+        # holding cached or adopted code (shared by identity); a host
+        # write into one raises ``code_written``, which the core turns
+        # into a flush before its next dispatch. ``written_frames`` is
+        # None during a run; between runs the kernel sets it to a set
+        # that collects every frame a host write touches, so the next
+        # schedule can tell data writes from page-table edits.
+        self.code_frames: "set[int]" = set()
+        self.code_written = False
+        self.written_frames: "set[int] | None" = None
 
     # -- frame helpers ------------------------------------------------------
+
+    def _host_write(self, frame_index: int) -> None:
+        if frame_index in self.code_frames:
+            self.code_written = True
+        if self.written_frames is not None:
+            self.written_frames.add(frame_index)
 
     def _frame(self, frame_index: int) -> bytearray:
         frame = self._frames.get(frame_index)
@@ -136,11 +149,13 @@ class PhysicalMemory:
         if address < 0 or address + size > self.size:
             raise MemoryError_(f"physical write [{address:#x}+{size}] out "
                                f"of range")
-        self.writes += 1
         frame_index = address >> PAGE_SHIFT
         offset = address & PAGE_MASK
         data = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
         if offset + size <= PAGE_SIZE:
+            if frame_index in self.code_frames \
+                    or self.written_frames is not None:
+                self._host_write(frame_index)
             self._frame(frame_index)[offset:offset + size] = data
         else:
             self.write_bytes(address, data)
@@ -171,12 +186,12 @@ class PhysicalMemory:
         if address < 0 or address + len(data) > self.size:
             raise MemoryError_(f"physical write [{address:#x}+{len(data)}] "
                                f"out of range")
-        self.writes += 1
         view = memoryview(data)
         while view:
             frame_index = address >> PAGE_SHIFT
             offset = address & PAGE_MASK
             chunk = min(len(view), PAGE_SIZE - offset)
+            self._host_write(frame_index)
             self._frame(frame_index)[offset:offset + chunk] = view[:chunk]
             address += chunk
             view = view[chunk:]
@@ -237,7 +252,9 @@ class PhysicalMemory:
         :class:`~repro.errors.MemoryError_` before anything is touched).
         """
         self._validate_frames(frames)
-        self.writes += 1
+        if self.code_frames or self.written_frames is not None:
+            for index in self._frames.keys() | frames.keys():
+                self._host_write(index)
         self._frames.clear()
         for index, data in frames.items():
             self._frames[index] = bytearray(data)

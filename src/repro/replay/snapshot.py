@@ -114,6 +114,12 @@ class Snapshot:
         """Architectural instructions retired at the capture point."""
         return self.state["timing"]["instructions"]
 
+    def page_map(self) -> dict:
+        """vpage -> frame address of the process :func:`restore` makes
+        current (the map shared translations must have been made
+        under, repro.cpu.translations.publish)."""
+        return _current(self.state["processes"])["space"]["frames"]
+
     def state_hash(self) -> str:
         """SHA-256 over the canonical architectural state (tier-dependent
         counters and invalidation telemetry excluded) — the determinism
@@ -278,7 +284,18 @@ def _cache_counters(cache) -> "Optional[dict]":
     return {"hits": cache.hits, "misses": cache.misses}
 
 
-def restore(snap: Snapshot, *, system=None, cow: bool = False):
+def _current(processes: list) -> "Optional[dict]":
+    """The saved process a restore resumes: the last runnable one,
+    else the first."""
+    current = None
+    for saved in processes:
+        if saved["state"] in ("ready", "running") or current is None:
+            current = saved
+    return current
+
+
+def restore(snap: Snapshot, *, system=None, cow: bool = False,
+            translations=None):
     """Rebuild a (kernel, process) pair from a snapshot.
 
     ``system`` defaults to a fresh :func:`build_system` of the
@@ -295,6 +312,12 @@ def restore(snap: Snapshot, *, system=None, cow: bool = False):
     machines forked from the same snapshot share its frame bytes — the
     ``repro.serve`` session-fork path. Requires a system whose memory
     has never been touched (the fresh default always qualifies).
+
+    ``translations`` (a :class:`~repro.cpu.translations.Translations`
+    published for this snapshot) starts the core warm: it adopts the
+    shared decoded and lowered code instead of re-translating it, when
+    its tiers and lowering inputs allow (``Kernel.adopt_translations``).
+    Architectural state is the same either way.
     """
     from repro.kernel.address_space import AddressSpace
     from repro.kernel.fault import SecurityEvent
@@ -363,6 +386,7 @@ def restore(snap: Snapshot, *, system=None, cow: bool = False):
     kernel.security_log.dropped = seclog["dropped"]
     system.uart.output[:] = state["uart"]
 
+    resumed = _current(state["processes"])
     current = None
     for saved in state["processes"]:
         space_state = saved["space"]
@@ -388,10 +412,12 @@ def restore(snap: Snapshot, *, system=None, cow: bool = False):
         process.saved_pc = saved["saved_pc"]
         process.saved_regs = list(saved["saved_regs"])
         kernel.processes.append(process)
-        if process.alive or current is None:
+        if saved is resumed:
             current = process
     if current is None:
         raise ReplayError("snapshot contains no processes")
+    if translations is not None:
+        kernel.adopt_translations(current, translations)
     return kernel, current
 
 

@@ -14,6 +14,12 @@ copy-on-write layer (``restore(snap, cow=True)``) instead of copying
 them, so session start is bookkeeping-bound: the cold boot is paid
 once per key (inside ``bench/run.py``'s ``setup_s`` for the serve
 workloads) and every create after it is a fork.
+
+Each entry also holds the snapshot's shared translations
+(:class:`~repro.cpu.translations.Translations`): a destroyed session
+publishes the code it decoded and lowered onto its entry, and later
+forks adopt it, so a session starts on warm code rather than
+re-translating the snapshot's.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from time import perf_counter
 from typing import Dict, Optional, Tuple
 
 from repro import config as _config
+from repro.cpu.translations import Translations, publish
 from repro.errors import ServeError
 from repro.replay.snapshot import Snapshot, restore, snapshot
 from repro.soc.config import PROFILES as SOC_PROFILES
@@ -67,6 +74,13 @@ class WarmSnapshot:
     snapshot: Snapshot
     boot_seconds: float
     forks: int = 0
+    translations: "Optional[Translations]" = None
+
+    def publish(self, kernel) -> None:
+        """Merge the translations of a finished fork's core (a no-op
+        unless it passes the checks of repro.cpu.translations.publish)."""
+        self.translations = publish(self.translations, kernel.system.core,
+                                    self.snapshot)
 
 
 def boot_workload(key: PoolKey, *, max_instructions: int = 50_000_000):
@@ -131,7 +145,8 @@ class SnapshotPool:
 
         Returns ``(kernel, process, fork_seconds)``. The tier override
         must be active while the system is *built*, not only while it
-        runs — the core reads the execution knobs at construction.
+        runs — the core reads the execution knobs at construction. The
+        fork adopts the entry's shared translations that its tiers run.
         """
         entry, _ = self.warm(key)
         began = perf_counter()
@@ -140,9 +155,12 @@ class SnapshotPool:
                 raise ServeError(f"unknown tier {tier!r} (one of: "
                                  f"{', '.join(sorted(_config.TIERS))})")
             with _config.overrides(**_config.TIERS[tier]):
-                kernel, process = restore(entry.snapshot, cow=True)
+                kernel, process = restore(
+                    entry.snapshot, cow=True,
+                    translations=entry.translations)
         else:
-            kernel, process = restore(entry.snapshot, cow=True)
+            kernel, process = restore(entry.snapshot, cow=True,
+                                      translations=entry.translations)
         entry.forks += 1
         return kernel, process, perf_counter() - began
 

@@ -96,7 +96,8 @@ class Session:
 
     def __init__(self, sid: int, kernel, process, caps: SessionCaps, *,
                  tier: "Optional[str]" = None, workload: str = "",
-                 source: str = "fork", fork_seconds: float = 0.0):
+                 source: str = "fork", fork_seconds: float = 0.0,
+                 origin=None):
         self.sid = sid
         self.kernel = kernel
         self.process = process
@@ -105,6 +106,9 @@ class Session:
         self.workload = workload
         self.source = source
         self.fork_seconds = fork_seconds
+        # The pool entry (WarmSnapshot) this session was forked from;
+        # destroy publishes the session's translations onto it.
+        self.origin = origin
         self.state = RUNNING
         self.detail = ""
         self.retired = 0            # instructions retired in this session
@@ -261,12 +265,20 @@ class Session:
         return out
 
     def destroy(self) -> dict:
-        """Tear the session down; returns the sealed audit chain."""
+        """Tear the session down; returns the sealed audit chain.
+
+        The session first publishes its translations onto the pool
+        entry it was forked from (:meth:`WarmSnapshot.publish
+        <repro.serve.pool.WarmSnapshot.publish>`), so later forks start
+        on its decoded and lowered code, then releases them.
+        """
         if self.state != DESTROYED:
             self.audit.append("serve.destroy", state=self.state,
                               instret=self._instret())
             self.audit.seal()
             self.state = DESTROYED
+            if self.origin is not None:
+                self.origin.publish(self.kernel)
             # Lowered code closes over the core that holds it; dropping
             # it here lets reference counting free it (and the frames it
             # pins) instead of leaving cycles for a full collection.

@@ -59,12 +59,12 @@ class Worker:
         caps = SessionCaps.from_request(request.get("caps"), self.config)
         key = protocol.pool_key(request, self.config)
         tier = request.get("tier")
-        _, built = self.pool.warm(key)
+        entry, built = self.pool.warm(key)
         kernel, process, fork_seconds = self.pool.fork(key, tier=tier)
         session = Session(sid, kernel, process, caps, tier=tier,
                           workload=key.workload,
                           source="boot" if built else "fork",
-                          fork_seconds=fork_seconds)
+                          fork_seconds=fork_seconds, origin=entry)
         self.sessions[sid] = session
         return protocol.ok(session=sid, state=session.state,
                            source=session.source,

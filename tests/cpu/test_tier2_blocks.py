@@ -23,6 +23,8 @@ import pytest
 
 import repro
 from repro.asm import assemble, link
+from repro.cpu import flatcore
+from repro.cpu.core import _HANDLERS
 from repro.kernel import Kernel
 from repro.soc import build_system
 
@@ -251,6 +253,22 @@ def test_single_block_exit_matches_slow_path(monkeypatch, case):
         assert ends[last].end_pc & 0xFFF == 0   # cut by the page boundary
     if case == "page-fall-roload-fault":
         assert slow["security_log"][0][0] == "key_mismatch"
+
+
+def test_lowered_generic_sites_hold_only_module_level_handlers(monkeypatch):
+    """A block entry's handler may be a closure over its core, but a
+    lowered value is shared across cores (repro.cpu.translations): its
+    generic sites take the module-level handler whatever the entry
+    holds."""
+    __, core = _run(monkeypatch, SYSCALL_AND_CSR, tier2=True)
+    foreign = lambda core, insn, pc: None  # noqa: E731
+    pc, (entries, vpn, frame) = next(
+        (pc, block) for pc, block in core._blocks.items()
+        if any(e[1].name == "csrrs" for e in block[0]))
+    block = (tuple((foreign,) + e[1:] for e in entries), vpn, frame)
+    gh = flatcore.compile_block(core, block, pc).lowered.GH
+    assert gh
+    assert all(handler is _HANDLERS[insn.name] for handler, insn in gh)
 
 
 def test_no_runtime_code_generation():

@@ -4,7 +4,8 @@
 and snapshot slicing call it once per slice. ``set_root`` still flushes
 the TLBs each time, but the core's decoded and lowered code is kept when
 the same address space comes back with no MMU generation bump and no
-host memory write since it was descheduled (DESIGN.md §8).
+host write into code, page tables or kernel frames since it was
+descheduled (DESIGN.md §8).
 
 Identity: a program run to exit in many small slices (some shorter than
 ``jit_threshold`` dispatches) on every tier matches the slow tier sliced
