@@ -258,7 +258,8 @@ class Core:
         self._sampler = None
         self._attrib = None
 
-    tier3_retired = 0   # always 0 (no tier 3); still read by bench/suite.py
+    # Always 0 (there is no tier 3); kept because bench/suite.py reads it.
+    tier3_retired = 0
 
     # Every region is lowered by the flat core; kept under its record
     # name for the obs registry, the sampler and bench residency.
@@ -1155,15 +1156,17 @@ class Core:
         the fetch cache costs the same retranslation the slow path's
         next fetch would charge.
 
+        Every unit takes the budget and retires a measured count, the
+        architectural-counter delta across the call: a region's loop
+        re-checks the budget at each backedge and a block can leave
+        early (a store into its own code). That count is charged to the
+        budget, to the unit's tier and to attribution.
+
         With tier 4 enabled, every block-to-successor transition also
         feeds the region profile: the block's ``edges`` counters record
         observed successors (the branch-direction profile) and the
         per-pc arrival counters trigger ``compile_region`` past
-        ``region_threshold``. Both kinds of unit take the budget
-        argument; only a region's internal loop re-checks it (at every
-        backedge), so regions retire a variable number of instructions
-        per call, measured as the architectural-counter delta and
-        attributed to tier 4.
+        ``region_threshold``.
         """
         mmu = self.mmu
         stats = self.timing.stats
@@ -1186,41 +1189,28 @@ class Core:
                     or rec.vpn not in fetch_pages:
                 self._current_pc = pc
                 self._fetch_paddr(pc)
-            if rec.region:
-                before = stats.instructions
-                try:
-                    pc = rec.fn(limit)
-                finally:
-                    self.tier4_retired += stats.instructions - before
-                limit -= stats.instructions - before
-                if attrib is not None:
-                    attrib.record(4, rec.start_pc,
-                                  stats.instructions - before)
-                self.pc = pc
-                if self._block_abort:
-                    self._block_abort = False
-                    return
-                if mmu.generation != generation:
-                    return
-                nxt = regions.get(pc)
-                if nxt is None:
-                    nxt = jit_blocks.get(pc)
-                    if nxt is None:
-                        return
-                if limit < nxt.n:
-                    return
-                rec = nxt
-                continue
-            pc = rec.fn(limit)
-            limit -= rec.n
+            before = stats.instructions
+            try:
+                pc = rec.fn(limit)
+            finally:
+                retired = stats.instructions - before
+                if rec.region:
+                    self.tier4_retired += retired
+            limit -= retired
             if attrib is not None:
-                attrib.record(2, rec.start_pc, rec.n)
+                attrib.record(rec.tier, rec.start_pc, retired)
             self.pc = pc
             if self._block_abort:
                 self._block_abort = False
                 return
             if mmu.generation != generation:
                 return
+            if rec.region:
+                nxt = regions.get(pc) or jit_blocks.get(pc)
+                if nxt is None or limit < nxt.n:
+                    return
+                rec = nxt
+                continue
             if profile:
                 edges = rec.edges
                 edges[pc] = edges.get(pc, 0) + 1

@@ -44,6 +44,15 @@ steps: a :class:`Lowered` value depends on the code and on the inputs
 named by :func:`lowering_key`, never on one core, so forks of one warm
 snapshot share it and only bind (repro.cpu.translations).
 
+Two runners execute a bound unit. The native runner
+(``_flatcore_native.c``, built at import by repro.cpu.native) runs this
+same dispatch ladder in C over ``Lowered.PACKED``, the arrays below
+packed as uint64 columns; generic sites, ``ld.ro`` and the eager
+``Core.load``/``Core.store`` paths call back into Python. The Python
+loop (``_run`` in :func:`_bind_python`) is the reference, and it runs
+wherever the extension cannot be built. :func:`runner` names the one in
+use; there is no switch (DESIGN.md §13.1).
+
 Array layout (parallel, one slot per stream entry):
 
 ====  =====================================================
@@ -69,9 +78,11 @@ produce identical architectural state, counters included.
 from __future__ import annotations
 
 import sys
+from array import array
 from typing import NamedTuple
 
 from repro import config as _config
+from repro.cpu import native
 from repro.cpu.regions import (
     DEFER,
     MAX_REGION_ENTRIES,
@@ -101,6 +112,18 @@ _NATIVE_LE = sys.byteorder == "little"
 
 # "No value yet" marker for the load arms (0 and -1 are real values).
 _S = object()
+
+# The native runner module, or None where it could not be built: then
+# every unit runs the Python loop.
+_native = native.load()
+if _native is not None:
+    _native.setup(Trap, Cause.LOAD_PAGE_FAULT, Cause.STORE_PAGE_FAULT)
+
+
+def runner() -> str:
+    """Which loop runs bound units: ``"native"`` or ``"python"``."""
+    return "python" if _native is None else "native"
+
 
 # Opcodes. The dispatch ladder in _run tests literal ints (locals or
 # globals would cost a LOAD per test); keep this table and the ladder
@@ -221,10 +244,12 @@ class Lowered(NamedTuple):
     Everything :func:`bind` needs to rebuild the unit on any core whose
     :func:`lowering_key` matches the one it was lowered under: the unit
     shape, the code pages it was decoded from, and the parallel arrays
-    (``DC`` is the packed ``zip(OPS, A, B, C, IM, X)`` the dispatch loop
-    reads). It holds no core, frame or closure — the generic-site
-    handlers in ``GH`` are the module-level ones of repro.cpu.core — so
-    forks of one warm snapshot share it (repro.cpu.translations).
+    (``DC`` is the packed ``zip(OPS, A, B, C, IM, X)`` the Python loop
+    reads; ``PACKED`` holds all twelve arrays as uint64 columns for the
+    native runner). It holds no core, frame or closure — the
+    generic-site handlers in ``GH`` are the module-level ones of
+    repro.cpu.core — so forks of one warm snapshot share it
+    (repro.cpu.translations).
     """
 
     region: bool
@@ -249,6 +274,7 @@ class Lowered(NamedTuple):
     PQT: int
     IRT: tuple
     ILINES: tuple
+    PACKED: bytes       # OPS A B C IM X NI BP MU PQ JX PCA, uint64 columns
 
 
 def _dside(core) -> bool:
@@ -546,6 +572,10 @@ def _lower(core, plan, region):
 
     pages = tuple(dict.fromkeys((m.vpn, m.entries[0][4] >> 12)
                                 for m in members))
+    packed = array("Q", ops)
+    for column in (aa, bb, cc, [v & _M64 for v in im], xx, ni, bp, mu, pq,
+                   jx, pca):
+        packed.extend(column)
     return Lowered(
         region, plan.n, head_pc, plan.loop, pages,
         0 if region else members[-1].entries[-1][3],
@@ -554,11 +584,39 @@ def _lower(core, plan, region):
         if region else (),
         dside, tuple(zip(ops, aa, bb, cc, im, xx)), tuple(ni), tuple(bp),
         tuple(mu), tuple(pq), tuple(jx), tuple(pca), tuple(gh),
-        bpc, muc, pcum, irt, ilines)
+        bpc, muc, pcum, irt, ilines, packed.tobytes())
 
 
 def _bind(core, lowered):
-    """Close the shared runner over one unit's arrays and the core's
+    """The budget -> next-pc callable that runs ``lowered`` on ``core``,
+    on the native runner when it is built."""
+    if _native is None:
+        return _bind_python(core, lowered)
+    return _bind_native(core, lowered)
+
+
+def _bind_native(core, lowered):
+    """Bind the native runner to the same core objects
+    :func:`_bind_python` closes over."""
+    dside = lowered.dside
+    mmu = core.mmu
+    if dside:
+        dside_state = (mmu.dtlb, core._dload_pages, core._jload_memo,
+                       core._jload_fill, core._dstore_pages,
+                       core._jstore_memo, core._jstore_fill)
+    else:
+        dside_state = (None,) * 7
+    return _native.bind(
+        core, lowered.PACKED, lowered.GH, lowered.IRT, lowered.ILINES,
+        lowered.n, lowered.head_pc, lowered.loop, dside, lowered.BPT,
+        lowered.MUT, lowered.PQT, core.timing.params, mmu,
+        core.timing.stats, core.load, core.store, core.icache,
+        core.dcache if dside else None, *dside_state, core._fetch_pages,
+        core._code_frames)
+
+
+def _bind_python(core, lowered):
+    """Close the Python loop over one unit's arrays and the core's
     hot state. Everything the dispatch loop touches per instruction is
     a local of ``_run`` or an argument-free closure; ``stats`` and the
     cache objects are only reached at syncs, misses, and exits."""

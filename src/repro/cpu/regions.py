@@ -55,6 +55,7 @@ class JITBlock:
                  "links", "edges")
 
     region = False  # dispatch discriminator (Region.region is True)
+    tier = 2        # the tier its retired instructions are attributed to
 
     def __init__(self, fn, n, vpn, start_pc, end_pc, lowered=None):
         self.fn = fn            # (budget) -> next pc
@@ -77,6 +78,7 @@ class Region:
                  "lowered")
 
     region = True   # dispatch discriminator (JITBlock.region is False)
+    tier = 4
 
     def __init__(self, fn, n, vpn, start_pc, pcs, loop, spans,
                  lowered=None):

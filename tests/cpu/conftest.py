@@ -47,3 +47,29 @@ def run_insns(core, insns, steps=None):
 
 def I(name, **kw):  # noqa: E743 - terse test helper
     return Instruction(name, **kw)
+
+
+def patch_own_code_loop(core, passes=12):
+    """Set up a hot loop at CODE_BASE whose last pass stores into its
+    own block: the store target is data (DATA_BASE) until t0 reaches 1,
+    then the word of the ``addi`` right after the store, rewritten with
+    its own bytes, so the store invalidates the running block mid-block
+    (after 5 of its 8 instructions). Ends at an ebreak."""
+    patched = CODE_BASE + 20
+    insns = [
+        I("sltiu", rd=6, rs1=5, imm=2),       # t1 = (t0 == 1)
+        I("sub", rd=7, rs1=18, rs2=9),        # t2 = patched - data
+        I("mul", rd=7, rs1=7, rs2=6),
+        I("add", rd=28, rs1=9, rs2=7),        # t3 = data or patched
+        I("sw", rs1=28, rs2=19, imm=0),
+        I("addi", rd=10, rs1=10, imm=1),      # the patched word
+        I("addi", rd=5, rs1=5, imm=-1),
+        I("bne", rs1=5, rs2=0, imm=-28),
+        I("ebreak"),
+    ]
+    assemble_at(core, insns)
+    core.regs[5] = passes                       # t0
+    core.regs[9] = DATA_BASE                    # s1
+    core.regs[18] = patched                     # s2
+    core.regs[19] = encode(insns[5])            # s3: the same bytes
+    core.pc = CODE_BASE

@@ -19,7 +19,7 @@ from repro.mem import MMU, PhysicalMemory
 from repro.mem.tlb import TLB, TLBEntry
 from repro.soc import build_system
 
-from .conftest import CODE_BASE, I, assemble_at
+from .conftest import CODE_BASE, I, assemble_at, patch_own_code_loop
 
 
 def jit_core(monkeypatch, jit=True, threshold=1):
@@ -149,6 +149,35 @@ def test_smc_store_flushes_compiled_blocks(monkeypatch):
             assert core.jit_flushes >= 1
     assert outcomes[True] == outcomes[False]
     assert outcomes[True][0] == 9
+
+
+class _Attribution:
+    """Stands in for the obs attribution tap: records every charge."""
+
+    def __init__(self):
+        self.records = []
+
+    def record(self, tier, pc, retired):
+        self.records.append((tier, pc, retired))
+
+
+def test_block_leaving_early_is_charged_its_instret_delta(monkeypatch):
+    """A tier-2 block that patches its own code leaves right after the
+    store. The trampoline charges attribution (and the budget) with the
+    instructions it retired — the instret delta across the call — not
+    with the block's length."""
+    monkeypatch.setenv("REPRO_JIT_DEBUG", "1")
+    memory = PhysicalMemory(1 << 20)
+    core = Core(memory, MMU(memory), timing=TimingModel(), fast_path=True,
+                jit=True, jit_threshold=2, tier4=False)
+    patch_own_code_loop(core)
+    core._attrib = attribution = _Attribution()
+    run_to_ebreak(core)
+    tier2 = [(pc, n) for tier, pc, n in attribution.records if tier == 2]
+    assert core.jit_flushes >= 1                # the block did abort
+    assert (CODE_BASE, 5) in tier2              # 5 of its 8 instructions
+    residency = core.tier_residency()
+    assert sum(n for __, n in tier2) == residency["tier2_retired"]
 
 
 def test_oversized_block_splits(monkeypatch):

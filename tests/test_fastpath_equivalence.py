@@ -15,6 +15,12 @@ program under each tier and asserts the architectural results are
 bit-identical: cycles, retired instructions, memory, exit codes,
 cache/TLB miss rates, and fault delivery (including the ROLoad security
 log).
+
+Tiers 2 and 4 run their lowered units on one of two flat-core runners:
+the native one (a C extension built at import, when the host can build
+it) and the Python loop it was ported from. Every tier-2 and tier-4
+comparison here runs on each runner the host has (:data:`CONFIGS`),
+switched at module level by the ``use_runner`` fixture.
 """
 
 import dataclasses
@@ -22,13 +28,15 @@ import dataclasses
 import pytest
 
 from repro.asm import assemble, link
-from repro.cpu import Core, TimingModel
+from repro.cpu import Core, TimingModel, flatcore
 from repro.errors import SimulationError
 from repro.eval.measure import run_variant
 from repro.kernel import Kernel, ProcessState, SIGSEGV
 from repro.mem import MMU, PhysicalMemory
 from repro.soc import build_system
 from repro.workloads import build_workload, profile
+
+from tests.cpu.conftest import patch_own_code_loop
 
 # tier name -> (REPRO_FASTPATH, REPRO_JIT, REPRO_TIER4)
 TIERS = {
@@ -39,6 +47,28 @@ TIERS = {
 }
 
 COMPARED = ("tier1", "tier2", "tier4")
+
+# The flat-core runners this host has: the native one when it was built
+# here, and always the Python loop, the reference.
+NATIVE = flatcore._native
+RUNNERS = ("python",) if NATIVE is None else ("native", "python")
+
+# Every compared configuration: a tier, and the runner its flat-core
+# units use (tier 1 lowers nothing, so one runner is enough there).
+CONFIGS = [("tier1", "python")] + [(tier, runner)
+                                   for tier in ("tier2", "tier4")
+                                   for runner in RUNNERS]
+
+
+@pytest.fixture()
+def use_runner(monkeypatch):
+    """Switch the module-level flat-core runner for the rest of a test:
+    ``use_runner("native")`` or ``use_runner("python")``."""
+    def use(runner):
+        monkeypatch.setattr(flatcore, "_native",
+                            NATIVE if runner == "native" else None)
+        assert flatcore.runner() == runner
+    return use
 
 
 def set_tier(monkeypatch, tier):
@@ -69,10 +99,12 @@ def measure(monkeypatch, name, variant, tier):
 
 
 @pytest.mark.parametrize("name,variant", WORKLOADS)
-def test_workload_equivalence(monkeypatch, name, variant):
+def test_workload_equivalence(monkeypatch, use_runner, name, variant):
     slow = measure(monkeypatch, name, variant, "slow")
-    for tier in COMPARED:
+    for tier, runner in CONFIGS:
+        use_runner(runner)
         fast = measure(monkeypatch, name, variant, tier)
+        tier = f"{tier}/{runner}"
         assert dataclasses.asdict(fast) == dataclasses.asdict(slow), tier
         # The fields the issue names, spelled out for a readable failure:
         assert fast.cycles == slow.cycles, tier
@@ -111,9 +143,10 @@ def run_kernel_program(monkeypatch, source, tier):
     return kernel, process
 
 
-def test_roload_key_mismatch_through_fast_path(monkeypatch):
+def test_roload_key_mismatch_through_fast_path(monkeypatch, use_runner):
     results = {}
-    for tier in TIERS:
+    for tier, runner in [("slow", "python")] + CONFIGS:
+        use_runner(runner)
         kernel, process = run_kernel_program(monkeypatch, ROLOAD_FAULT, tier)
         assert process.state is ProcessState.KILLED
         assert process.signal.number == SIGSEGV
@@ -130,15 +163,16 @@ def test_roload_key_mismatch_through_fast_path(monkeypatch):
             # as a lowered region when the tier-4 knob is on.
             assert core.regions_compiled > 0
             assert core.tier4_retired > 0
-        results[tier] = (
+        results[tier, runner] = (
             core.cycles, core.instret,
             len(kernel.security_log), event.reason,
             event.insn_key, event.page_key, event.pc, event.fault_address,
         )
-    for tier in COMPARED:
-        assert results[tier] == results["slow"], tier
-    assert results["slow"][3] == "key_mismatch"
-    assert results["slow"][4] == 7 and results["slow"][5] == 42
+    slow = results["slow", "python"]
+    for config in CONFIGS:
+        assert results[config] == slow, config
+    assert slow[3] == "key_mismatch"
+    assert slow[4] == 7 and slow[5] == 42
 
 
 def _bare_core(monkeypatch, tier):
@@ -149,7 +183,7 @@ def _bare_core(monkeypatch, tier):
     return core
 
 
-def test_self_modifying_code_equivalence(monkeypatch):
+def test_self_modifying_code_equivalence(monkeypatch, use_runner):
     """A store over not-yet-executed code (no fence.i) must behave the
     same whether or not the first copy was already block-cached (tier 1)
     or compiled (tier 2)."""
@@ -175,22 +209,25 @@ def test_self_modifying_code_equivalence(monkeypatch):
                           encode(Instruction("addi", rd=10, rs1=0, imm=9)))
 
     outcomes = {}
-    for tier in TIERS:
+    for tier, runner in [("slow", "python")] + CONFIGS:
+        use_runner(runner)
         core = _bare_core(monkeypatch, tier)
         program(core)
         retired = core.run(100, trap_handler=None)  # stops at ebreak
-        outcomes[tier] = (core.regs[10], retired, core.cycles)
-    for tier in COMPARED:
-        assert outcomes[tier] == outcomes["slow"], tier
-    assert outcomes["slow"][0] == 9  # the patched instruction executed
+        outcomes[tier, runner] = (core.regs[10], retired, core.cycles)
+    slow = outcomes["slow", "python"]
+    for config in CONFIGS:
+        assert outcomes[config] == slow, config
+    assert slow[0] == 9  # the patched instruction executed
 
 
-def test_budget_exhaustion_identical(monkeypatch):
+def test_budget_exhaustion_identical(monkeypatch, use_runner):
     """Block replay and compiled blocks must not overshoot the
     instruction budget."""
     from repro.isa import Instruction, encode
 
-    for tier in TIERS:
+    for tier, runner in [("slow", "python")] + CONFIGS:
+        use_runner(runner)
         core = _bare_core(monkeypatch, tier)
         # A straight-line run ending in a backwards jump: infinite loop.
         addr = 0x1000
@@ -205,3 +242,233 @@ def test_budget_exhaustion_identical(monkeypatch):
         assert core.instret == 100, f"tier={tier} retired {core.instret}"
         if tier in ("tier2", "tier4"):
             assert core.jit_compiled > 0  # the loop really was compiled
+
+
+# -- both runners, state after faults and aborts ------------------------------
+
+def machine_state(core):
+    """Everything a run leaves behind that a runner could get wrong:
+    registers, pc, the timing and MMU counters, and the caches' and
+    TLBs' hit/miss counts and LRU order."""
+    mmu = core.mmu
+
+    def cache(c):
+        return c.hits, c.misses, [list(ways) for ways in c.line_sets]
+
+    def tlb(t):
+        return t.hits, t.misses, list(t.entry_map)
+    return {
+        "regs": list(core.regs), "pc": core.pc,
+        "timing": dataclasses.asdict(core.timing.stats),
+        "mmu": dataclasses.asdict(mmu.stats),
+        "icache": cache(core.icache), "dcache": cache(core.dcache),
+        "dtlb": tlb(mmu.dtlb), "itlb": tlb(mmu.itlb),
+    }
+
+
+def unit_counters(core):
+    """Counters of the compiled tiers themselves: equal between the two
+    runners of one tier, not across tiers."""
+    return {"tier4": core.tier4_retired,
+            "side_exits": core.region_side_exits,
+            "compiled": (core.jit_compiled, core.regions_compiled)}
+
+
+def compare_kernel_runs(monkeypatch, use_runner, source):
+    """Run ``source`` on the slow tier and on every configuration; every
+    configuration must leave the slow tier's machine state, and the two
+    runners of a tier the same unit counters. Returns the slow run's
+    kernel, process and state."""
+    use_runner("python")
+    slow_kernel, slow_process = run_kernel_program(monkeypatch, source,
+                                                   "slow")
+    slow = machine_state(slow_kernel.system.core)
+    units = {}
+    for tier, runner in CONFIGS:
+        use_runner(runner)
+        kernel, process = run_kernel_program(monkeypatch, source, tier)
+        core = kernel.system.core
+        assert process.state is slow_process.state, (tier, runner)
+        assert machine_state(core) == slow, (tier, runner)
+        assert [dataclasses.astuple(e) for e in kernel.security_log] == \
+            [dataclasses.astuple(e) for e in slow_kernel.security_log]
+        units.setdefault(tier, {})[runner] = unit_counters(core)
+        if tier == "tier4":
+            assert core.tier4_retired > 0, runner   # non-vacuity
+    for tier, by_runner in units.items():
+        assert len(set(map(repr, by_runner.values()))) == 1, tier
+    return slow_kernel, slow_process, slow
+
+
+@pytest.mark.parametrize("source,reason", [
+    ("HOT_WALK_KEY", "key_mismatch"),
+    ("HOT_WALK_WRITABLE", "not_read_only"),
+], ids=["key-mismatch", "writable-page"])
+def test_hot_roload_faults_match_on_both_runners(monkeypatch, use_runner,
+                                                 source, reason):
+    """An ld.ro that faults from inside a hot block or region — a key
+    mismatch, or a pointee on a writable page — is delivered with the
+    same tval, pc and security-log entry on both runners, which also
+    leave the same registers and counters."""
+    from tests.cpu import test_jit
+
+    kernel, process, __ = compare_kernel_runs(
+        monkeypatch, use_runner, getattr(test_jit, source))
+    assert process.signal.number == SIGSEGV and process.signal.roload
+    assert kernel.security_log[0].reason == reason
+
+
+# A hot loop walks a pointer off the end of its data: the load of the
+# first unmapped page faults mid-region, after the same pass has already
+# written registers (s1) and memory.
+WALK_OFF_THE_END = r"""
+.globl _start
+_start:
+    la s0, buf
+loop:
+    addi s1, s1, 1
+    ld a1, 0(s0)
+    add s2, s2, a1
+    sd s1, 8(s0)
+    addi s0, s0, 64
+    j loop
+.data
+buf: .quad 7
+    .space 8192
+"""
+
+
+def test_trap_mid_region_leaves_same_state(monkeypatch, use_runner):
+    """A page fault raised in the middle of a region pass leaves the
+    same registers (including the ones the pass wrote before the fault)
+    and the same counters on both runners as on the slow tier."""
+    __, process, slow = compare_kernel_runs(monkeypatch, use_runner,
+                                            WALK_OFF_THE_END)
+    assert process.state is ProcessState.KILLED
+    assert process.signal.number == SIGSEGV
+    assert slow["regs"][9] > 64     # s1: the loop ran hot before faulting
+
+
+# Each pass loads from two pages and stores to a third at the same page
+# offset, so one pass touches three D-TLB entries and three lines of
+# one D-cache set (the L1D's ways are 4 KiB): the deferred LRU moves
+# must replay in the order the accesses happened.
+THREE_PAGES_ONE_SET = r"""
+.globl _start
+_start:
+    li t0, 200
+    la s0, pages
+    li t1, 4096
+    add s1, s0, t1
+    add s2, s1, t1
+loop:
+    ld a1, 0(s0)
+    ld a2, 0(s1)
+    add a3, a1, a2
+    sd a3, 8(s2)
+    addi t0, t0, -1
+    bnez t0, loop
+    li a0, 0
+    li a7, 93
+    ecall
+.data
+.balign 4096
+pages:
+    .quad 1
+    .space 12280
+"""
+
+
+def test_lru_order_matches_on_both_runners(monkeypatch, use_runner):
+    """Cache and TLB LRU order after a loop that reorders one set and
+    several TLB entries every pass: the deferred replay on both runners
+    ends in the order eager moves leave on the slow tier."""
+    __, process, slow = compare_kernel_runs(monkeypatch, use_runner,
+                                            THREE_PAGES_ONE_SET)
+    assert process.exit_code == 0
+
+
+def test_smc_abort_resumes_at_same_pc(monkeypatch, use_runner):
+    """A unit that patches its own code leaves right after the store;
+    on both runners every trampoline return lands on the same pc with
+    the same instret, and the run ends as on the slow tier."""
+    from repro.cpu.trap import Trap
+
+    traces, finals = {}, {}
+    for tier, runner in [("slow", "python")] + CONFIGS:
+        use_runner(runner)
+        core = _bare_core(monkeypatch, tier)
+        patch_own_code_loop(core)
+        trace = []
+        with pytest.raises(Trap):           # the final ebreak
+            while True:
+                core.step_block(1000)
+                trace.append((core.pc, core.instret))
+        traces[tier, runner] = trace
+        finals[tier, runner] = (list(core.regs), core.pc, core.instret,
+                                core.cycles)
+        if tier in ("tier2", "tier4"):
+            assert core.jit_flushes >= 1, (tier, runner)  # it did abort
+    for tier in ("tier2", "tier4"):
+        assert traces[tier, RUNNERS[0]] == traces[tier, "python"], tier
+    slow = finals["slow", "python"]
+    for config in CONFIGS:
+        assert finals[config] == slow, config
+    assert slow[0][10] == 12    # a0: every pass ran its addi
+
+
+# A hot loop of correctly keyed ld.ro: every execution must take the
+# MMU's key and read-only check (DESIGN.md §8), in every tier.
+ROLOAD_LOOP = r"""
+.globl _start
+_start:
+    li t0, 64
+    la s0, table
+loop:
+    ld.ro a1, (s0), 42
+    add s1, s1, a1
+    addi t0, t0, -1
+    bnez t0, loop
+    li a0, 0
+    li a7, 93
+    ecall
+.section .rodata.key.42
+table: .quad 5
+"""
+ROLOAD_EXECUTIONS = 64
+
+
+def roload_checks(monkeypatch, tier):
+    kernel, process = run_kernel_program(monkeypatch, ROLOAD_LOOP, tier)
+    assert process.exit_code == 0
+    core = kernel.system.core
+    if tier == "tier4":
+        assert core.tier4_retired > 0   # the loop ran as a region
+    return kernel.system.mmu.stats.roload_checks
+
+
+def test_every_ld_ro_execution_takes_the_mmu_check(monkeypatch, use_runner):
+    """``mmu.stats.roload_checks`` counts one check per ld.ro executed,
+    on every tier and both runners: no runner serves ld.ro from a cached
+    page view."""
+    for tier, runner in [("slow", "python")] + CONFIGS:
+        use_runner(runner)
+        assert roload_checks(monkeypatch, tier) == ROLOAD_EXECUTIONS, \
+            (tier, runner)
+
+
+def test_ld_ro_served_from_the_cached_view_is_caught(monkeypatch,
+                                                     use_runner):
+    """Positive control for the test above: a mutant flat core that
+    lowers ld.ro as a plain load, served from the cached page view,
+    skips checks on every runner — and the count exposes it."""
+    from repro.isa.opcodes import LOAD_INFO, RO_INFO
+
+    classify = flatcore._classify
+    monkeypatch.setattr(flatcore, "_classify", lambda name: "load"
+                        if name in RO_INFO else classify(name))
+    monkeypatch.setattr(flatcore, "LOAD_INFO", {**LOAD_INFO, **RO_INFO})
+    for runner in RUNNERS:
+        use_runner(runner)
+        assert roload_checks(monkeypatch, "tier4") < ROLOAD_EXECUTIONS, \
+            runner
