@@ -15,8 +15,9 @@
  * What stays in Python (called back, never cached here):
  *   - generic sites (``GH`` handlers), ``ld.ro`` (every execution takes
  *     ``Core.load`` -> ``MMU.translate`` with its key and read-only
- *     check), the eager ``Core.load``/``Core.store`` paths and
- *     ``Core._flush_blocks``;
+ *     check), the eager ``Core.load``/``Core.store`` paths that
+ *     ``refill`` cannot serve (a real page walk, a fault, MMIO, a store
+ *     into a code frame or a missing frame) and ``Core._flush_blocks``;
  *   - the page memo fills ``Core._jload_fill``/``_jstore_fill``;
  *   - the simulated caches and the D-TLB themselves: lookups read the
  *     live OrderedDicts, misses insert and evict through them, and the
@@ -30,7 +31,8 @@
  *   - page views: each load/store site caches its last page (frame
  *     bytearray plus a raw pointer into it); an entry is valid only in
  *     the epoch it was filled in, and the unit's epoch is bumped on
- *     every entry and after every callout that could remap memory;
+ *     every entry, after every callout that could remap memory and on
+ *     every D-TLB refill;
  *   - LRU replay: D-TLB, D-cache and I-cache moves are deferred in
  *     arrays and replayed deduplicated by last occurrence, which
  *     reconstructs the order eager moves would have produced.
@@ -63,7 +65,10 @@ static PyObject *s_instructions, *s_cycles, *s_branch_penalty_cycles,
     *s_misses, *s_translations, *s_pc, *s_current_pc, *s_side_exits,
     *s_block_abort, *s_flush_blocks, *s_dside_generation, *s_generation,
     *s_user_mode, *s_regs, *s_move_to_end, *s_popitem, *s_tval,
-    *s_read_ro;
+    *s_read_ro, *s_fast_path_enabled, *s_bare, *s_walk_memo_root,
+    *s_root_ppn, *s_frames, *s_written_frames, *s_shadows, *s_walks,
+    *s_dtlb_walk_cycles, *s_get, *s_pop, *s_ppn, *s_readable,
+    *s_writable, *s_user, *s_base, *s_size;
 
 typedef struct {
     uint64_t *a;
@@ -85,11 +90,13 @@ typedef struct {
     /* bound objects */
     PyObject *core, *packed, *gh, *irt, *ilines, *mmu, *stats, *load,
         *store, *icache, *isets, *dcache, *dsets, *dtlb, *tent, *mmu_stats,
-        *dload, *jload, *jlf, *dstore, *jstore, *jsf, *fpages, *cframes;
+        *dload, *jload, *jlf, *dstore, *jstore, *jsf, *memory, *wmemo,
+        *mmio, *fpages, *cframes;
     const uint64_t *S;
     Py_ssize_t nsite;
-    int64_t NT, BPT, MUT, PQT, CPI, PEN, TBP, JP, IWAYS, DWAYS;
-    uint64_t HEAD, IMK, DMK;
+    int64_t NT, BPT, MUT, PQT, CPI, PEN, TBP, JP, IWAYS, DWAYS, TWA,
+        TCAP, DCAP;
+    uint64_t HEAD, IMK, DMK, MSZ;
     int DSH, dside, ICH, use_dc, WARM;
     uint64_t epoch;
     Site *sc;
@@ -604,6 +611,336 @@ sext32(uint64_t v)
     return (uint64_t)(int64_t)(int32_t)(uint32_t)v;
 }
 
+/* -- D-TLB refill: the eager path without the callout --------------------- */
+
+/* ``d.pop(k, None)`` */
+static int
+discard(PyObject *d, PyObject *k)
+{
+    if (PyDict_CheckExact(d)) {
+        int c = PyDict_Contains(d, k);
+        return c <= 0 ? c : PyDict_DelItem(d, k);
+    }
+    PyObject *r = PyObject_CallMethodObjArgs(d, s_pop, k, Py_None, NULL);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* ``frames.get(idx)`` through the frame map's own ``get``, so a
+   copy-on-write map materializes its private copy exactly as the Python
+   path does. 1 with a new reference in *out (a 4 KiB bytearray), 0 when
+   there is no such frame, -1 on error (frames are never anything but
+   4 KiB bytearrays). */
+static int
+frame_get(PyObject *frames, uint64_t idx, PyObject **out)
+{
+    PyObject *key = PyLong_FromUnsignedLongLong(idx);
+    if (key == NULL)
+        return -1;
+    PyObject *args[2] = {frames, key};
+    PyObject *fb = PyObject_VectorcallMethod(
+        s_get, args, 2 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+    Py_DECREF(key);
+    if (fb == NULL)
+        return -1;
+    if (fb == Py_None) {
+        Py_DECREF(fb);
+        return 0;
+    }
+    if (!PyByteArray_CheckExact(fb) || PyByteArray_GET_SIZE(fb) != 4096) {
+        Py_DECREF(fb);
+        PyErr_SetString(PyExc_TypeError, "frame is not a 4 KiB bytearray");
+        return -1;
+    }
+    *out = fb;
+    return 1;
+}
+
+/* Serve a plain READ/WRITE access no page view holds, in place of the
+   eager ``Core.load``/``Core.store`` callout, when that callout would
+   (A) replay ``MMU._walk_memo`` on a D-TLB miss, (B) find the page in
+   the D-TLB but not in the D-side page cache, or, for a load, (C) find
+   it in both: ``Core.load``'s inline path, which the page views leave
+   to the callout when the page's frame was never materialized.
+
+   Phase 1 checks every precondition and changes nothing (the frame
+   ``get`` calls may materialize a copy-on-write frame, which the
+   callout does at the same point: it is idempotent). Phase 2 commits
+   the callout's effects in its order: the deferred LRU moves, the
+   translation, TLB and walk counters, the TLB insert with its eviction
+   and shadow purges, walk cycles, the D-cache access, the frame read
+   (zeros when there is no frame, as ``PhysicalMemory.read`` gives) or
+   write, the D-side page cache insert with its capacity clear. When
+   the frame exists it then memoizes the page and makes it site ``s``'s
+   view in the new epoch ``ep``, as the next ``_jload_fill`` or
+   ``_jstore_fill`` would. Returns 2 when served with that view, 1 when
+   served without one, 0 when the callout must run (it then does
+   everything once), -1 on error. ``ld.ro`` and AMOs never come here. */
+static int
+refill(Unit *u, Site *s, uint64_t ep, uint64_t va, int width, int store,
+       int sgn, int um, uint64_t *val, int64_t *ch)
+{
+    PyObject *pages = store ? u->dstore : u->dload;
+    PyObject *jmemo = store ? u->jstore : u->jload;
+    PyObject *key = NULL, *entry = NULL, *pte = NULL, *frames = NULL,
+        *fb = NULL, *ppo = NULL, *cached = NULL;
+    uint64_t vpn = va >> 12, off = va & 0xFFF, ppn, paddr;
+    int64_t gen, dgen, acc = 0;
+    int r = -1, t, tlb_hit, user, ok;
+
+    /* -- phase 1: checks ---------------------------------------------- */
+    if (u->wmemo == Py_None || (va & (uint64_t)(width - 1)))
+        return 0;
+    if ((t = attr_true(u->core, s_fast_path_enabled)) <= 0)
+        return t;
+    if ((t = attr_true(u->mmu, s_bare)) != 0)
+        return t < 0 ? -1 : 0;
+    if (attr_i64(u->mmu, s_generation, &gen) < 0
+            || attr_i64(u->core, s_dside_generation, &dgen) < 0)
+        return -1;
+    if (gen != dgen)
+        return 0;
+    if ((key = PyLong_FromUnsignedLongLong(vpn)) == NULL)
+        return -1;
+    cached = PyDict_GetItemWithError(pages, key);
+    if (cached == NULL && PyErr_Occurred())
+        goto out;
+    Py_XINCREF(cached);
+    entry = PyDict_GetItemWithError(u->tent, key);
+    tlb_hit = entry != NULL;
+    if (tlb_hit) {                                      /* B or C */
+        Py_INCREF(entry);
+        if (cached && store)
+            goto fallback;
+    }
+    else {                                              /* A */
+        int64_t root, memo_root, pa;
+        if (PyErr_Occurred()
+                || attr_i64(u->mmu, s_walk_memo_root, &memo_root) < 0
+                || attr_i64(u->mmu, s_root_ppn, &root) < 0)
+            goto out;
+        if (memo_root != root)
+            goto fallback;
+        PyObject *hit = PyDict_GetItemWithError(u->wmemo, key);
+        if (hit == NULL) {
+            if (PyErr_Occurred())
+                goto out;
+            goto fallback;
+        }
+        if (!PyTuple_CheckExact(hit) || PyTuple_GET_SIZE(hit) != 4)
+            goto fallback;
+        entry = PyTuple_GET_ITEM(hit, 2);
+        Py_INCREF(entry);
+        pte = PyTuple_GET_ITEM(hit, 1);
+        Py_INCREF(pte);
+        if ((pa = PyLong_AsLongLong(PyTuple_GET_ITEM(hit, 0))) == -1
+                && PyErr_Occurred())
+            goto out;
+        if ((acc = PyLong_AsLongLong(PyTuple_GET_ITEM(hit, 3))) == -1
+                && PyErr_Occurred())
+            goto out;
+        /* The leaf PTE word must still be bit-identical (the memo's
+           verify-on-hit rule); a frame that is not there reads as 0. */
+        if (pa < 0 || (uint64_t)pa + 8 > u->MSZ || (pa & 0xFFF) > 4088)
+            goto fallback;
+        if ((frames = PyObject_GetAttr(u->memory, s_frames)) == NULL)
+            goto out;
+        PyObject *pfb;
+        if ((t = frame_get(frames, (uint64_t)pa >> 12, &pfb)) <= 0) {
+            if (t < 0)
+                goto out;
+            goto fallback;
+        }
+        uint64_t word = rd_le((unsigned char *)PyByteArray_AS_STRING(pfb)
+                              + (pa & 0xFFF), 8);
+        Py_DECREF(pfb);
+        uint64_t raw = PyLong_AsUnsignedLongLong(pte);
+        if (raw == M64 && PyErr_Occurred()) {
+            PyErr_Clear();
+            goto fallback;
+        }
+        if (word != raw)
+            goto fallback;
+    }
+    /* MMU._check for READ/WRITE */
+    if ((user = attr_true(entry, s_user)) < 0
+            || (ok = attr_true(entry, store ? s_writable : s_readable)) < 0)
+        goto out;
+    if (!ok || (!um && !user))
+        goto fallback;
+    if ((ppo = PyObject_GetAttr(entry, s_ppn)) == NULL)
+        goto out;
+    ppn = PyLong_AsUnsignedLongLong(ppo);
+    if (ppn == M64 && PyErr_Occurred())
+        goto out;
+    if (cached && tlb_hit) {
+        /* C: the inline path needs the cached frame to be the entry's */
+        if ((t = PyObject_RichCompareBool(cached, ppo, Py_EQ)) <= 0) {
+            if (t < 0)
+                goto out;
+            goto fallback;
+        }
+    }
+    paddr = (ppn << 12) | off;
+    if (ppn >= (1ULL << 52) || paddr + (uint64_t)width > u->MSZ)
+        goto fallback;
+    for (Py_ssize_t q = 0; q < PyList_GET_SIZE(u->mmio); q++) {
+        PyObject *region = PyList_GET_ITEM(u->mmio, q);
+        int64_t base, size;
+        if (attr_i64(region, s_base, &base) < 0
+                || attr_i64(region, s_size, &size) < 0)
+            goto out;
+        if ((int64_t)paddr >= base && (int64_t)paddr < base + size)
+            goto fallback;
+    }
+    if (store) {
+        PyObject *wf;
+        if ((t = contains_u64(u->cframes, ppn)) != 0) {
+            if (t < 0)
+                goto out;
+            goto fallback;
+        }
+        if ((wf = PyObject_GetAttr(u->memory, s_written_frames)) == NULL)
+            goto out;
+        Py_DECREF(wf);
+        if (wf != Py_None)
+            goto fallback;
+    }
+    if (frames == NULL
+            && (frames = PyObject_GetAttr(u->memory, s_frames)) == NULL)
+        goto out;
+    if ((t = frame_get(frames, ppn, &fb)) < 0 || (t == 0 && store)) {
+        if (t < 0)
+            goto out;
+        goto fallback;      /* the callout allocates the frame */
+    }
+
+    /* -- phase 2: effects, in the eager order ------------------------- */
+    if (lf(u) < 0)
+        goto out;
+    if (tlb_hit) {
+        if (move_to_end(u->tent, key) < 0
+                || add_attr(u->dtlb, s_hits, 1) < 0
+                || add_attr(u->mmu_stats, s_translations, 1) < 0)
+            goto out;
+    }
+    else {
+        if (cached && (PyDict_DelItem(pages, key) < 0
+                       || discard(jmemo, key) < 0))
+            goto out;
+        Py_CLEAR(cached);
+        if (add_attr(u->mmu_stats, s_translations, 1) < 0
+                || add_attr(u->dtlb, s_misses, 1) < 0
+                || add_attr(u->mmu_stats, s_walks, 1) < 0)
+            goto out;
+        /* TLB.insert: evict the LRU entry when full, then purge the
+           shadows of the victim and of the new vpn. */
+        PyObject *victim = NULL, *shadows;
+        if (PyObject_SetItem(u->tent, key, entry) < 0)
+            goto out;
+        Py_ssize_t n = PyObject_Size(u->tent);
+        if (n < 0)
+            goto out;
+        if (n > u->TCAP) {
+            PyObject *p = PyObject_CallMethodObjArgs(u->tent, s_popitem,
+                                                     Py_False, NULL);
+            if (p == NULL)
+                goto out;
+            if (!PyTuple_Check(p) || PyTuple_GET_SIZE(p) != 2) {
+                Py_DECREF(p);
+                PyErr_SetString(PyExc_TypeError, "popitem: not a pair");
+                goto out;
+            }
+            victim = PyTuple_GET_ITEM(p, 0);
+            Py_INCREF(victim);
+            Py_DECREF(p);
+        }
+        if ((shadows = PyObject_GetAttr(u->dtlb, s_shadows)) == NULL) {
+            Py_XDECREF(victim);
+            goto out;
+        }
+        PyObject *seq = PySequence_Fast(shadows, "TLB shadows");
+        Py_DECREF(shadows);
+        if (seq == NULL) {
+            Py_XDECREF(victim);
+            goto out;
+        }
+        for (int pass = victim ? 0 : 1; pass < 2; pass++)
+            for (Py_ssize_t q = 0; q < PySequence_Fast_GET_SIZE(seq); q++)
+                if (discard(PySequence_Fast_GET_ITEM(seq, q),
+                            pass ? key : victim) < 0) {
+                    Py_DECREF(seq);
+                    Py_XDECREF(victim);
+                    goto out;
+                }
+        Py_DECREF(seq);
+        Py_XDECREF(victim);
+        if (acc && (add_attr(u->stats, s_cycles, acc * u->TWA) < 0
+                    || add_attr(u->stats, s_dtlb_walk_cycles,
+                                acc * u->TWA) < 0))
+            goto out;
+    }
+    if (u->use_dc && dtouch(u, paddr >> u->DSH, ch) < 0)
+        goto out;
+    unsigned char *p = fb ? (unsigned char *)PyByteArray_AS_STRING(fb) + off
+                          : NULL;
+    if (store)
+        wr_le(p, *val, width);
+    else {
+        uint64_t v = p ? rd_le(p, width) : 0;
+        if (sgn && width < 8) {
+            uint64_t sb = 1ULL << ((width << 3) - 1);
+            v = ((v ^ sb) - sb);
+        }
+        *val = v;
+    }
+    r = 1;
+    if (cached)
+        goto out;       /* C: the inline path inserts nothing */
+    if (PyDict_Size(pages) >= u->DCAP) {
+        PyDict_Clear(pages);
+        PyDict_Clear(jmemo);
+    }
+    if (PyDict_SetItem(pages, key, ppo) < 0)
+        goto error;
+    if (fb == NULL)
+        goto out;       /* _jload_fill keeps frameless pages uncached */
+    /* What _jload_fill/_jstore_fill would memoize for this page now. */
+    PyObject *mo = PyTuple_Pack(4, fb, Py_True, user ? Py_True : Py_False,
+                                ppo);
+    if (mo == NULL)
+        goto error;
+    t = PyDict_SetItem(jmemo, key, mo);
+    Py_DECREF(mo);
+    if (t < 0)
+        goto error;
+    Py_INCREF(fb);
+    Py_XSETREF(s->fb, fb);
+    s->p = (unsigned char *)PyByteArray_AS_STRING(fb);
+    s->gb = vpn << 12;
+    s->vp = vpn;
+    s->pp = ppn;
+    s->ep = ep;
+    r = 2;
+    goto out;
+error:
+    r = -1;
+    goto out;
+fallback:
+    r = 0;
+out:
+    Py_XDECREF(key);
+    Py_XDECREF(cached);
+    Py_XDECREF(entry);
+    Py_XDECREF(pte);
+    Py_XDECREF(frames);
+    Py_XDECREF(fb);
+    Py_XDECREF(ppo);
+    return r;
+}
+
 /* -- the dispatch loop ---------------------------------------------------- */
 
 /* Statements inside run(); each jumps to ``error`` on a Python error. */
@@ -679,7 +1016,8 @@ sext32(uint64_t v)
         } } while (0)
 
 /* Load arm: ``mask`` is the page+alignment guard, ``READ`` the value
-   read from ``lptr + of``; ``width``/``sgn`` the eager fallback. */
+   read from ``lptr + of``; ``width``/``sgn`` the access for the refill
+   and the eager fallback. A served refill leaves its page as the view. */
 #define LOAD_ARM(mask, align_ok, READ, width, sgn) do { \
         uint64_t va = R[rb] + imv, v; \
         int have; \
@@ -689,14 +1027,21 @@ sext32(uint64_t v)
             DCACHE(lpb); \
             v = (READ); \
         } else { \
-            SYNC(i); RESET_VIEWS(); BEFORE_CALL(); \
-            PyObject *r_ = PyObject_CallFunction( \
-                u->load, "KiO", (unsigned long long)va, (width), \
-                (sgn) ? Py_True : Py_False); \
-            if (r_ == NULL) goto error; \
-            v = PyLong_AsUnsignedLongLong(r_); Py_DECREF(r_); \
-            if (v == M64 && PyErr_Occurred()) goto error; \
-            AFTER_CALL(); \
+            RESET_VIEWS(); \
+            int rf_ = refill(u, &sc[i], ep, va, (width), 0, (sgn), um, \
+                             &v, &ch); \
+            CHECK(rf_); \
+            if (rf_ == 2) LOAD_VIEW(&sc[i]); \
+            else if (!rf_) { \
+                SYNC(i); BEFORE_CALL(); \
+                PyObject *r_ = PyObject_CallFunction( \
+                    u->load, "KiO", (unsigned long long)va, (width), \
+                    (sgn) ? Py_True : Py_False); \
+                if (r_ == NULL) goto error; \
+                v = PyLong_AsUnsignedLongLong(r_); Py_DECREF(r_); \
+                if (v == M64 && PyErr_Occurred()) goto error; \
+                AFTER_CALL(); \
+            } \
         } \
         if (ad) SET(ad, v); \
     } while (0)
@@ -723,13 +1068,21 @@ sext32(uint64_t v)
             DCACHE(spb); \
             WRITE; \
         } else { \
-            SYNC(i); RESET_VIEWS(); BEFORE_CALL(); \
-            PyObject *r_ = PyObject_CallFunction( \
-                u->store, "KiK", (unsigned long long)va, (width), \
-                (unsigned long long)R[rc]); \
-            if (r_ == NULL) goto error; \
-            Py_DECREF(r_); \
-            AFTER_CALL(); \
+            uint64_t sv_ = R[rc]; \
+            RESET_VIEWS(); \
+            int rf_ = refill(u, &sc[i], ep, va, (width), 1, 0, um, &sv_, \
+                             &ch); \
+            CHECK(rf_); \
+            if (rf_ == 2) STORE_VIEW(&sc[i]); \
+            else if (!rf_) { \
+                SYNC(i); BEFORE_CALL(); \
+                PyObject *r_ = PyObject_CallFunction( \
+                    u->store, "KiK", (unsigned long long)va, (width), \
+                    (unsigned long long)sv_); \
+                if (r_ == NULL) goto error; \
+                Py_DECREF(r_); \
+                AFTER_CALL(); \
+            } \
         } \
         if (babort) EXIT(i, 1, 0, xv); \
     } while (0)
@@ -1180,7 +1533,7 @@ unit_clear_sites(Unit *u)
 #define UNIT_OBJECTS(X) X(core) X(packed) X(gh) X(irt) X(ilines) X(mmu) \
     X(stats) X(load) X(store) X(icache) X(isets) X(dcache) X(dsets) \
     X(dtlb) X(tent) X(mmu_stats) X(dload) X(jload) X(jlf) X(dstore) \
-    X(jstore) X(jsf) X(fpages) X(cframes)
+    X(jstore) X(jsf) X(memory) X(wmemo) X(mmio) X(fpages) X(cframes)
 
 static int
 unit_traverse(Unit *u, visitproc visit, void *arg)
@@ -1241,27 +1594,36 @@ lookup_attr(PyObject *obj, const char *name)
 
 /* bind(core, packed, gh, irt, ilines, n, head_pc, loop, dside, bpt, mut,
         pqt, params, mmu, stats, load, store, icache, dcache, dtlb,
-        dload, jload, jlf, dstore, jstore, jsf, fpages, cframes)
+        dload, jload, jlf, dstore, jstore, jsf, memory, walk_memo, mmio,
+        fpages, cframes)
 
-   ``icache``/``dcache``/``dtlb`` may be None (no I-cache; no flat
-   D-side); ``params`` is the core's TimingParams. */
+   ``icache`` may be None (no I-cache); ``dcache`` and ``dtlb`` through
+   ``mmio`` are all None without a flat D-side; ``params`` is the core's
+   TimingParams. */
 static PyObject *
 bind(PyObject *mod, PyObject *args)
 {
     PyObject *core, *packed, *gh, *irt, *ilines, *params, *mmu, *stats,
         *load, *store, *icache, *dcache, *dtlb, *dload, *jload, *jlf,
-        *dstore, *jstore, *jsf, *fpages, *cframes;
+        *dstore, *jstore, *jsf, *memory, *wmemo, *mmio, *fpages, *cframes;
     long long nt, bpt, mut, pqt;
     unsigned long long head;
     int loop, dside;
-    if (!PyArg_ParseTuple(args, "OO!O!O!O!LKppLLLOOOOOOOOOOOOOOOO:bind",
+    if (!PyArg_ParseTuple(args, "OO!O!O!O!LKppLLLOOOOOOOOOOOOOOOOOOO:bind",
                           &core, &PyBytes_Type, &packed, &PyTuple_Type, &gh,
                           &PyTuple_Type, &irt, &PyTuple_Type, &ilines, &nt,
                           &head, &loop, &dside, &bpt, &mut, &pqt, &params,
                           &mmu, &stats, &load, &store, &icache, &dcache,
                           &dtlb, &dload, &jload, &jlf, &dstore, &jstore,
-                          &jsf, &fpages, &cframes))
+                          &jsf, &memory, &wmemo, &mmio, &fpages, &cframes))
         return NULL;
+    if (wmemo != Py_None
+            && !(PyDict_CheckExact(wmemo) && PyDict_CheckExact(dload)
+                 && PyDict_CheckExact(jload) && PyDict_CheckExact(dstore)
+                 && PyDict_CheckExact(jstore) && PyList_CheckExact(mmio))) {
+        PyErr_SetString(PyExc_TypeError, "D-side state of the wrong type");
+        return NULL;
+    }
     Py_ssize_t bytes = PyBytes_GET_SIZE(packed);
     if (bytes % (NF * 8)) {
         PyErr_SetString(PyExc_ValueError, "packed arrays: bad length");
@@ -1294,15 +1656,26 @@ bind(PyObject *mod, PyObject *args)
     KEEP(core) KEEP(packed) KEEP(gh) KEEP(irt) KEEP(ilines) KEEP(mmu)
     KEEP(stats) KEEP(load) KEEP(store) KEEP(icache) KEEP(dcache) KEEP(dtlb)
     KEEP(dload) KEEP(jload) KEEP(jlf) KEEP(dstore) KEEP(jstore) KEEP(jsf)
-    KEEP(fpages) KEEP(cframes)
+    KEEP(memory) KEEP(wmemo) KEEP(mmio) KEEP(fpages) KEEP(cframes)
 #undef KEEP
     PyObject_GC_Track(u);
 
     if (attr_i64s(params, "base_cpi", &u->CPI) < 0
             || attr_i64s(params, "cache_miss_penalty", &u->PEN) < 0
             || attr_i64s(params, "taken_branch_penalty", &u->TBP) < 0
-            || attr_i64s(params, "jump_penalty", &u->JP) < 0)
+            || attr_i64s(params, "jump_penalty", &u->JP) < 0
+            || attr_i64s(params, "tlb_walk_access", &u->TWA) < 0)
         goto fail;
+    u->TCAP = u->DCAP = 0;
+    u->MSZ = 0;
+    if (wmemo != Py_None) {
+        int64_t msz;
+        if (attr_i64s(dtlb, "capacity", &u->TCAP) < 0
+                || attr_i64s(core, "_dside_cap", &u->DCAP) < 0
+                || attr_i64s(memory, "size", &msz) < 0)
+            goto fail;
+        u->MSZ = (uint64_t)msz;
+    }
     u->ICH = icache != Py_None;
     u->use_dc = dcache != Py_None;
     u->WARM = loop && u->ICH;
@@ -1401,6 +1774,14 @@ PyInit__flatcore_native(void)
         {&s_regs, "regs"}, {&s_move_to_end, "move_to_end"},
         {&s_popitem, "popitem"}, {&s_tval, "tval"},
         {&s_read_ro, "read_ro"},
+        {&s_fast_path_enabled, "fast_path_enabled"}, {&s_bare, "bare"},
+        {&s_walk_memo_root, "_walk_memo_root"}, {&s_root_ppn, "root_ppn"},
+        {&s_frames, "_frames"}, {&s_written_frames, "written_frames"},
+        {&s_shadows, "shadows"}, {&s_walks, "walks"},
+        {&s_dtlb_walk_cycles, "dtlb_walk_cycles"}, {&s_get, "get"},
+        {&s_pop, "pop"}, {&s_ppn, "ppn"}, {&s_readable, "readable"},
+        {&s_writable, "writable"}, {&s_user, "user"}, {&s_base, "base"},
+        {&s_size, "size"},
     };
     for (size_t k = 0; k < sizeof(names) / sizeof(names[0]); k++)
         if ((*names[k].slot = PyUnicode_InternFromString(names[k].name))

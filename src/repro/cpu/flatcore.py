@@ -48,7 +48,8 @@ Two runners execute a bound unit. The native runner
 (``_flatcore_native.c``, built at import by repro.cpu.native) runs this
 same dispatch ladder in C over ``Lowered.PACKED``, the arrays below
 packed as uint64 columns; generic sites, ``ld.ro`` and the eager
-``Core.load``/``Core.store`` paths call back into Python. The Python
+``Core.load``/``Core.store`` paths call back into Python, except the
+D-TLB refills it serves itself (DESIGN.md §13.1). The Python
 loop (``_run`` in :func:`_bind_python`) is the reference, and it runs
 wherever the extension cannot be built. :func:`runner` names the one in
 use; there is no switch (DESIGN.md §13.1).
@@ -603,9 +604,10 @@ def _bind_native(core, lowered):
     if dside:
         dside_state = (mmu.dtlb, core._dload_pages, core._jload_memo,
                        core._jload_fill, core._dstore_pages,
-                       core._jstore_memo, core._jstore_fill)
+                       core._jstore_memo, core._jstore_fill, core.memory,
+                       mmu._walk_memo, core.mmio)
     else:
-        dside_state = (None,) * 7
+        dside_state = (None,) * 10
     return _native.bind(
         core, lowered.PACKED, lowered.GH, lowered.IRT, lowered.ILINES,
         lowered.n, lowered.head_pc, lowered.loop, dside, lowered.BPT,

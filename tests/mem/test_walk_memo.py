@@ -8,12 +8,14 @@ defeat it: an mprotect-style permission rewrite (followed by the usual
 generation bump) and a direct leaf-PTE rewrite in physical memory. In
 both cases the next translation must observe the new PTE, and the
 architectural walk counters must be exactly what a memo-less MMU would
-have charged — on the bare MMU and through every interpreter tier.
+have charged — on the bare MMU and through every interpreter tier, on
+both flat-core runners (the native one refills the D-TLB from the memo
+itself).
 """
 
 import pytest
 
-from repro.cpu import Core, TimingModel
+from repro.cpu import Core, TimingModel, flatcore
 from repro.cpu.trap import Cause
 from repro.isa import Instruction, encode
 from repro.isa.opcodes import MemOp
@@ -124,9 +126,17 @@ DATA_VA = 0x10000
 FRAME_A = 48 << 20
 FRAME_B = (48 << 20) + 0x1000
 
+# The flat-core runners this host has: the native one when it was built,
+# and always the Python loop.
+NATIVE = flatcore._native
+RUNNERS = ("python",) if NATIVE is None else ("native", "python")
+
 # Three identical hot load loops separated by ebreaks, so the host can
-# mutate the page tables between phases while regions are live.
+# mutate the page tables between phases while regions are live, then a
+# hot loop that loads and stores the data page.
 _LOOP_REGS = (7, 28, 29)  # t2, t3, t4 accumulate one phase each
+STORE_PC = CODE_VA + 4 * 6 * len(_LOOP_REGS)
+STORE_VA = DATA_VA + 8
 
 
 def _program():
@@ -138,6 +148,12 @@ def _program():
         words.append(Instruction("addi", rd=5, rs1=5, imm=-1))
         words.append(Instruction("bne", rs1=5, rs2=0, imm=-12))
         words.append(Instruction("ebreak"))
+    words.append(Instruction("addi", rd=5, rs1=0, imm=40))  # STORE_PC
+    words.append(Instruction("ld", rd=6, rs1=8, imm=0))
+    words.append(Instruction("sd", rs1=8, rs2=6, imm=8))
+    words.append(Instruction("addi", rd=5, rs1=5, imm=-1))
+    words.append(Instruction("bne", rs1=5, rs2=0, imm=-12))
+    words.append(Instruction("ebreak"))
     return words
 
 
@@ -163,11 +179,17 @@ def _tier_system(tier):
     return mem, builder, mmu, core
 
 
-def _run_phase(core):
+def _run_until_trap(core):
     traps = []
     core.run(10_000, trap_handler=lambda t: traps.append(t) and False)
-    assert len(traps) == 1 and traps[0].cause == Cause.BREAKPOINT
-    core.pc = traps[0].pc + 4
+    assert len(traps) == 1
+    return traps[0]
+
+
+def _run_phase(core):
+    trap = _run_until_trap(core)
+    assert trap.cause == Cause.BREAKPOINT
+    core.pc = trap.pc + 4
 
 
 def test_memo_invalidation_identical_across_tiers(monkeypatch):
@@ -175,16 +197,31 @@ def test_memo_invalidation_identical_across_tiers(monkeypatch):
     between phases the host rewrites the data page's leaf PTE — first
     mprotect-style through the builder, then directly in physical
     memory, retargeting the frame. Every tier must observe each rewrite
-    on the very next load, with bit-identical walk charges."""
+    on the very next load, with bit-identical walk charges, and tiers 2
+    and 4 on both flat-core runners. A store leg runs a load/store loop
+    hot on the writable page; after the mprotect its next store faults
+    with the same tval and pc."""
     monkeypatch.setenv("REPRO_JIT_DEBUG", "1")
     results = {}
-    for tier in TIERS:
+    configs = [("slow", "python"), ("tier1", "python")] + [
+        (tier, runner) for tier in ("tier2", "tier4") for runner in RUNNERS]
+    for tier, runner in configs:
+        monkeypatch.setattr(flatcore, "_native",
+                            NATIVE if runner == "native" else None)
         mem, builder, mmu, core = _tier_system(tier)
         _run_phase(core)  # phase 1: RW page, loads see frame A
+        resume = core.pc
+        core.pc = STORE_PC
+        _run_phase(core)  # the store loop, hot on the RW page
         # Leg 1: mprotect generation bump (permission rewrite + sfence).
         builder.set_protection(DATA_VA, writable=False)
         mmu.flush()
         assert DATA_VA >> 12 in mmu._walk_memo
+        core.pc = STORE_PC
+        fault = _run_until_trap(core)   # its first store now faults
+        assert fault.cause == Cause.STORE_PAGE_FAULT
+        assert (fault.tval, fault.pc) == (STORE_VA, STORE_PC + 8)
+        core.pc = resume
         _run_phase(core)  # phase 2: read-only now, loads still frame A
         # Leg 2: direct leaf-PTE rewrite retargeting the frame.
         leaf = mmu.walker.walk(mmu.root_ppn, DATA_VA).pte_address
@@ -195,14 +232,15 @@ def test_memo_invalidation_identical_across_tiers(monkeypatch):
         if tier == "tier4":
             assert core.regions_compiled >= 1
             assert core.tier4_retired > 0
-        results[tier] = (
+        results[tier, runner] = (
             tuple(core.regs[r] for r in _LOOP_REGS),
-            core.instret, core.cycles,
+            core.instret, core.cycles, core.timing.stats.dtlb_walk_cycles,
             mmu.dtlb.hits, mmu.dtlb.misses,
             mmu.itlb.hits, mmu.itlb.misses,
             mmu.stats.walks, mmu.stats.translations,
         )
-    for tier in ("tier1", "tier2", "tier4"):
-        assert results[tier] == results["slow"], tier
-    sums = results["slow"][0]
+    slow = results["slow", "python"]
+    for config in configs:
+        assert results[config] == slow, config
+    sums = slow[0]
     assert sums == (40 * 1234, 40 * 1234, 40 * 99)

@@ -160,9 +160,9 @@ def test_native_runner_has_no_obs_reference(monkeypatch):
 
 
 # The timed sweep: one SPEC-style workload, unhardened. Its scale keeps
-# Kernel.run near half a second or more on the native runner, so host
-# noise stays a small share of each measurement.
-BENCHMARKS, VARIANTS, SCALE = ("429.mcf",), ("base",), 2.5
+# Kernel.run near 0.8 s on the native runner, so host noise stays a
+# small share of each measurement.
+BENCHMARKS, VARIANTS, SCALE = ("429.mcf",), ("base",), 6
 
 # Largest fractional sim-MIPS drop of the current sweep below the
 # reference sweep that still passes.

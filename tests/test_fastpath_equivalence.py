@@ -472,3 +472,220 @@ def test_ld_ro_served_from_the_cached_view_is_caught(monkeypatch,
         use_runner(runner)
         assert roload_checks(monkeypatch, "tier4") < ROLOAD_EXECUTIONS, \
             runner
+
+
+# -- the native D-TLB refill ---------------------------------------------------
+
+# Each pass loads one probe page, stores to 34 data pages (more than
+# the 32 D-TLB entries), loads the probe page again, then loads from and
+# stores to the 34 pages and loads twice from each of 34 pages nothing
+# writes. Every data-page access misses the D-TLB and replays the MMU's
+# walk memo after the first pass; the stores right after a load hit the
+# D-TLB but miss the D-side page cache. The store sweep evicts the probe
+# page while its page memo is still filled, so its second load must
+# count a miss, not a hit. A copy-on-write fork has no frames for the
+# unwritten pages (a snapshot drops zero frames): their loads read
+# zeros, the second one from a page in both the D-TLB and the D-side
+# page cache. The stride is a page plus a line, so each page lands in
+# its own D-cache set.
+THRASH = r"""
+.globl _start
+_start:
+    li t0, 16
+    li t2, 4160
+    la s3, probe
+outer:
+    ld a1, 0(s3)
+    add s1, s1, a1
+    la s0, pages
+    li t1, 34
+stores:
+    sd t0, 8(s0)
+    add s0, s0, t2
+    addi t1, t1, -1
+    bnez t1, stores
+    ld a1, 0(s3)
+    add s1, s1, a1
+    la s0, pages
+    la s4, zeros
+    li t1, 34
+both:
+    ld a2, 8(s0)
+    ld a4, 16(s0)
+    add s2, s2, a2
+    add s2, s2, a4
+    sd s2, 16(s0)
+    ld a5, 0(s4)
+    ld a6, 8(s4)
+    add s5, s5, a5
+    add s5, s5, a6
+    add s0, s0, t2
+    add s4, s4, t2
+    addi t1, t1, -1
+    bnez t1, both
+    addi t0, t0, -1
+    bnez t0, outer
+    li a0, 0
+    li a7, 93
+    ecall
+.data
+.balign 4096
+probe:
+    .quad 3
+    .space 4088
+pages:
+    .space 143360
+zeros:
+    .space 143360
+"""
+THRASH_PAGES = 34
+# A pass retires 5 + 34 * 4 + 7 + 34 * 13 + 2 instructions; stop a
+# little after the fourth.
+THRASH_PAUSE = 4 * 592 + 100
+
+
+def swap_thrash_frames(kernel, process, image):
+    """Swap the frames of data pages 2j and 2j+1 by exchanging their leaf
+    PTE words in physical memory, with no sfence: the next walk-memo
+    replay of each page has to notice its PTE changed."""
+    mmu, memory = kernel.system.mmu, kernel.system.memory
+    root = process.address_space.root_ppn
+    base = image.symbol("pages")
+    for j in range(0, THRASH_PAGES - 1, 2):
+        one, two = (mmu.walker.walk(root, (base + k * 4160) & ~0xFFF)
+                    .pte_address for k in (j, j + 1))
+        a, b = memory.read(one, 8), memory.read(two, 8)
+        memory.write(one, 8, b)
+        memory.write(two, 8, a)
+
+
+def run_thrash(monkeypatch, tier, fork=False):
+    """THRASH on ``tier``: paused after a few passes, optionally forked
+    copy-on-write from a snapshot there, its data frames swapped, then
+    run to the end."""
+    from repro.replay import restore, snapshot
+
+    set_tier(monkeypatch, tier)
+    image = link([assemble(THRASH)])
+    kernel = Kernel(build_system("processor+kernel", memory_size=64 << 20))
+    process = kernel.create_process(image)
+    kernel.run(process, stop_after=THRASH_PAUSE)
+    assert process.alive
+    if fork:
+        kernel, process = restore(snapshot(kernel), cow=True)
+    swap_thrash_frames(kernel, process, image)
+    kernel.run(process)
+    assert process.exit_code == 0
+    return kernel
+
+
+@pytest.mark.parametrize("fork", [False, True], ids=["run", "cow-fork"])
+def test_dtlb_thrash_matches_on_both_runners(monkeypatch, use_runner, fork):
+    """A loop over more pages than the D-TLB holds, where nearly every
+    access is a walk-memo replay with an eviction: every configuration
+    leaves the slow tier's cycles, TLB, cache and MMU counters and LRU
+    order, and on a copy-on-write fork the same private frames."""
+    use_runner("python")
+    slow_kernel = run_thrash(monkeypatch, "slow", fork)
+    slow = machine_state(slow_kernel.system.core)
+    slow_frames = slow_kernel.system.memory.private_frame_count()
+    assert slow["mmu"]["walks"] > 16 * THRASH_PAGES    # it did thrash
+    for tier, runner in CONFIGS:
+        use_runner(runner)
+        kernel = run_thrash(monkeypatch, tier, fork)
+        core = kernel.system.core
+        assert machine_state(core) == slow, (tier, runner)
+        assert kernel.system.memory.private_frame_count() == slow_frames, \
+            (tier, runner)
+        if tier == "tier4":
+            assert core.tier4_retired > 0, runner   # non-vacuity
+
+
+def test_native_refill_makes_no_python_callouts(monkeypatch, use_runner):
+    """Once THRASH runs as regions and the walk memo holds every page,
+    the native runner serves each D-TLB miss itself: no call reaches
+    ``Core.load``/``Core.store`` in the later passes. On the Python loop
+    the same misses do call them, which shows the probe counts."""
+    calls = {}
+    load, store = Core.load, Core.store
+
+    def counted(name, fn):
+        def wrapper(self, *args, **kwargs):
+            calls.setdefault(runner, {}).setdefault(name, []) \
+                .append(self.instret)
+            return fn(self, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Core, "load", counted("load", load))
+    monkeypatch.setattr(Core, "store", counted("store", store))
+    for runner in RUNNERS:
+        use_runner(runner)
+        set_tier(monkeypatch, "tier4")
+        kernel = Kernel(build_system("processor+kernel",
+                                     memory_size=64 << 20))
+        process = kernel.create_process(link([assemble(THRASH)]))
+        kernel.run(process)
+        assert kernel.system.core.tier4_retired > 0
+        late = {name: sum(at > THRASH_PAUSE for at in ats)
+                for name, ats in calls[runner].items()}
+        if runner == "native":
+            assert not any(late.values()), late
+        else:
+            assert late["load"] > THRASH_PAGES and late["store"] > 0, late
+
+
+# A correctly keyed ld.ro on each of 40 keyed pages per pass: every
+# one misses the D-TLB, and from the second pass on the MMU's walk memo
+# could replay it. A plain load of a data page beside it keeps the
+# D-side page cache current, so nothing but the opcode keeps these
+# misses from the native refill. On the last pass the first page,
+# evicted and just refilled, is read once more with the wrong key.
+ROLOAD_THRASH = r"""
+.globl _start
+_start:
+    li t0, 4
+    li t2, 4096
+    li t4, 1
+    la s3, plain
+outer:
+    la s0, table
+    li t1, 40
+inner:
+    ld a1, 0(s3)
+    ld.ro a2, (s0), 42
+    add s1, s1, a2
+    bne t0, t4, next
+    ld.ro a3, (s0), 7
+next:
+    add s0, s0, t2
+    addi t1, t1, -1
+    bnez t1, inner
+    addi t0, t0, -1
+    bnez t0, outer
+    li a0, 0
+    li a7, 93
+    ecall
+.data
+plain:
+    .quad 9
+.section .rodata.key.42
+table:
+    .quad 5
+    .space 163832
+"""
+# Three full passes and the first page of the fourth, then the mismatch.
+ROLOAD_THRASH_CHECKS = 3 * 40 + 1 + 1
+
+
+def test_ld_ro_over_refilled_pages_checks_every_execution(monkeypatch,
+                                                           use_runner):
+    """ld.ro over more keyed pages than the D-TLB holds still takes the
+    MMU check once per execution on every configuration, never the
+    native refill, and the wrong key on a page that was just evicted and
+    refilled faults as on the slow tier."""
+    kernel, process, slow = compare_kernel_runs(monkeypatch, use_runner,
+                                                ROLOAD_THRASH)
+    assert process.signal.number == SIGSEGV and process.signal.roload
+    assert kernel.security_log[0].reason == "key_mismatch"
+    assert slow["mmu"]["roload_checks"] == ROLOAD_THRASH_CHECKS
+    assert slow["mmu"]["walks"] > 3 * 40     # it did thrash
