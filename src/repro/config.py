@@ -31,12 +31,6 @@ REPRO_TIER4             tier4               1        tier-4 region tier: hot
                                                      tier 2)
 REPRO_REGION_THRESHOLD  region_threshold    16       compiled-block arrivals
                                                      before region compilation
-REPRO_REGION_BLOCKS     region_blocks       16       max member blocks per
-                                                     tier-4 region
-REPRO_DECODE_CACHE      decode_cache        65536    decode-cache entry cap
-                                                     (raw bits -> Instruction)
-REPRO_BLOCK_CACHE       block_cache         4096     basic-block translation
-                                                     cache entry cap
 REPRO_OBS               obs                 0        observability layer on
                                                      at import
 REPRO_OBS_EVENTS        obs_events          65536    event-ring capacity
@@ -187,9 +181,6 @@ class Config:
     jit_debug: bool = False
     tier4: bool = True
     region_threshold: int = 16
-    region_blocks: int = 16
-    decode_cache: int = 65536
-    block_cache: int = 4096
     obs: bool = False
     obs_events: int = 65536
     obs_sample: int = 0     # flight-recorder interval in retired
@@ -282,12 +273,6 @@ KNOBS: "tuple[Knob, ...]" = (
     Knob("region_threshold", "REPRO_REGION_THRESHOLD",
          _parse_positive_int(16), str,
          "compiled-block arrivals before region compilation"),
-    Knob("region_blocks", "REPRO_REGION_BLOCKS", _parse_positive_int(16),
-         str, "max member blocks per tier-4 region"),
-    Knob("decode_cache", "REPRO_DECODE_CACHE", _parse_positive_int(65536),
-         str, "decode-cache entry cap (raw bits -> Instruction)"),
-    Knob("block_cache", "REPRO_BLOCK_CACHE", _parse_positive_int(4096),
-         str, "basic-block translation cache entry cap"),
     Knob("obs", "REPRO_OBS", _parse_flag_default_off, _flag_to_env,
          "observability layer on at import"),
     Knob("obs_events", "REPRO_OBS_EVENTS", _parse_positive_int(65536),

@@ -50,9 +50,11 @@ from repro.utils.bits import (
 )
 
 # Decode caches are keyed on raw instruction bits; bound them so large or
-# self-modifying code cannot grow them without limit. Caps come from the
-# REPRO_DECODE_CACHE / REPRO_BLOCK_CACHE knobs (see repro.config) and are
-# snapshot per-core at construction.
+# self-modifying code cannot grow them without limit. Each core copies the
+# caps into instance attributes, so a test can shrink them on one core.
+DECODE_CACHE_CAP = 65536    # entries per decode cache (bits -> Instruction)
+BLOCK_CACHE_CAP = 4096      # tier-1 blocks (start pc -> block)
+REGION_BLOCKS = 16          # max member blocks of one tier-4 region
 
 # Instructions that end a basic block: anything that can redirect the pc,
 # trap by design, or change translation/decode state mid-stream.
@@ -83,24 +85,9 @@ def _tier4_default() -> bool:
     return _config.current().tier4
 
 
-def _decode_cache_cap_default() -> int:
-    """Decode-cache entry cap (raw bits -> Instruction)."""
-    return _config.current().decode_cache
-
-
-def _block_cache_cap_default() -> int:
-    """Basic-block translation cache entry cap (start pc -> block)."""
-    return _config.current().block_cache
-
-
 def _region_threshold_default() -> int:
     """Compiled-block arrivals before a region is planned around a pc."""
     return _config.current().region_threshold
-
-
-def _region_blocks_default() -> int:
-    """Maximum member blocks a region may span."""
-    return _config.current().region_blocks
 
 
 class MMIORegion:
@@ -143,8 +130,8 @@ class Core:
         self.mmio: "list[MMIORegion]" = []
         self._decode_cache: "dict[int, Instruction]" = {}
         self._decode_cache_c: "dict[int, Instruction]" = {}
-        self._decode_cache_cap = _decode_cache_cap_default()
-        self._block_cache_cap = _block_cache_cap_default()
+        self._decode_cache_cap = DECODE_CACHE_CAP
+        self._block_cache_cap = BLOCK_CACHE_CAP
         self._current_pc = 0
         # Fetch fast path: vpn -> physical page base, valid for one MMU
         # generation (bounded by the I-TLB capacity to keep the reach
@@ -212,7 +199,7 @@ class Core:
             and self.jit_enabled
         self.region_threshold = _region_threshold_default() \
             if region_threshold is None else max(1, region_threshold)
-        self.region_blocks = _region_blocks_default()
+        self.region_blocks = REGION_BLOCKS
         self._regions: "dict[int, object]" = {}      # head pc -> Region
         self._region_counts: "dict[int, int]" = {}   # arrival counters
         self._region_nojit: "set[int]" = set()       # pcs pinned to tier 2
@@ -261,12 +248,6 @@ class Core:
     # Always 0 (there is no tier 3); kept because bench/suite.py reads it.
     tier3_retired = 0
 
-    # Every region is lowered by the flat core; kept under its record
-    # name for the obs registry, the sampler and bench residency.
-    @property
-    def flat_regions_compiled(self) -> int:
-        return self.regions_compiled
-
     # -- observability -------------------------------------------------------
 
     def tier_residency(self) -> dict:
@@ -282,7 +263,6 @@ class Core:
                "jit_flushes": self.jit_flushes,
                "jit_compile_seconds": round(self.jit_compile_seconds, 6),
                "regions_compiled": self.regions_compiled,
-               "flat_regions_compiled": self.regions_compiled,
                "region_side_exits": self.region_side_exits,
                "region_compile_seconds":
                    round(self.region_compile_seconds, 6),
@@ -818,9 +798,7 @@ class Core:
         if self._adopted is not None:
             recipe = self._adopted.blocks.get(pc)
             if recipe is not None and recipe[2] == frame:
-                # Cached as it is, generic handlers and all, on every
-                # tier: specializing it per fork costs more than its
-                # faster replay saves (DESIGN.md §8).
+                # Cached as it is: the fork skips the re-decode.
                 self._cache_block(pc, recipe)
                 return recipe
         vpn = pc >> 12
@@ -868,9 +846,6 @@ class Core:
             handler = _HANDLERS.get(insn.name)
             if handler is None:  # pragma: no cover - table is total
                 break
-            spec = _SPECIALIZE.get(insn.name)
-            if spec is not None:
-                handler = spec(self, insn, pc)
             next_pc = (pc + insn.length) & MASK64
             entries.append((handler, insn, pc, next_pc, paddr, paddr2))
             if insn.name in _BLOCK_TERMINATORS:
@@ -1786,308 +1761,3 @@ def _build_handlers():
 
 
 _HANDLERS = _build_handlers()
-
-
-def generic_entries(entries: tuple) -> tuple:
-    """Block entries with every handler replaced by the generic one of
-    its mnemonic: the core-independent form of a tier-1 block
-    (repro.cpu.translations)."""
-    return tuple((_HANDLERS[entry[1].name],) + entry[1:]
-                 for entry in entries)
-
-
-# ---------------------------------------------------------------------------
-# Block-entry specialization. When _build_block caches an instruction it may
-# swap the generic handler for a closure with the instruction's fields, any
-# pc-derived constants, and the core's identity-stable hot objects (register
-# file, TLB entry map, page caches, cache sets — all mutated in place, never
-# reassigned) pre-bound, eliminating per-replay attribute lookups and the
-# write_reg/load/store call layers. Each specialization is a transcription
-# of the generic handler above — identical architectural behavior, including
-# every counter and fault. Specialized closures only ever run from
-# step_block's replay loop, which is itself gated on fast_path_enabled.
-# Anything not listed in _SPECIALIZE keeps its generic handler.
-# ---------------------------------------------------------------------------
-
-
-def _spec_nop(core, insn, pc):
-    return None
-
-
-def _spec_lui(core, insn, pc):
-    rd = insn.rd
-    if not rd:
-        return _spec_nop
-    value = to_u64(sext(insn.imm << 12, 32))
-    regs = core.regs
-
-    def op(core, insn, pc):
-        regs[rd] = value
-    return op
-
-
-def _spec_auipc(core, insn, pc):
-    rd = insn.rd
-    if not rd:
-        return _spec_nop
-    value = to_u64(pc + sext(insn.imm << 12, 32))
-    regs = core.regs
-
-    def op(core, insn, pc):
-        regs[rd] = value
-    return op
-
-
-def _spec_load(core, insn, pc):
-    width, signed = _LOAD_INFO[insn.name]
-    rd, rs1, imm = insn.rd, insn.rs1, insn.imm
-    align = width - 1
-    sbit = 1 << ((width << 3) - 1)
-    wrap = 1 << (width << 3)
-    regs = core.regs
-    mmu = core.mmu
-    dtlb = getattr(mmu, "dtlb", None)
-    if dtlb is None or not core._dside_cap:
-        # No D-TLB (keyed-PMP backend): always the generic path.
-        def op(core, insn, pc):
-            value = core.load((regs[rs1] + imm) & MASK64, width, signed)
-            if rd:
-                regs[rd] = value
-        return op
-    mmu_stats = mmu.stats
-    tentries = dtlb._entries
-    dload_pages = core._dload_pages
-    jload_memo = core._jload_memo
-    frames = core.memory._frames
-    dcache = core.dcache
-    timing = core.timing
-    penalty = timing.params.cache_miss_penalty
-    if dcache is not None:
-        dsets = dcache._sets
-        dshift = dcache._line_shift
-        dmask = dcache.num_sets - 1
-        dways = dcache.ways
-
-    def op(core, insn, pc):
-        vaddr = (regs[rs1] + imm) & MASK64
-        if not vaddr & align:
-            if core._dside_generation == mmu.generation:
-                vpn = vaddr >> 12
-                ppn = dload_pages.get(vpn)
-                if ppn is not None:
-                    # Inlined TLB.probe_hit (see Core.load).
-                    entry = tentries.get(vpn)
-                    if entry is not None:
-                        tentries.move_to_end(vpn)
-                        dtlb.hits += 1
-                        if entry.ppn == ppn:
-                            mmu_stats.translations += 1
-                            if entry.readable and (not mmu.user_mode
-                                                   or entry.user):
-                                off = vaddr & 0xFFF
-                                if dcache is not None:
-                                    line = ((ppn << 12) | off) >> dshift
-                                    ways = dsets[line & dmask]
-                                    if line in ways:
-                                        ways.move_to_end(line)
-                                        dcache.hits += 1
-                                    else:
-                                        dcache.misses += 1
-                                        ways[line] = True
-                                        if len(ways) > dways:
-                                            ways.popitem(last=False)
-                                        stats = timing.stats
-                                        stats.dcache_misses += 1
-                                        stats.cycles += penalty
-                                fb = frames.get(ppn)
-                                value = 0 if fb is None else int.from_bytes(
-                                    fb[off:off + width], "little")
-                                if signed and value >= sbit:
-                                    value = (value - wrap) & MASK64
-                                if rd:
-                                    regs[rd] = value
-                                return None
-                            del dload_pages[vpn]
-                            jload_memo.pop(vpn, None)
-                            raise Trap(Cause.LOAD_PAGE_FAULT,
-                                       core._current_pc, tval=vaddr)
-                    del dload_pages[vpn]
-                    jload_memo.pop(vpn, None)
-        value = core.load(vaddr, width, signed)
-        if rd:
-            regs[rd] = value
-        return None
-    return op
-
-
-def _spec_store(core, insn, pc):
-    width = _STORE_INFO[insn.name]
-    rs1, rs2, imm = insn.rs1, insn.rs2, insn.imm
-    align = width - 1
-    wmask = (1 << (width << 3)) - 1
-    regs = core.regs
-    mmu = core.mmu
-    dtlb = getattr(mmu, "dtlb", None)
-    if dtlb is None or not core._dside_cap:
-        def op(core, insn, pc):
-            core.store((regs[rs1] + imm) & MASK64, width, regs[rs2])
-        return op
-    mmu_stats = mmu.stats
-    tentries = dtlb._entries
-    dstore_pages = core._dstore_pages
-    jstore_memo = core._jstore_memo
-    code_frames = core._code_frames
-    frames = core.memory._frames
-    dcache = core.dcache
-    timing = core.timing
-    penalty = timing.params.cache_miss_penalty
-    if dcache is not None:
-        dsets = dcache._sets
-        dshift = dcache._line_shift
-        dmask = dcache.num_sets - 1
-        dways = dcache.ways
-
-    def op(core, insn, pc):
-        vaddr = (regs[rs1] + imm) & MASK64
-        if not vaddr & align:
-            if core._dside_generation == mmu.generation:
-                vpn = vaddr >> 12
-                ppn = dstore_pages.get(vpn)
-                if ppn is not None:
-                    entry = tentries.get(vpn)
-                    if entry is not None:
-                        tentries.move_to_end(vpn)
-                        dtlb.hits += 1
-                        if entry.ppn == ppn:
-                            mmu_stats.translations += 1
-                            if entry.writable and (not mmu.user_mode
-                                                   or entry.user):
-                                off = vaddr & 0xFFF
-                                if code_frames and ppn in code_frames:
-                                    core._flush_blocks()
-                                if dcache is not None:
-                                    line = ((ppn << 12) | off) >> dshift
-                                    ways = dsets[line & dmask]
-                                    if line in ways:
-                                        ways.move_to_end(line)
-                                        dcache.hits += 1
-                                    else:
-                                        dcache.misses += 1
-                                        ways[line] = True
-                                        if len(ways) > dways:
-                                            ways.popitem(last=False)
-                                        stats = timing.stats
-                                        stats.dcache_misses += 1
-                                        stats.cycles += penalty
-                                fb = frames.get(ppn)
-                                if fb is None:
-                                    fb = bytearray(4096)
-                                    frames[ppn] = fb
-                                fb[off:off + width] = \
-                                    (regs[rs2] & wmask) \
-                                    .to_bytes(width, "little")
-                                return None
-                            del dstore_pages[vpn]
-                            jstore_memo.pop(vpn, None)
-                            raise Trap(Cause.STORE_PAGE_FAULT,
-                                       core._current_pc, tval=vaddr)
-                    del dstore_pages[vpn]
-                    jstore_memo.pop(vpn, None)
-        core.store(vaddr, width, regs[rs2])
-        return None
-    return op
-
-
-def _spec_addi(core, insn, pc):
-    rd, rs1, imm = insn.rd, insn.rs1, insn.imm
-    if not rd:
-        return _spec_nop
-    regs = core.regs
-
-    def op(core, insn, pc):
-        regs[rd] = (regs[rs1] + imm) & MASK64
-    return op
-
-
-def _spec_add(core, insn, pc):
-    rd, rs1, rs2 = insn.rd, insn.rs1, insn.rs2
-    if not rd:
-        return _spec_nop
-    regs = core.regs
-
-    def op(core, insn, pc):
-        regs[rd] = (regs[rs1] + regs[rs2]) & MASK64
-    return op
-
-
-def _spec_op_imm(compute):
-    """Specializer factory for rd = f(regs[rs1], imm) instructions."""
-    def spec(core, insn, pc):
-        rd, rs1 = insn.rd, insn.rs1
-        if not rd:
-            return _spec_nop
-        imm = insn.imm
-        regs = core.regs
-
-        def op(core, insn, pc):
-            regs[rd] = compute(regs[rs1], imm)
-        return op
-    return spec
-
-
-def _spec_op_reg(compute):
-    """Specializer factory for rd = f(regs[rs1], regs[rs2]) instructions."""
-    def spec(core, insn, pc):
-        rd, rs1, rs2 = insn.rd, insn.rs1, insn.rs2
-        if not rd:
-            return _spec_nop
-        regs = core.regs
-
-        def op(core, insn, pc):
-            regs[rd] = compute(regs[rs1], regs[rs2])
-        return op
-    return spec
-
-
-_SPECIALIZE = {
-    "lui": _spec_lui,
-    "auipc": _spec_auipc,
-    "addi": _spec_addi,
-    "add": _spec_add,
-    # Immediate ALU forms (identical to the _h_* handlers above).
-    "slti": _spec_op_imm(lambda a, imm: 1 if to_s64(a) < imm else 0),
-    "sltiu": _spec_op_imm(lambda a, imm: 1 if a < to_u64(imm) else 0),
-    "xori": _spec_op_imm(lambda a, imm: a ^ to_u64(imm)),
-    "ori": _spec_op_imm(lambda a, imm: a | to_u64(imm)),
-    "andi": _spec_op_imm(lambda a, imm: a & to_u64(imm)),
-    "slli": _spec_op_imm(lambda a, imm: (a << imm) & MASK64),
-    "srli": _spec_op_imm(lambda a, imm: a >> imm),
-    "srai": _spec_op_imm(lambda a, imm: to_u64(to_s64(a) >> imm)),
-    "addiw": _spec_op_imm(lambda a, imm: sext32_to_u64(a + imm)),
-    "slliw": _spec_op_imm(lambda a, imm: sext32_to_u64(a << imm)),
-    "srliw": _spec_op_imm(
-        lambda a, imm: sext32_to_u64((a & 0xFFFF_FFFF) >> imm)),
-    "sraiw": _spec_op_imm(lambda a, imm: sext32_to_u64(sext(a, 32) >> imm)),
-    # Register ALU forms.
-    "sub": _spec_op_reg(lambda a, b: (a - b) & MASK64),
-    "sll": _spec_op_reg(lambda a, b: (a << (b & 63)) & MASK64),
-    "slt": _spec_op_reg(lambda a, b: 1 if to_s64(a) < to_s64(b) else 0),
-    "sltu": _spec_op_reg(lambda a, b: 1 if a < b else 0),
-    "xor": _spec_op_reg(lambda a, b: a ^ b),
-    "srl": _spec_op_reg(lambda a, b: a >> (b & 63)),
-    "sra": _spec_op_reg(lambda a, b: to_u64(to_s64(a) >> (b & 63))),
-    "or": _spec_op_reg(lambda a, b: a | b),
-    "and": _spec_op_reg(lambda a, b: a & b),
-    "addw": _spec_op_reg(lambda a, b: sext32_to_u64(a + b)),
-    "subw": _spec_op_reg(lambda a, b: sext32_to_u64(a - b)),
-    "sllw": _spec_op_reg(lambda a, b: sext32_to_u64(a << (b & 31))),
-    "srlw": _spec_op_reg(
-        lambda a, b: sext32_to_u64((a & 0xFFFF_FFFF) >> (b & 31))),
-    "sraw": _spec_op_reg(
-        lambda a, b: sext32_to_u64(sext(a, 32) >> (b & 31))),
-}
-for _name in _LOAD_INFO:
-    _SPECIALIZE[_name] = _spec_load
-for _name in _STORE_INFO:
-    _SPECIALIZE[_name] = _spec_store
-del _name

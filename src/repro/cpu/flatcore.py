@@ -359,9 +359,9 @@ def _try_lower(core, plan, region):
 
 def _lower(core, plan, region):
     """Flatten a plan into the parallel arrays of a :class:`Lowered`."""
-    # Generic sites run the module-level handler of their mnemonic, never
-    # the entry's (possibly core-specialized) one, so the value holds no
-    # closure. Imported here: repro.cpu.core imports this module.
+    # Generic sites run the module-level handler of their mnemonic, so
+    # the value holds no closure. Imported here: repro.cpu.core imports
+    # this module.
     from repro.cpu.core import _HANDLERS
     members = plan.members
     head_pc = plan.head_pc

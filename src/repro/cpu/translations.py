@@ -1,16 +1,16 @@
 """Decoded and lowered code as a value shared by forks (DESIGN.md §8).
 
 Everything a core derives from code bytes is plain data: a tier-1
-block is a run of decoded instructions with the physical addresses its
-fetches touch (kept with the generic handlers, not the core's
-specialized ones), and a tier-2 block or region is a
-:class:`~repro.cpu.flatcore.Lowered` value. ``ld.ro``'s key and
-read-only check is never part of it — the flat core takes the full MMU
-path on every execution. A :class:`Translations` value collects those
-units with no core, frame or closure in them, so every fork of one warm
-snapshot can share it: the snapshot's owner publishes a finished fork's
-units onto it (:func:`publish`), and each new fork adopts it and binds
-each unit on its first dispatch (``Core.adopt_translations``).
+block is a run of decoded instructions, each with the generic handler
+of its mnemonic and the physical addresses its fetches touch, and a
+tier-2 block or region is a :class:`~repro.cpu.flatcore.Lowered`
+value. ``ld.ro``'s key and read-only check is never part of it — the
+flat core takes the full MMU path on every execution. A
+:class:`Translations` value collects those units with no core, frame or
+closure in them, so every fork of one warm snapshot can share it: the
+snapshot's owner publishes a finished fork's units onto it
+(:func:`publish`), and each new fork adopts it and binds each unit on
+its first dispatch (``Core.adopt_translations``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 from itertools import chain
 from typing import NamedTuple, Optional
 
-from repro.cpu.core import generic_entries
 from repro.cpu.flatcore import lowering_key
 
 _ZERO_FRAME = bytes(4096)
@@ -28,8 +27,8 @@ class Translations(NamedTuple):
     """The shared units of one warm snapshot, keyed by start pc."""
 
     key: tuple          # flatcore.lowering_key of every unit
-    blocks: dict        # pc -> tier-1 block with generic handlers
-                        # (core.generic_entries), vpn, frame base
+    blocks: dict        # pc -> a core's tier-1 block as it is:
+                        # (entries, vpn, frame base)
     jit: dict           # pc -> Lowered tier-2 block
     regions: dict       # head pc -> Lowered region
     frames: frozenset   # frame numbers all of the above were decoded from
@@ -72,8 +71,7 @@ def publish(translations: "Optional[Translations]", core,
         translations = Translations(key, {}, {}, {}, frozenset())
     old_blocks, old_jit, old_regions = \
         translations.blocks, translations.jit, translations.regions
-    new_blocks = {pc: (generic_entries(entries), vpn, frame)
-                  for pc, (entries, vpn, frame) in blocks.items()
+    new_blocks = {pc: block for pc, block in blocks.items()
                   if pc not in old_blocks}
     new_jit = {pc: unit.lowered for pc, unit in jit.items()
                if pc not in old_jit}

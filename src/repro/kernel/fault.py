@@ -143,7 +143,7 @@ class FaultHandler:
             signal = SignalInfo(SIGSEGV,
                                 f"pointee integrity violation: {reason}",
                                 pc=trap.pc, fault_address=trap.tval,
-                                roload=True, trap=trap)
+                                roload=True)
         # [roload-end]
         else:
             kind = Cause.NAMES.get(trap.cause, "memory fault")
@@ -152,6 +152,6 @@ class FaultHandler:
                                  pid=process.pid, pc=trap.pc,
                                  addr=trap.tval, kind=kind)
             signal = SignalInfo(SIGSEGV, kind, pc=trap.pc,
-                                fault_address=trap.tval, trap=trap)
+                                fault_address=trap.tval)
         process.kill(signal)
         return signal

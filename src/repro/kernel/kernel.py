@@ -225,13 +225,12 @@ class Kernel:
             return
         if trap.cause == Cause.ILLEGAL_INSTRUCTION:
             signal = SignalInfo(SIGILL, "illegal instruction", pc=trap.pc,
-                                fault_address=trap.tval, trap=trap)
+                                fault_address=trap.tval)
             process.kill(signal)
             self._journal_signal(core, signal)
             return
         if trap.cause == Cause.BREAKPOINT:
-            signal = SignalInfo(SIGTRAP, "breakpoint", pc=trap.pc,
-                                trap=trap)
+            signal = SignalInfo(SIGTRAP, "breakpoint", pc=trap.pc)
             process.kill(signal)
             self._journal_signal(core, signal)
             return

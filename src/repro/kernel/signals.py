@@ -9,9 +9,6 @@ security log.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-from repro.cpu.trap import Trap
 
 SIGILL = 4
 SIGTRAP = 5
@@ -31,7 +28,6 @@ class SignalInfo:
     pc: int
     fault_address: int = 0
     roload: bool = False
-    trap: "Optional[Trap]" = None
 
     @property
     def name(self) -> str:

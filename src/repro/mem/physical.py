@@ -245,9 +245,9 @@ class PhysicalMemory:
     def restore_frames(self, frames: "dict[int, bytes]") -> None:
         """Replace the entire backing store with a snapshot's frames.
 
-        Mutates the existing dict in place: decode-specialised ops and
-        JIT code close over :attr:`frame_map` by identity, so the store
-        must never be rebound on a live machine. Frames are validated
+        Mutates the existing dict in place: the store is never rebound
+        on a live machine, so a reference to :attr:`frame_map` taken
+        earlier stays live. Frames are validated
         against the configured geometry first (a malformed frame raises
         :class:`~repro.errors.MemoryError_` before anything is touched).
         """

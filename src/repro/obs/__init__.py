@@ -182,8 +182,7 @@ def register_system(system, registry: "MetricsRegistry | None" = None,
     registry.register_attrs(f"{prefix}.jit", core, "jit_compiled",
                             "jit_flushes", "jit_compile_seconds")
     registry.register_attrs(f"{prefix}.region", core, "regions_compiled",
-                            "flat_regions_compiled", "region_side_exits",
-                            "region_compile_seconds")
+                            "region_side_exits", "region_compile_seconds")
     registry.register_source(f"{prefix}.jit.flush_causes",
                              lambda c=core: dict(c.flush_causes))
     registry.register_source(f"{prefix}.tier.residency",

@@ -69,7 +69,6 @@ class Sampler:
             "tier4": core.tier4_retired,
             "jit_compiled": core.jit_compiled,
             "regions_compiled": core.regions_compiled,
-            "flat_regions_compiled": core.flat_regions_compiled,
         }
         row["tier2"] = instret - row["tier0"] - row["tier1"] - row["tier4"]
         mstats = getattr(mmu, "stats", None)
@@ -134,6 +133,5 @@ class Sampler:
                 "ts": ts, "type": "counter.sampled.compiled",
                 "cat": "sim", "jit_compiled": row["jit_compiled"],
                 "regions_compiled": row["regions_compiled"],
-                "flat_regions_compiled": row["flat_regions_compiled"],
             })
         return events

@@ -360,8 +360,8 @@ def restore(snap: Snapshot, *, system=None, cow: bool = False,
         if cache is not None and counters is not None:
             cache.hits = counters["hits"]
             cache.misses = counters["misses"]
-    # Mutate the stats object in place: specialised ops and JIT code
-    # reference it through the timing model they captured at build time.
+    # Mutate the stats object in place: bound flat-core units hold it
+    # by identity from the time they were bound.
     for name, value in state["timing"].items():
         setattr(system.timing.stats, name, value)
 

@@ -91,16 +91,16 @@ def test_residency_attributes_region_instructions(monkeypatch):
 
 
 def test_residency_attributes_flat_region_instructions(monkeypatch):
-    """Every region is a flat region: the record keeps the flat-core
-    counter name, and the legacy tier-3 attribute stays a constant 0."""
+    """Every region is a flat region, counted once as regions_compiled;
+    the legacy tier-3 attribute stays a constant 0."""
     core = tier_core(monkeypatch, "tier4")
     countdown_loop(core, 50)
     core.run(10_000, trap_handler=None)
     residency = core.tier_residency()
     assert "tier3_retired" not in residency
+    assert "flat_regions_compiled" not in residency
     assert core.tier3_retired == 0
-    assert residency["flat_regions_compiled"] \
-        == core.flat_regions_compiled == core.regions_compiled >= 1
+    assert residency["regions_compiled"] == core.regions_compiled >= 1
 
 
 # -- overlap suppression -----------------------------------------------------

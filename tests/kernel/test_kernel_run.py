@@ -1,5 +1,8 @@
 """End-to-end kernel tests: load, run, syscalls, fault discrimination."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import SimulationError
@@ -214,6 +217,33 @@ class TestFaultDiscrimination:
     .section .rodata.key.42
     table: .quad 7
     """
+
+    ILLEGAL = r"""
+    .globl _start
+    _start:
+        .word 0xffffffff
+    """
+
+    @pytest.mark.parametrize("source", [WRONG_KEY, ILLEGAL],
+                             ids=["sigsegv", "sigill"])
+    def test_killed_machine_dies_without_a_collection(self, source):
+        # The signal record must not keep the trap: the trap's traceback
+        # holds the frames of the run, and with them the kernel, so each
+        # killed machine would wait for a full garbage collection.
+        kernel = Kernel(build_system("processor+kernel",
+                                     memory_size=64 << 20))
+        process = kernel.create_process(build_image(source))
+        kernel.run(process)
+        assert process.state is ProcessState.KILLED
+        core = kernel.system.core
+        core.flush_decode_cache("release")   # lowered code holds the core
+        ref = weakref.ref(core)
+        gc.disable()
+        try:
+            del kernel, process, core
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_roload_fault_logged_and_sigsegv(self, kernel):
         process = kernel.create_process(build_image(self.WRONG_KEY))

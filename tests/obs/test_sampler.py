@@ -39,7 +39,6 @@ class _StubCore:
         self.tier4_retired = 0
         self.jit_compiled = 0
         self.regions_compiled = 0
-        self.flat_regions_compiled = 0
 
 
 def test_interval_must_be_positive():

@@ -128,11 +128,16 @@ class TestWarmForks:
 
     @pytest.mark.parametrize("tier", ["tier1", "tier2", "tier4"])
     def test_adopted_blocks_run_as_shared_on_every_tier(self, pool, tier):
-        # One way to make an adopted tier-1 block runnable, whatever the
-        # core's tiers: the shared recipe itself, decoded as a cold
-        # build decodes the pc, with the generic handlers.
+        # One way to make a tier-1 block runnable, whatever the core's
+        # tiers and whether it was built cold or adopted: the generic
+        # handlers, and an adopted block is the shared recipe itself,
+        # decoded as a cold build decodes the pc.
         shared = _publish_from(pool)
         _, cold = _stepped(_cold_session(pool, tier))
+        assert cold._blocks
+        for pc, block in cold._blocks.items():
+            assert all(e[0] is _HANDLERS[e[1].name] for e in block[0]), \
+                hex(pc)
         _, warm = _stepped(_session(pool, tier))
         adopted = warm._blocks.keys() & shared.blocks.keys()
         assert adopted
@@ -143,6 +148,16 @@ class TestWarmForks:
             if pc in cold._blocks:
                 assert [e[1:] for e in block[0]] \
                     == [e[1:] for e in cold._blocks[pc][0]], hex(pc)
+
+    @pytest.mark.parametrize("tier", ["tier1", "tier4"])
+    def test_publish_stores_the_cores_own_blocks(self, pool, tier):
+        entry, _ = pool.warm(KEY)
+        _, core = _stepped(_cold_session(pool, tier))
+        shared = publish(None, core, entry.snapshot)
+        assert shared is not None
+        assert shared.blocks.keys() == core._blocks.keys()
+        for pc, block in core._blocks.items():
+            assert shared.blocks[pc] is block, hex(pc)
 
     def test_destroyed_session_core_dies_without_a_collection(self, pool):
         _publish_from(pool)

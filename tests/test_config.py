@@ -7,6 +7,8 @@ checker.
 """
 
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +150,21 @@ def test_knob_table_mentions_every_knob():
     for knob in config.KNOBS:
         assert knob.env in table
         assert knob.field in table
+
+
+def test_readme_knob_table_lists_exactly_the_knobs():
+    # README's table is written by hand: a knob added or removed in
+    # KNOBS must be added to or removed from it too.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(REPRO_\w+)=[^`]*` \| `(\w+)` \|", readme,
+                      re.MULTILINE)
+    assert set(rows) == {(knob.env, knob.field) for knob in config.KNOBS}
+
+
+def test_module_docstring_knob_table_lists_exactly_the_knobs():
+    rows = re.findall(r"^(REPRO_\w+)\s+(\w+)\s", config.__doc__,
+                      re.MULTILINE)
+    assert set(rows) == {(knob.env, knob.field) for knob in config.KNOBS}
 
 
 def test_every_config_field_has_a_knob_and_vice_versa():

@@ -388,6 +388,83 @@ def test_lru_order_matches_on_both_runners(monkeypatch, use_runner):
     assert process.exit_code == 0
 
 
+# A hot inner loop of three blocks, then three calls a pass: about a
+# dozen distinct blocks and two dozen distinct instruction words, far
+# more than the shrunken caches below hold.
+CAPACITY_LOOP = r"""
+.globl _start
+_start:
+    li s0, 1
+    li s1, 40
+    la s2, buf
+outer:
+    li t0, 8
+inner:
+    addi s0, s0, 3
+    andi t1, s0, 1
+    beqz t1, even
+    xori s0, s0, 5
+even:
+    addi t0, t0, -1
+    bnez t0, inner
+    call f1
+    call f2
+    call f3
+    addi s1, s1, -1
+    bnez s1, outer
+    andi a0, s0, 0xff
+    li a7, 93
+    ecall
+f1:
+    slli t2, s0, 1
+    add s0, s0, t2
+    ret
+f2:
+    srli t2, s0, 3
+    xor s0, s0, t2
+    ret
+f3:
+    sd s0, 0(s2)
+    ld t4, 0(s2)
+    add s0, s0, t4
+    ret
+.data
+buf: .quad 0
+"""
+
+
+def test_capacity_flushes_match_on_both_runners(monkeypatch, use_runner):
+    """Block and decode caches shrunk on one core: the block cache
+    flushes on capacity and the decode caches wrap every outer pass,
+    dropping lowered units with the blocks, and every configuration
+    still ends in the slow tier's machine and exit state."""
+    def run(tier):
+        set_tier(monkeypatch, tier)
+        kernel = Kernel(build_system("processor+kernel",
+                                     memory_size=64 << 20))
+        core = kernel.system.core
+        core._block_cache_cap = 4
+        core._decode_cache_cap = 8
+        process = kernel.create_process(link([assemble(CAPACITY_LOOP)]))
+        kernel.run(process)
+        assert len(core._blocks) <= 4, tier
+        assert len(core._decode_cache) <= 8, tier
+        return core, (process.state, process.exit_code, machine_state(core))
+
+    use_runner("python")
+    __, slow = run("slow")
+    assert slow[0] is ProcessState.EXITED
+    for tier, runner in CONFIGS:
+        use_runner(runner)
+        core, outcome = run(tier)
+        assert outcome == slow, (tier, runner)
+        assert core.flush_causes["block_cache_capacity"] >= 1, (tier, runner)
+        if tier != "tier1":                                 # non-vacuity
+            assert core.jit_compiled > 0, (tier, runner)
+        if tier == "tier4":
+            assert core.tier4_retired > 0, runner
+
+
 def test_smc_abort_resumes_at_same_pc(monkeypatch, use_runner):
     """A unit that patches its own code leaves right after the store;
     on both runners every trampoline return lands on the same pc with
