@@ -61,19 +61,6 @@ REPRO_SERVE_INSTRET     serve_instret       10000000 default per-session
 REPRO_SERVE_FRAMES      serve_frames        8192     default per-session
                                                      private-frame cap
                                                      (fail closed)
-REPRO_SERVE_BOOT        serve_boot          4096     warm-snapshot boot
-                                                     point (instructions
-                                                     retired before capture)
-REPRO_FUZZ_EXECUTIONS   fuzz_executions     10000    default campaign budget
-                                                     (executions) for
-                                                     roload-fuzz
-REPRO_FUZZ_SEED         fuzz_seed           1        campaign PRNG seed
-                                                     (campaigns are
-                                                     deterministic per seed)
-REPRO_FUZZ_CORPUS       fuzz_corpus         256      max corpus entries kept
-                                                     by the guided scheduler
-REPRO_FUZZ_SCHEDULE     fuzz_schedule       3        max injection-schedule
-                                                     entries per fuzz input
 ======================  ==================  =======  =========================
 
 The four interpreter tiers (slow, tier1, tier2, tier4) are named
@@ -194,11 +181,6 @@ class Config:
     serve_slice: int = 50_000
     serve_instret: int = 10_000_000
     serve_frames: int = 8192
-    serve_boot: int = 4096
-    fuzz_executions: int = 10_000
-    fuzz_seed: int = 1
-    fuzz_corpus: int = 256
-    fuzz_schedule: int = 3
 
     @property
     def effective_jit(self) -> bool:
@@ -300,17 +282,6 @@ KNOBS: "tuple[Knob, ...]" = (
          "default per-session retired-instruction budget (fail closed)"),
     Knob("serve_frames", "REPRO_SERVE_FRAMES", _parse_positive_int(8192),
          str, "default per-session private-frame cap (fail closed)"),
-    Knob("serve_boot", "REPRO_SERVE_BOOT", _parse_positive_int(4096),
-         str, "warm-snapshot boot point (instructions before capture)"),
-    Knob("fuzz_executions", "REPRO_FUZZ_EXECUTIONS",
-         _parse_positive_int(10_000), str,
-         "default roload-fuzz campaign budget (executions)"),
-    Knob("fuzz_seed", "REPRO_FUZZ_SEED", _parse_nonneg_int(1), str,
-         "campaign PRNG seed (campaigns are deterministic per seed)"),
-    Knob("fuzz_corpus", "REPRO_FUZZ_CORPUS", _parse_positive_int(256),
-         str, "max corpus entries kept by the guided scheduler"),
-    Knob("fuzz_schedule", "REPRO_FUZZ_SCHEDULE", _parse_positive_int(3),
-         str, "max injection-schedule entries per fuzz input"),
 )
 
 _KNOB_BY_NAME: "Dict[str, Knob]" = {}

@@ -1,16 +1,16 @@
 /*
- * Native runner of the flat core (repro.cpu.flatcore).
+ * Runner of the flat core (repro.cpu.flatcore).
  *
- * A C port of ``_run``, the dispatch loop that executes one lowered
- * unit (a tier-2 block or a tier-4 region), together with the helper
- * closures ``_bind`` creates around it (_lf, _fl, _sy, _xt, _dmiss,
- * _imiss, _irp, _wchk, _lfl and _sfl). It reads the same parallel
- * arrays the Python loop reads, packed by ``flatcore._lower`` into
- * ``Lowered.PACKED`` (little-endian uint64 columns, ``NF`` of them,
- * ``nsite`` entries each), and it keeps every architectural and
- * simulated-cache side effect of the Python loop, in the same order.
- * The Python loop stays the reference: the differential suite runs
- * every workload on both.
+ * ``run`` is the dispatch loop that executes one lowered unit (a tier-2
+ * block or a tier-4 region); ``bind`` (``flatcore._bind``) makes the
+ * ``Unit`` that holds one unit's arrays and the core objects it reads.
+ * The arrays are packed by ``flatcore._lower`` into ``Lowered.PACKED``
+ * (little-endian uint64 columns, ``NF`` of them, ``nsite`` entries
+ * each). Every architectural and simulated-cache side effect is the
+ * one the slow tier (``Core.step``) produces, in the same order; the
+ * differential suite (tests/test_fastpath_equivalence.py) compares the
+ * two on every workload. Where this file cannot be built, tiers 2 and
+ * 4 are off and nothing is lowered (repro.cpu.native).
  *
  * What stays in Python (called back, never cached here):
  *   - generic sites (``GH`` handlers), ``ld.ro`` (every execution takes
@@ -24,6 +24,9 @@
  *     deferred LRU moves are replayed with ``move_to_end``.
  *
  * Contracts with the Python side:
+ *   - the core: a unit holds it only while it runs, so the core's caches
+ *     of units form no reference cycle with it; callouts into the core's
+ *     methods pass it as the first argument;
  *   - registers: ``core.regs`` is loaded into ``R`` on entry; registers
  *     written since the last sync (``dirty``) are stored back before
  *     every callout, exit and raise, and ``R`` is reloaded after every
@@ -75,8 +78,8 @@ typedef struct {
     Py_ssize_t n, cap;
 } Vec;
 
-/* One load/store site's cached page (SGB/SPT/SVP/SEP in the Python
-   loop). ``gb`` is the guard base (vpn << 12), NONE64 when empty. */
+/* One load/store site's cached page. ``gb`` is the guard base
+   (vpn << 12), NONE64 when empty. */
 typedef struct {
     uint64_t gb, ep, vp, pp;
     PyObject *fb;
@@ -87,8 +90,13 @@ typedef struct {
     PyObject_HEAD
     vectorcallfunc vectorcall;
     PyObject *weakrefs;
-    /* bound objects */
-    PyObject *core, *packed, *gh, *irt, *ilines, *mmu, *stats, *load,
+    /* The core, held only while the unit runs: between runs the unit
+       reaches it through the weak reference ``wcore``, so a core and
+       the units it caches form no reference cycle. */
+    PyObject *core;
+    /* bound objects; ``load``, ``store``, ``jlf`` and ``jsf`` are the
+       core class's functions, called with the core first */
+    PyObject *wcore, *packed, *gh, *irt, *ilines, *mmu, *stats, *load,
         *store, *icache, *isets, *dcache, *dsets, *dtlb, *tent, *mmu_stats,
         *dload, *jload, *jlf, *dstore, *jstore, *jsf, *memory, *wmemo,
         *mmio, *fpages, *cframes;
@@ -523,8 +531,8 @@ fill(Unit *u, Py_ssize_t i, uint64_t vp, int um, int store)
     if (mo != NULL)
         Py_INCREF(mo);
     else if (PyErr_Occurred()
-             || (mo = PyObject_CallOneArg(store ? u->jsf : u->jlf,
-                                          key)) == NULL) {
+             || (mo = PyObject_CallFunctionObjArgs(
+                     store ? u->jsf : u->jlf, u->core, key, NULL)) == NULL) {
         Py_DECREF(key);
         return -1;
     }
@@ -1035,8 +1043,8 @@ out:
             else if (!rf_) { \
                 SYNC(i); BEFORE_CALL(); \
                 PyObject *r_ = PyObject_CallFunction( \
-                    u->load, "KiO", (unsigned long long)va, (width), \
-                    (sgn) ? Py_True : Py_False); \
+                    u->load, "OKiO", u->core, (unsigned long long)va, \
+                    (width), (sgn) ? Py_True : Py_False); \
                 if (r_ == NULL) goto error; \
                 v = PyLong_AsUnsignedLongLong(r_); Py_DECREF(r_); \
                 if (v == M64 && PyErr_Occurred()) goto error; \
@@ -1077,8 +1085,8 @@ out:
             else if (!rf_) { \
                 SYNC(i); BEFORE_CALL(); \
                 PyObject *r_ = PyObject_CallFunction( \
-                    u->store, "KiK", (unsigned long long)va, (width), \
-                    (unsigned long long)sv_); \
+                    u->store, "OKiK", u->core, (unsigned long long)va, \
+                    (width), (unsigned long long)sv_); \
                 if (r_ == NULL) goto error; \
                 Py_DECREF(r_); \
                 AFTER_CALL(); \
@@ -1356,8 +1364,9 @@ run(Unit *u, int64_t b)
             SYNC(i);
             BEFORE_CALL();
             PyObject *r_ = PyObject_CallFunction(
-                u->load, "KiKOK", (unsigned long long)R[rb], (int)rc,
-                (unsigned long long)xv, s_read_ro, (unsigned long long)imv);
+                u->load, "OKiKOK", u->core, (unsigned long long)R[rb],
+                (int)rc, (unsigned long long)xv, s_read_ro,
+                (unsigned long long)imv);
             if (r_ == NULL)
                 goto error;
             uint64_t v = PyLong_AsUnsignedLongLong(r_);
@@ -1414,8 +1423,8 @@ run(Unit *u, int64_t b)
             SYNC(i);
             BEFORE_CALL();
             PyObject *r_ = PyObject_CallFunction(
-                u->load, "KiK", (unsigned long long)(R[rb] + imv), (int)rc,
-                (unsigned long long)xv);
+                u->load, "OKiK", u->core, (unsigned long long)(R[rb] + imv),
+                (int)rc, (unsigned long long)xv);
             if (r_ == NULL)
                 goto error;
             uint64_t v = PyLong_AsUnsignedLongLong(r_);
@@ -1431,8 +1440,8 @@ run(Unit *u, int64_t b)
             SYNC(i);
             BEFORE_CALL();
             PyObject *r_ = PyObject_CallFunction(
-                u->store, "KiK", (unsigned long long)(R[rb] + imv), (int)ad,
-                (unsigned long long)R[rc]);
+                u->store, "OKiK", u->core, (unsigned long long)(R[rb] + imv),
+                (int)ad, (unsigned long long)R[rc]);
             if (r_ == NULL)
                 goto error;
             Py_DECREF(r_);
@@ -1518,7 +1527,29 @@ unit_vectorcall(PyObject *self, PyObject *const *args, size_t nargsf,
     int64_t b = PyLong_AsLongLong(args[0]);
     if (b == -1 && PyErr_Occurred())
         return NULL;
-    return run((Unit *)self, b);
+    Unit *u = (Unit *)self;
+    PyObject *core;
+#if PY_VERSION_HEX >= 0x030D0000
+    if (PyWeakref_GetRef(u->wcore, &core) < 0)
+        return NULL;
+#else
+    core = PyWeakref_GetObject(u->wcore);
+    if (core == NULL)
+        return NULL;
+    core = core == Py_None ? NULL : Py_NewRef(core);
+#endif
+    if (core == NULL) {
+        PyErr_SetString(PyExc_ReferenceError, "the unit's core is gone");
+        return NULL;
+    }
+    /* A callout may run another unit, or this one again: restore the
+       outer run's core on the way out. */
+    PyObject *outer = u->core;
+    u->core = core;
+    PyObject *next = run(u, b);
+    u->core = outer;
+    Py_DECREF(core);
+    return next;
 }
 
 static void
@@ -1530,7 +1561,7 @@ unit_clear_sites(Unit *u)
         Py_CLEAR(u->sc[i].fb);
 }
 
-#define UNIT_OBJECTS(X) X(core) X(packed) X(gh) X(irt) X(ilines) X(mmu) \
+#define UNIT_OBJECTS(X) X(wcore) X(packed) X(gh) X(irt) X(ilines) X(mmu) \
     X(stats) X(load) X(store) X(icache) X(isets) X(dcache) X(dsets) \
     X(dtlb) X(tent) X(mmu_stats) X(dload) X(jload) X(jlf) X(dstore) \
     X(jstore) X(jsf) X(memory) X(wmemo) X(mmio) X(fpages) X(cframes)
@@ -1599,7 +1630,9 @@ lookup_attr(PyObject *obj, const char *name)
 
    ``icache`` may be None (no I-cache); ``dcache`` and ``dtlb`` through
    ``mmio`` are all None without a flat D-side; ``params`` is the core's
-   TimingParams. */
+   TimingParams. ``load``, ``store``, ``jlf`` and ``jsf`` are functions
+   of the core's class, not bound methods, and the unit keeps only a
+   weak reference to ``core``. */
 static PyObject *
 bind(PyObject *mod, PyObject *args)
 {
@@ -1638,6 +1671,7 @@ bind(PyObject *mod, PyObject *args)
 #define NULLIFY(f) u->f = NULL;
     UNIT_OBJECTS(NULLIFY)
 #undef NULLIFY
+    u->core = NULL;
     u->sc = NULL;
     memset(&u->dl, 0, sizeof(Vec));
     memset(&u->cl, 0, sizeof(Vec));
@@ -1653,12 +1687,14 @@ bind(PyObject *mod, PyObject *args)
     u->PQT = pqt;
     u->epoch = 0;
 #define KEEP(f) Py_INCREF(f); u->f = f;
-    KEEP(core) KEEP(packed) KEEP(gh) KEEP(irt) KEEP(ilines) KEEP(mmu)
+    KEEP(packed) KEEP(gh) KEEP(irt) KEEP(ilines) KEEP(mmu)
     KEEP(stats) KEEP(load) KEEP(store) KEEP(icache) KEEP(dcache) KEEP(dtlb)
     KEEP(dload) KEEP(jload) KEEP(jlf) KEEP(dstore) KEEP(jstore) KEEP(jsf)
     KEEP(memory) KEEP(wmemo) KEEP(mmio) KEEP(fpages) KEEP(cframes)
 #undef KEEP
     PyObject_GC_Track(u);
+    if ((u->wcore = PyWeakref_NewRef(core, NULL)) == NULL)
+        goto fail;
 
     if (attr_i64s(params, "base_cpi", &u->CPI) < 0
             || attr_i64s(params, "cache_miss_penalty", &u->PEN) < 0

@@ -28,6 +28,7 @@ from repro.isa.opcodes import (
     STORE_INFO as _STORE_INFO,
     MemOp,
 )
+from repro.cpu import flatcore as _flatcore
 from repro.cpu.csr import CSRFile
 from repro.cpu.flatcore import (
     bind as _bind_unit,
@@ -179,8 +180,10 @@ class Core:
         # Tier 2 (DESIGN.md §9): blocks dispatched at least
         # jit_threshold times are lowered to the flat core one block
         # each (repro.cpu.flatcore.compile_block) and chained directly.
+        # Lowered units run on the native runner only: where it could
+        # not be built, tiers 2 and 4 are off (DESIGN.md §13.1).
         self.jit_enabled = (_jit_default() if jit is None else jit) \
-            and self.fast_path_enabled
+            and self.fast_path_enabled and _flatcore._native is not None
         self.jit_threshold = _jit_threshold_default() \
             if jit_threshold is None else max(1, jit_threshold)
         self._jit_blocks: "dict[int, object]" = {}   # start pc -> JITBlock
@@ -249,6 +252,14 @@ class Core:
     tier3_retired = 0
 
     # -- observability -------------------------------------------------------
+
+    def __del__(self):
+        # Bound units reach this core only weakly, but the chain links
+        # of a hot loop make a ring of them, and each holds this core's
+        # memory, MMU and caches: break the ring so they go with the
+        # core instead of waiting for a full collection.
+        for rec in getattr(self, "_jit_blocks", {}).values():
+            rec.links.clear()
 
     def tier_residency(self) -> dict:
         """Retired-instruction attribution per interpreter tier."""

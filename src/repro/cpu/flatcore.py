@@ -5,33 +5,31 @@ one-member, non-loop plan (:func:`compile_block`); the tier-4 region
 tier plans superblocks over the tier-2 edge profile (repro.cpu.regions)
 and lowers each plan (:func:`compile_region`). Either way nothing is
 generated as code: every member instruction becomes one or more
-entries in parallel integer arrays — opcode-handler index, rd/rs1/rs2, folded
+entries in parallel integer arrays — opcode, rd/rs1/rs2, folded
 immediates, and static per-site catch-up metadata — executed by one
-shared dispatch loop (``_run``) whose hot state lives in function
-locals.
+shared dispatch loop, the native runner (``_flatcore_native.c``, built
+at import by repro.cpu.native).
 
 * zero compile cost: lowering is pure data manipulation (a few us per
   region), so duplicate alternate-entry heads are worth lowering after
   few arrivals (``DEFER_FACTOR``) and region coverage regrows quickly
   after every flush — and in every freshly forked session;
-* the register file is the live ``core.regs`` list indexed by
-  pre-decoded operand numbers — no per-region register locals, no
-  flush on exit, and the architectural file is always current when a
-  fault propagates (the ``except`` repair only drains counters);
+* the register file is ``core.regs`` indexed by pre-decoded operand
+  numbers, stored back before every callout, exit and raise, so the
+  architectural file is current when a fault propagates;
 * branch/jump penalty cycles and muldiv latency are *statically
   deferred*: the lowering records cumulative penalty counts per site
-  (``BP``/``MU``) exactly like the retire counter (``NI``), so the hot
-  loop does not touch ``stats`` at all between syncs;
-* deferred retire catch-up (``fc``), deferred I-fetch hit credit
-  (``PQ``/``pf``), LRU change-lists replayed by ``_lf`` (dedup-by-last:
-  replay is invariant under collapsing consecutive duplicates, so the
-  reconstructed order is the eager order), numeric D-hit counters
-  (``dh``/``ch``) drained at exits and raises only, last-page cached
-  frame views behind a page+alignment guard, warm-loop I-probe elision
-  with rotation-table replay (``_IRT``), side exits, the
-  ``_block_abort`` SMC deopt, and the loop backedge budget check (so
-  ``step_block(limit)`` never overshoots and the snapshot machinery's
-  exact-pause contract holds).
+  (``BP``/``MU``) exactly like the retire counter (``NI``), so the
+  runner does not touch ``stats`` at all between syncs;
+* deferred retire catch-up, deferred I-fetch hit credit (``PQ``), LRU
+  change-lists replayed deduplicated by last occurrence (replay is
+  invariant under collapsing consecutive duplicates, so the
+  reconstructed order is the eager order), D-hit counters drained at
+  exits and raises only, last-page cached frame views behind a
+  page+alignment guard, warm-loop I-probe elision with rotation-table
+  replay (``IRT``), side exits, the ``_block_abort`` SMC deopt, and the
+  loop backedge budget check (so ``step_block(limit)`` never overshoots
+  and the snapshot machinery's exact-pause contract holds).
 
 ``ld.ro`` (the ROLoad family) is never cached: every execution syncs
 and takes the full ``Core.load`` -> ``MMU.translate`` path so the
@@ -42,22 +40,18 @@ the cached views. Lowered blocks and regions are invalidated by
 Lowering (:func:`_lower`) and binding (:func:`bind`) are separate
 steps: a :class:`Lowered` value depends on the code and on the inputs
 named by :func:`lowering_key`, never on one core, so forks of one warm
-snapshot share it and only bind (repro.cpu.translations).
+snapshot share it and only bind (repro.cpu.translations). Binding makes
+a native unit that holds the core; generic sites, ``ld.ro`` and the
+eager ``Core.load``/``Core.store`` paths call back into Python, except
+the D-TLB refills the runner serves itself (DESIGN.md §13.1). Where the
+extension cannot be built, :func:`runner` reads ``"none"`` and the core
+runs tiers 0 and 1 only; there is no switch (DESIGN.md §13.1).
 
-Two runners execute a bound unit. The native runner
-(``_flatcore_native.c``, built at import by repro.cpu.native) runs this
-same dispatch ladder in C over ``Lowered.PACKED``, the arrays below
-packed as uint64 columns; generic sites, ``ld.ro`` and the eager
-``Core.load``/``Core.store`` paths call back into Python, except the
-D-TLB refills it serves itself (DESIGN.md §13.1). The Python
-loop (``_run`` in :func:`_bind_python`) is the reference, and it runs
-wherever the extension cannot be built. :func:`runner` names the one in
-use; there is no switch (DESIGN.md §13.1).
-
-Array layout (parallel, one slot per stream entry):
+Array layout (parallel, one slot per stream entry, packed in this
+order as the uint64 columns of ``Lowered.PACKED``):
 
 ====  =====================================================
-OPS   opcode (dispatch ladder index; literals in ``_run``)
+OPS   opcode (dispatch index; the ``OP_*`` constants below)
 A     rd / handler slot / cond code / set index / width
 B     rs1
 C     rs2 / packed width|signed
@@ -78,7 +72,6 @@ produce identical architectural state, counters included.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from typing import NamedTuple
 
@@ -107,28 +100,22 @@ _H63 = 0x8000000000000000
 # passes.
 DEFER_FACTOR = 8
 
-# The flat cached-view arms index little-endian "Q" casts; big-endian
-# hosts fall back to the eager (architectural) path for every access.
-_NATIVE_LE = sys.byteorder == "little"
-
-# "No value yet" marker for the load arms (0 and -1 are real values).
-_S = object()
-
 # The native runner module, or None where it could not be built: then
-# every unit runs the Python loop.
+# nothing is lowered, because repro.cpu.core turns tiers 2 and 4 off.
 _native = native.load()
 if _native is not None:
     _native.setup(Trap, Cause.LOAD_PAGE_FAULT, Cause.STORE_PAGE_FAULT)
 
 
 def runner() -> str:
-    """Which loop runs bound units: ``"native"`` or ``"python"``."""
-    return "python" if _native is None else "native"
+    """What runs bound units: ``"native"``, or ``"none"`` where the
+    extension could not be built (:data:`repro.cpu.native.failure` says
+    why) and the core runs tiers 0 and 1 only."""
+    return "none" if _native is None else "native"
 
 
-# Opcodes. The dispatch ladder in _run tests literal ints (locals or
-# globals would cost a LOAD per test); keep this table and the ladder
-# comments in sync. Ordered roughly hottest-first.
+# Opcodes. The runner's ``switch`` in ``_flatcore_native.c`` uses the
+# literal ints; keep this table and its case comments in sync.
 OP_ADDI = 1
 OP_LD8 = 2
 OP_ADD = 3
@@ -244,13 +231,12 @@ class Lowered(NamedTuple):
 
     Everything :func:`bind` needs to rebuild the unit on any core whose
     :func:`lowering_key` matches the one it was lowered under: the unit
-    shape, the code pages it was decoded from, and the parallel arrays
-    (``DC`` is the packed ``zip(OPS, A, B, C, IM, X)`` the Python loop
-    reads; ``PACKED`` holds all twelve arrays as uint64 columns for the
-    native runner). It holds no core, frame or closure — the
+    shape, the code pages it was decoded from, the generic-site
+    handlers and the twelve parallel arrays, packed into ``PACKED`` for
+    the native runner. It holds no core, frame or closure — the
     generic-site handlers in ``GH`` are the module-level ones of
     repro.cpu.core — so forks of one warm snapshot share it
-    (repro.cpu.translations).
+    (repro.cpu.translations); the bound native unit holds the core.
     """
 
     region: bool
@@ -262,13 +248,6 @@ class Lowered(NamedTuple):
     pcs: tuple          # region member start pcs, trace order
     spans: tuple        # region member (start, end) pc ranges
     dside: bool
-    DC: tuple
-    NI: tuple
-    BP: tuple
-    MU: tuple
-    PQ: tuple
-    JX: tuple
-    PCA: tuple
     GH: tuple
     BPT: int
     MUT: int
@@ -282,7 +261,7 @@ def _dside(core) -> bool:
     """Whether loads and stores lower to the flat D-side fast path."""
     mmu = core.mmu
     return bool(core._dside_cap) and getattr(mmu, "dtlb", None) is not None \
-        and not mmu.bare and _NATIVE_LE
+        and not mmu.bare
 
 
 def lowering_key(core) -> tuple:
@@ -583,28 +562,23 @@ def _lower(core, plan, region):
         tuple(m.pc for m in members) if region else (),
         tuple((m.pc, m.entries[-1][2] + 4) for m in members)
         if region else (),
-        dside, tuple(zip(ops, aa, bb, cc, im, xx)), tuple(ni), tuple(bp),
-        tuple(mu), tuple(pq), tuple(jx), tuple(pca), tuple(gh),
-        bpc, muc, pcum, irt, ilines, packed.tobytes())
+        dside, tuple(gh), bpc, muc, pcum, irt, ilines, packed.tobytes())
 
 
 def _bind(core, lowered):
-    """The budget -> next-pc callable that runs ``lowered`` on ``core``,
-    on the native runner when it is built."""
-    if _native is None:
-        return _bind_python(core, lowered)
-    return _bind_native(core, lowered)
-
-
-def _bind_native(core, lowered):
-    """Bind the native runner to the same core objects
-    :func:`_bind_python` closes over."""
+    """The native unit that runs ``lowered`` on ``core``: a budget ->
+    next-pc callable holding the core objects the runner reads and
+    calls back into. It reaches the core itself through a weak
+    reference, and calls the methods of the core's class with the core
+    as their first argument, so the units a core caches hold no
+    reference to it."""
     dside = lowered.dside
     mmu = core.mmu
+    cls = type(core)
     if dside:
         dside_state = (mmu.dtlb, core._dload_pages, core._jload_memo,
-                       core._jload_fill, core._dstore_pages,
-                       core._jstore_memo, core._jstore_fill, core.memory,
+                       cls._jload_fill, core._dstore_pages,
+                       core._jstore_memo, cls._jstore_fill, core.memory,
                        mmu._walk_memo, core.mmio)
     else:
         dside_state = (None,) * 10
@@ -612,1474 +586,6 @@ def _bind_native(core, lowered):
         core, lowered.PACKED, lowered.GH, lowered.IRT, lowered.ILINES,
         lowered.n, lowered.head_pc, lowered.loop, dside, lowered.BPT,
         lowered.MUT, lowered.PQT, core.timing.params, mmu,
-        core.timing.stats, core.load, core.store, core.icache,
+        core.timing.stats, cls.load, cls.store, core.icache,
         core.dcache if dside else None, *dside_state, core._fetch_pages,
         core._code_frames)
-
-
-def _bind_python(core, lowered):
-    """Close the Python loop over one unit's arrays and the core's
-    hot state. Everything the dispatch loop touches per instruction is
-    a local of ``_run`` or an argument-free closure; ``stats`` and the
-    cache objects are only reached at syncs, misses, and exits."""
-    NT, HEAD, LOOP, dside = \
-        lowered.n, lowered.head_pc, lowered.loop, lowered.dside
-    DC, NI, BP, MU, PQ, JX, PCA, GH = (
-        lowered.DC, lowered.NI, lowered.BP, lowered.MU, lowered.PQ,
-        lowered.JX, lowered.PCA, lowered.GH)
-    BPT, MUT, PQT, IRT, ILINES = (
-        lowered.BPT, lowered.MUT, lowered.PQT, lowered.IRT, lowered.ILINES)
-    mmu = core.mmu
-    stats = core.timing.stats
-    timing = core.timing.params
-    CPI = timing.base_cpi
-    PEN = timing.cache_miss_penalty
-    TBP = timing.taken_branch_penalty
-    JP = timing.jump_penalty
-    load = core.load
-    store = core.store
-    icache = core.icache
-    dcache = core.dcache
-    ICH = icache is not None
-    isets = icache.line_sets if ICH else None
-    IMK = icache.num_sets - 1 if ICH else 0
-    IWAYS = icache.ways if ICH else 0
-    use_dc = dcache is not None and dside
-    dsets = dcache.line_sets if use_dc else None
-    DSH = dcache.line_shift if use_dc else 0
-    DMK = dcache.num_sets - 1 if use_dc else 0
-    DWAYS = dcache.ways if use_dc else 0
-    WARM = LOOP and ICH
-    fpages = core._fetch_pages
-    cframes = core._code_frames
-    if dside:
-        dtlb = mmu.dtlb
-        tent = dtlb.entry_map
-        mmu_stats = mmu.stats
-        dload = core._dload_pages
-        jload = core._jload_memo
-        jlget = jload.get
-        jlf = core._jload_fill
-        dstore = core._dstore_pages
-        jstore = core._jstore_memo
-        jsget = jstore.get
-        jsf = core._jstore_fill
-    else:
-        dtlb = tent = mmu_stats = None
-        dload = jload = jlget = jlf = None
-        dstore = jstore = jsget = jsf = None
-    mv = memoryview
-    LPF = Cause.LOAD_PAGE_FAULT
-    SPF = Cause.STORE_PAGE_FAULT
-
-    # Packed decode (DC): one tuple fetch + unpack per dispatch instead
-    # of four to six parallel-array subscripts. The static catch-up
-    # arrays (NI/BP/MU/PQ/JX/PCA) stay separate — they are only read on
-    # the cold sync/exit paths.
-    NSITE = len(DC)
-    # Per-site inline page caches: when the shared one-entry guard
-    # misses (two streams alternating pages), the site's own last
-    # page is tried before the memo fill. Entries are valid only for
-    # the epoch they were filled in; the epoch is bumped wherever the
-    # shared guard is reset (any callout that could remap) and once
-    # per trampoline entry (anything may have happened outside).
-    SGB = [-1] * NSITE      # guard base (page | alignment bits)
-    SPT = [None] * NSITE    # cached _lfl/_sfl view tuple
-    SVP = [0] * NSITE       # vpn of the cached page
-    SEP = [0] * NSITE       # epoch the entry was filled in
-    EPB = [0]               # persistent epoch box (monotonic)
-
-    # Deferred LRU replay: the lists carry MOVES only; dedup-by-last
-    # replay reconstructs the eager order.
-    dl = []
-    dla = dl.append
-    cl = []
-    cla = cl.append
-    il = []
-    ila = il.append
-
-    def _lf():
-        if dl:
-            for _k in reversed(dict.fromkeys(reversed(dl))):
-                tent.move_to_end(_k)
-            dl.clear()
-        if cl:
-            for _k in reversed(dict.fromkeys(reversed(cl))):
-                dsets[_k & DMK].move_to_end(_k)
-            cl.clear()
-        if il:
-            for _k in reversed(dict.fromkeys(reversed(il))):
-                isets[_k & IMK].move_to_end(_k)
-            il.clear()
-
-    def _fl(ti, tcy, tb2, tmd, tic):
-        """Drain the iteration-deferred stat accumulators. The backedge
-        banks whole completed iterations here instead of touching
-        ``stats`` per loop; every sync/exit/raise drains first, so any
-        observer (rdcycle through a generic handler, the trampoline
-        after return, a propagating trap) sees exact totals."""
-        stats.instructions += ti
-        stats.cycles += tcy
-        if tb2:
-            stats.branch_penalty_cycles += tb2
-        if tmd:
-            stats.muldiv_cycles += tmd
-        if tic:
-            icache.hits += tic
-
-    def _dmiss(ln, wy):
-        _lf()
-        dcache.misses += 1
-        wy[ln] = True
-        if len(wy) > DWAYS:
-            wy.popitem(last=False)
-        stats.dcache_misses += 1
-        stats.cycles += PEN
-
-    def _imiss(line, wy, pf):
-        _lf()
-        icache.misses += 1
-        wy[line] = True
-        if len(wy) > IWAYS:
-            wy.popitem(last=False)
-        stats.icache_misses += 1
-        stats.cycles += PEN
-        return pf + 1
-
-    def _irp(j):
-        for _k in IRT[j]:
-            isets[_k & IMK].move_to_end(_k)
-
-    def _wchk():
-        for _k in ILINES:
-            if _k not in isets[_k & IMK]:
-                return False
-        return True
-
-    def _lfl(vp, um):
-        """Load-page view fill: None = eager fallback, False = fault."""
-        mo = jlget(vp)
-        if mo is None:
-            mo = jlf(vp)
-            if mo is None:
-                return None
-        fb, okk, oku, pp = mo
-        if not (okk if um else oku):
-            del dload[vp]
-            del jload[vp]
-            return False
-        return (vp << 12, pp << 12, mv(fb).cast("Q"), fb)
-
-    def _sfl(vp, um):
-        mo = jsget(vp)
-        if mo is None:
-            mo = jsf(vp)
-            if mo is None:
-                return None
-        fb, okk, oku, pp = mo
-        if not (okk if um else oku):
-            del dstore[vp]
-            del jstore[vp]
-            return False
-        return (vp << 12, pp << 12, pp, mv(fb).cast("Q"), fb)
-
-    def _sy(i, fc, bc, mc, pf):
-        """Cold-path sync: pc + deferred retire/penalty/fetch catch-up
-        + LRU drain, from the static per-site arrays. ch/dh stay
-        deferred (no mid-region observer; callouts commute)."""
-        pc = PCA[i]
-        core.pc = pc
-        core._current_pc = pc
-        kk = NI[i]
-        bv = BP[i]
-        uv = MU[i]
-        qv = PQ[i]
-        stats.instructions += kk - fc
-        stats.cycles += (kk - fc) * CPI + (bv - bc) + (uv - mc)
-        if bv != bc:
-            stats.branch_penalty_cycles += bv - bc
-        if uv != mc:
-            stats.muldiv_cycles += uv - mc
-        if ICH:
-            icache.hits += qv - pf
-        _lf()
-        return kk, bv, uv, qv, JX[i]
-
-    def _xt(i, extra, pen, tgt, ch, dh, warm, fc, bc, mc, pf):
-        """Region exit: catch the architecture up through NI[i]+extra
-        (+pen penalty cycles), drain everything, replay the warm
-        I-side permutation for this exit point, return the exit pc."""
-        kk = NI[i] + extra
-        bpd = BP[i] - bc + pen
-        mud = MU[i] - mc
-        stats.instructions += kk - fc
-        stats.cycles += (kk - fc) * CPI + bpd + mud
-        if bpd:
-            stats.branch_penalty_cycles += bpd
-        if mud:
-            stats.muldiv_cycles += mud
-        if ICH:
-            icache.hits += PQ[i] - pf
-        if ch:
-            dcache.hits += ch
-        if dh:
-            dtlb.hits += dh
-            mmu_stats.translations += dh
-        _lf()
-        if warm:
-            _irp(JX[i])
-        return tgt
-
-    def _run(b):
-        R = core.regs
-        i = 0
-        fc = 0
-        bc = 0
-        mc = 0
-        pf = 0
-        warm = False
-        ip = 0
-        lvb = -1
-        svb = -1
-        ldp = -1
-        lln = -1
-        dh = 0
-        ch = 0
-        ti = 0
-        tcy = 0
-        tb2 = 0
-        tmd = 0
-        tic = 0
-        ep = EPB[0] = EPB[0] + 1
-        lvp = -1
-        svp = -1
-        lpb = 0
-        spb = 0
-        spp = 0
-        mql = None
-        fbl = None
-        mqs = None
-        fbs = None
-        if dside:
-            gen = mmu.generation
-            dok = core._dside_generation == gen
-            um = not mmu.user_mode
-        else:
-            gen = 0
-            dok = False
-            um = True
-        try:
-            while True:
-                op, ad, rb, rc, imv, xv = DC[i]
-
-                if op == 2:   # OP_LD8
-                    va = (R[rb] + imv) & 0xFFFFFFFFFFFFFFFF
-                    if va & 0xFFFFFFFFFFFFF007 == lvb:
-                        if lvp != ldp:
-                            dla(lvp)
-                            ldp = lvp
-                        dh += 1
-                        of = va & 0xFFF
-                        if use_dc:
-                            ln = (lpb | of) >> DSH
-                            if ln == lln:
-                                ch += 1
-                            else:
-                                wy = dsets[ln & DMK]
-                                if ln in wy:
-                                    cla(ln)
-                                    ch += 1
-                                else:
-                                    _dmiss(ln, wy)
-                                lln = ln
-                        v = mql[of >> 3]
-                    else:
-                        v = _S
-                        if va & 0xFFFFFFFFFFFFF007 == SGB[i] \
-                                and SEP[i] == ep:
-                            lvb, lpb, mql, fbl = SPT[i]
-                            lvp = SVP[i]
-                            if lvp != ldp:
-                                dla(lvp)
-                                ldp = lvp
-                            dh += 1
-                            of = va & 0xFFF
-                            if use_dc:
-                                ln = (lpb | of) >> DSH
-                                if ln == lln:
-                                    ch += 1
-                                else:
-                                    wy = dsets[ln & DMK]
-                                    if ln in wy:
-                                        cla(ln)
-                                        ch += 1
-                                    else:
-                                        _dmiss(ln, wy)
-                                    lln = ln
-                            v = mql[of >> 3]
-                        elif not va & 7 and dok:
-                            vp = va >> 12
-                            t = _lfl(vp, um)
-                            if t is not None:
-                                if vp != ldp:
-                                    dla(vp)
-                                    ldp = vp
-                                dh += 1
-                                if t is False:
-                                    if ti:
-                                        _fl(ti, tcy, tb2, tmd, tic)
-                                        ti = tcy = tb2 = tmd = tic = 0
-                                    fc, bc, mc, pf, ip = \
-                                        _sy(i, fc, bc, mc, pf)
-                                    raise Trap(LPF, PCA[i], tval=va)
-                                lvb, lpb, mql, fbl = t
-                                lvp = vp
-                                SGB[i] = lvb
-                                SPT[i] = t
-                                SVP[i] = vp
-                                SEP[i] = ep
-                                of = va & 0xFFF
-                                if use_dc:
-                                    ln = (lpb | of) >> DSH
-                                    if ln == lln:
-                                        ch += 1
-                                    else:
-                                        wy = dsets[ln & DMK]
-                                        if ln in wy:
-                                            cla(ln)
-                                            ch += 1
-                                        else:
-                                            _dmiss(ln, wy)
-                                        lln = ln
-                                v = mql[of >> 3]
-                        if v is _S:
-                            if ti:
-                                _fl(ti, tcy, tb2, tmd, tic)
-                                ti = tcy = tb2 = tmd = tic = 0
-                            fc, bc, mc, pf, ip = _sy(i, fc, bc, mc, pf)
-                            lvb = svb = ldp = lln = -1
-                            ep = EPB[0] = ep + 1
-                            v = load(va, 8, True)
-                    if ad:
-                        R[ad] = v
-
-                elif op == 4:   # OP_ST8
-                    va = (R[rb] + imv) & 0xFFFFFFFFFFFFFFFF
-                    if va & 0xFFFFFFFFFFFFF007 == svb:
-                        if svp != ldp:
-                            dla(svp)
-                            ldp = svp
-                        dh += 1
-                        of = va & 0xFFF
-                        if cframes and spp in cframes:
-                            core._flush_blocks()
-                        if use_dc:
-                            ln = (spb | of) >> DSH
-                            if ln == lln:
-                                ch += 1
-                            else:
-                                wy = dsets[ln & DMK]
-                                if ln in wy:
-                                    cla(ln)
-                                    ch += 1
-                                else:
-                                    _dmiss(ln, wy)
-                                lln = ln
-                        mqs[of >> 3] = R[rc]
-                    else:
-                        ok = False
-                        if va & 0xFFFFFFFFFFFFF007 == SGB[i] \
-                                and SEP[i] == ep:
-                            svb, spb, spp, mqs, fbs = SPT[i]
-                            svp = SVP[i]
-                            if svp != ldp:
-                                dla(svp)
-                                ldp = svp
-                            dh += 1
-                            of = va & 0xFFF
-                            if cframes and spp in cframes:
-                                core._flush_blocks()
-                            if use_dc:
-                                ln = (spb | of) >> DSH
-                                if ln == lln:
-                                    ch += 1
-                                else:
-                                    wy = dsets[ln & DMK]
-                                    if ln in wy:
-                                        cla(ln)
-                                        ch += 1
-                                    else:
-                                        _dmiss(ln, wy)
-                                    lln = ln
-                            mqs[of >> 3] = R[rc]
-                            ok = True
-                        elif not va & 7 and dok:
-                            vp = va >> 12
-                            t = _sfl(vp, um)
-                            if t is not None:
-                                if vp != ldp:
-                                    dla(vp)
-                                    ldp = vp
-                                dh += 1
-                                if t is False:
-                                    if ti:
-                                        _fl(ti, tcy, tb2, tmd, tic)
-                                        ti = tcy = tb2 = tmd = tic = 0
-                                    fc, bc, mc, pf, ip = \
-                                        _sy(i, fc, bc, mc, pf)
-                                    raise Trap(SPF, PCA[i], tval=va)
-                                svb, spb, spp, mqs, fbs = t
-                                svp = vp
-                                SGB[i] = svb
-                                SPT[i] = t
-                                SVP[i] = vp
-                                SEP[i] = ep
-                                of = va & 0xFFF
-                                if cframes and spp in cframes:
-                                    core._flush_blocks()
-                                if use_dc:
-                                    ln = (spb | of) >> DSH
-                                    if ln == lln:
-                                        ch += 1
-                                    else:
-                                        wy = dsets[ln & DMK]
-                                        if ln in wy:
-                                            cla(ln)
-                                            ch += 1
-                                        else:
-                                            _dmiss(ln, wy)
-                                        lln = ln
-                                mqs[of >> 3] = R[rc]
-                                ok = True
-                        if not ok:
-                            if ti:
-                                _fl(ti, tcy, tb2, tmd, tic)
-                                ti = tcy = tb2 = tmd = tic = 0
-                            fc, bc, mc, pf, ip = _sy(i, fc, bc, mc, pf)
-                            lvb = svb = ldp = lln = -1
-                            ep = EPB[0] = ep + 1
-                            store(va, 8, R[rc])
-                    if core._block_abort:
-                        if ti:
-                            _fl(ti, tcy, tb2, tmd, tic)
-                        return _xt(i, 1, 0, xv, ch, dh, warm,
-                                   fc, bc, mc, pf)
-
-                elif op == 1:     # OP_ADDI
-                    R[ad] = (R[rb] + imv) & 0xFFFFFFFFFFFFFFFF
-
-                elif op == 3:   # OP_ADD
-                    R[ad] = (R[rb] + R[rc]) & 0xFFFFFFFFFFFFFFFF
-
-                elif op == 5:   # OP_IPROBE
-                    if not warm:
-                        ln = imv
-                        wy = isets[ad]
-                        if ln in wy:
-                            ila(ln)
-                        else:
-                            pf = _imiss(ln, wy, pf)
-
-                elif op == 7:   # OP_BEQ
-                    c_ = R[rb] == R[rc]
-                    if c_ != xv:
-                        core.region_side_exits += 1
-                        if ti:
-                            _fl(ti, tcy, tb2, tmd, tic)
-                        return _xt(i, 1, TBP if c_ else 0, imv,
-                                   ch, dh, warm, fc, bc, mc, pf)
-
-                elif op == 6:   # OP_BNE
-                    c_ = R[rb] != R[rc]
-                    if c_ != xv:
-                        core.region_side_exits += 1
-                        if ti:
-                            _fl(ti, tcy, tb2, tmd, tic)
-                        return _xt(i, 1, TBP if c_ else 0, imv,
-                                   ch, dh, warm, fc, bc, mc, pf)
-
-                elif op == 29:  # OP_AND
-                    R[ad] = R[rb] & R[rc]
-
-                elif op == 18:  # OP_CONST
-                    R[ad] = imv
-
-                elif op == 32:  # OP_SLL
-                    R[ad] = (R[rb] << (R[rc] & 63)) \
-                        & 0xFFFFFFFFFFFFFFFF
-
-                elif op == 27:  # OP_ADDIW
-                    R[ad] = ((((R[rb] + imv) & 0xFFFFFFFF)
-                                ^ 0x80000000) - 0x80000000) \
-                        & 0xFFFFFFFFFFFFFFFF
-
-                elif op == 48:  # OP_BACKEDGE
-                    # Bank the finished iteration in locals; ``stats``
-                    # is only touched at syncs/exits (_fl drains).
-                    d = NT - fc
-                    bpd = BPT - bc
-                    mud = MUT - mc
-                    ti += d
-                    tcy += d * CPI + bpd + mud
-                    tb2 += bpd
-                    tmd += mud
-                    if ICH:
-                        tic += PQT - pf
-                    if dl or cl or il:
-                        _lf()
-                    if WARM and not warm:
-                        warm = _wchk()
-                    fc = 0
-                    bc = 0
-                    mc = 0
-                    pf = 0
-                    b -= NT
-                    if b < NT:
-                        _fl(ti, tcy, tb2, tmd, tic)
-                        if ch:
-                            dcache.hits += ch
-                        if dh:
-                            dtlb.hits += dh
-                            mmu_stats.translations += dh
-                        if warm:
-                            _irp(0)
-                        return HEAD
-                    if not dok:
-                        dok = core._dside_generation == gen
-                    i = 0
-                    continue
-
-                elif op == 33:  # OP_SRL
-                    R[ad] = R[rb] >> (R[rc] & 63)
-
-                elif op == 31:  # OP_XOR
-                    R[ad] = R[rb] ^ R[rc]
-
-                elif op == 28:  # OP_SUB
-                    R[ad] = (R[rb] - R[rc]) & 0xFFFFFFFFFFFFFFFF
-
-                elif op == 30:  # OP_OR
-                    R[ad] = R[rb] | R[rc]
-
-                elif op == 8:   # OP_BLT
-                    c_ = (R[rb] ^ 0x8000000000000000) < \
-                        (R[rc] ^ 0x8000000000000000)
-                    if c_ != xv:
-                        core.region_side_exits += 1
-                        if ti:
-                            _fl(ti, tcy, tb2, tmd, tic)
-                        return _xt(i, 1, TBP if c_ else 0, imv,
-                                   ch, dh, warm, fc, bc, mc, pf)
-
-                elif op == 9:   # OP_BGE
-                    c_ = (R[rb] ^ 0x8000000000000000) >= \
-                        (R[rc] ^ 0x8000000000000000)
-                    if c_ != xv:
-                        core.region_side_exits += 1
-                        if ti:
-                            _fl(ti, tcy, tb2, tmd, tic)
-                        return _xt(i, 1, TBP if c_ else 0, imv,
-                                   ch, dh, warm, fc, bc, mc, pf)
-
-                elif op == 10:  # OP_BLTU
-                    c_ = R[rb] < R[rc]
-                    if c_ != xv:
-                        core.region_side_exits += 1
-                        if ti:
-                            _fl(ti, tcy, tb2, tmd, tic)
-                        return _xt(i, 1, TBP if c_ else 0, imv,
-                                   ch, dh, warm, fc, bc, mc, pf)
-
-                elif op == 11:  # OP_BGEU
-                    c_ = R[rb] >= R[rc]
-                    if c_ != xv:
-                        core.region_side_exits += 1
-                        if ti:
-                            _fl(ti, tcy, tb2, tmd, tic)
-                        return _xt(i, 1, TBP if c_ else 0, imv,
-                                   ch, dh, warm, fc, bc, mc, pf)
-
-                elif op == 12:  # OP_LD4S
-                    va = (R[rb] + imv) & 0xFFFFFFFFFFFFFFFF
-                    if va & 0xFFFFFFFFFFFFF003 == lvb:
-                        if lvp != ldp:
-                            dla(lvp)
-                            ldp = lvp
-                        dh += 1
-                        of = va & 0xFFF
-                        if use_dc:
-                            ln = (lpb | of) >> DSH
-                            if ln == lln:
-                                ch += 1
-                            else:
-                                wy = dsets[ln & DMK]
-                                if ln in wy:
-                                    cla(ln)
-                                    ch += 1
-                                else:
-                                    _dmiss(ln, wy)
-                                lln = ln
-                        w_ = (mql[of >> 3] >> ((of & 4) << 3)) \
-                            & 0xFFFFFFFF
-                        v = ((w_ ^ 0x80000000) - 0x80000000) \
-                            & 0xFFFFFFFFFFFFFFFF
-                    else:
-                        v = _S
-                        if va & 0xFFFFFFFFFFFFF003 == SGB[i] \
-                                and SEP[i] == ep:
-                            lvb, lpb, mql, fbl = SPT[i]
-                            lvp = SVP[i]
-                            if lvp != ldp:
-                                dla(lvp)
-                                ldp = lvp
-                            dh += 1
-                            of = va & 0xFFF
-                            if use_dc:
-                                ln = (lpb | of) >> DSH
-                                if ln == lln:
-                                    ch += 1
-                                else:
-                                    wy = dsets[ln & DMK]
-                                    if ln in wy:
-                                        cla(ln)
-                                        ch += 1
-                                    else:
-                                        _dmiss(ln, wy)
-                                    lln = ln
-                            w_ = (mql[of >> 3] >> ((of & 4) << 3)) \
-                                & 0xFFFFFFFF
-                            v = ((w_ ^ 0x80000000) - 0x80000000) \
-                                & 0xFFFFFFFFFFFFFFFF
-                        elif not va & 3 and dok:
-                            vp = va >> 12
-                            t = _lfl(vp, um)
-                            if t is not None:
-                                if vp != ldp:
-                                    dla(vp)
-                                    ldp = vp
-                                dh += 1
-                                if t is False:
-                                    if ti:
-                                        _fl(ti, tcy, tb2, tmd, tic)
-                                        ti = tcy = tb2 = tmd = tic = 0
-                                    fc, bc, mc, pf, ip = \
-                                        _sy(i, fc, bc, mc, pf)
-                                    raise Trap(LPF, PCA[i], tval=va)
-                                lvb, lpb, mql, fbl = t
-                                lvp = vp
-                                SGB[i] = lvb
-                                SPT[i] = t
-                                SVP[i] = vp
-                                SEP[i] = ep
-                                of = va & 0xFFF
-                                if use_dc:
-                                    ln = (lpb | of) >> DSH
-                                    if ln == lln:
-                                        ch += 1
-                                    else:
-                                        wy = dsets[ln & DMK]
-                                        if ln in wy:
-                                            cla(ln)
-                                            ch += 1
-                                        else:
-                                            _dmiss(ln, wy)
-                                        lln = ln
-                                w_ = (mql[of >> 3] >> ((of & 4) << 3)) \
-                                    & 0xFFFFFFFF
-                                v = ((w_ ^ 0x80000000) - 0x80000000) \
-                                    & 0xFFFFFFFFFFFFFFFF
-                        if v is _S:
-                            if ti:
-                                _fl(ti, tcy, tb2, tmd, tic)
-                                ti = tcy = tb2 = tmd = tic = 0
-                            fc, bc, mc, pf, ip = _sy(i, fc, bc, mc, pf)
-                            lvb = svb = ldp = lln = -1
-                            ep = EPB[0] = ep + 1
-                            v = load(va, 4, True)
-                    if ad:
-                        R[ad] = v
-
-                elif op == 13:  # OP_LD1U
-                    va = (R[rb] + imv) & 0xFFFFFFFFFFFFFFFF
-                    if va & 0xFFFFFFFFFFFFF000 == lvb:
-                        if lvp != ldp:
-                            dla(lvp)
-                            ldp = lvp
-                        dh += 1
-                        of = va & 0xFFF
-                        if use_dc:
-                            ln = (lpb | of) >> DSH
-                            if ln == lln:
-                                ch += 1
-                            else:
-                                wy = dsets[ln & DMK]
-                                if ln in wy:
-                                    cla(ln)
-                                    ch += 1
-                                else:
-                                    _dmiss(ln, wy)
-                                lln = ln
-                        v = fbl[of]
-                    else:
-                        v = _S
-                        if va & 0xFFFFFFFFFFFFF000 == SGB[i] \
-                                and SEP[i] == ep:
-                            lvb, lpb, mql, fbl = SPT[i]
-                            lvp = SVP[i]
-                            if lvp != ldp:
-                                dla(lvp)
-                                ldp = lvp
-                            dh += 1
-                            of = va & 0xFFF
-                            if use_dc:
-                                ln = (lpb | of) >> DSH
-                                if ln == lln:
-                                    ch += 1
-                                else:
-                                    wy = dsets[ln & DMK]
-                                    if ln in wy:
-                                        cla(ln)
-                                        ch += 1
-                                    else:
-                                        _dmiss(ln, wy)
-                                    lln = ln
-                            v = fbl[of]
-                        elif dok:
-                            vp = va >> 12
-                            t = _lfl(vp, um)
-                            if t is not None:
-                                if vp != ldp:
-                                    dla(vp)
-                                    ldp = vp
-                                dh += 1
-                                if t is False:
-                                    if ti:
-                                        _fl(ti, tcy, tb2, tmd, tic)
-                                        ti = tcy = tb2 = tmd = tic = 0
-                                    fc, bc, mc, pf, ip = \
-                                        _sy(i, fc, bc, mc, pf)
-                                    raise Trap(LPF, PCA[i], tval=va)
-                                lvb, lpb, mql, fbl = t
-                                lvp = vp
-                                SGB[i] = lvb
-                                SPT[i] = t
-                                SVP[i] = vp
-                                SEP[i] = ep
-                                of = va & 0xFFF
-                                if use_dc:
-                                    ln = (lpb | of) >> DSH
-                                    if ln == lln:
-                                        ch += 1
-                                    else:
-                                        wy = dsets[ln & DMK]
-                                        if ln in wy:
-                                            cla(ln)
-                                            ch += 1
-                                        else:
-                                            _dmiss(ln, wy)
-                                        lln = ln
-                                v = fbl[of]
-                        if v is _S:
-                            if ti:
-                                _fl(ti, tcy, tb2, tmd, tic)
-                                ti = tcy = tb2 = tmd = tic = 0
-                            fc, bc, mc, pf, ip = _sy(i, fc, bc, mc, pf)
-                            lvb = svb = ldp = lln = -1
-                            ep = EPB[0] = ep + 1
-                            v = load(va, 1, False)
-                    if ad:
-                        R[ad] = v
-
-                elif op == 14:  # OP_LDW (generic sub-8)
-                    wd = rc & 0xFF
-                    va = (R[rb] + imv) & 0xFFFFFFFFFFFFFFFF
-                    if va & (0xFFFFFFFFFFFFF000 | (wd - 1)) == lvb:
-                        if lvp != ldp:
-                            dla(lvp)
-                            ldp = lvp
-                        dh += 1
-                        of = va & 0xFFF
-                        if use_dc:
-                            ln = (lpb | of) >> DSH
-                            if ln == lln:
-                                ch += 1
-                            else:
-                                wy = dsets[ln & DMK]
-                                if ln in wy:
-                                    cla(ln)
-                                    ch += 1
-                                else:
-                                    _dmiss(ln, wy)
-                                lln = ln
-                        w_ = (mql[of >> 3] >> ((of & 7) << 3)) \
-                            & ((1 << (wd << 3)) - 1)
-                        if rc >> 8:
-                            sb = 1 << ((wd << 3) - 1)
-                            w_ = ((w_ ^ sb) - sb) & 0xFFFFFFFFFFFFFFFF
-                        v = w_
-                    else:
-                        v = _S
-                        if va & (0xFFFFFFFFFFFFF000 | (wd - 1)) == SGB[i] \
-                                and SEP[i] == ep:
-                            lvb, lpb, mql, fbl = SPT[i]
-                            lvp = SVP[i]
-                            if lvp != ldp:
-                                dla(lvp)
-                                ldp = lvp
-                            dh += 1
-                            of = va & 0xFFF
-                            if use_dc:
-                                ln = (lpb | of) >> DSH
-                                if ln == lln:
-                                    ch += 1
-                                else:
-                                    wy = dsets[ln & DMK]
-                                    if ln in wy:
-                                        cla(ln)
-                                        ch += 1
-                                    else:
-                                        _dmiss(ln, wy)
-                                    lln = ln
-                            w_ = (mql[of >> 3] >> ((of & 7) << 3)) \
-                                & ((1 << (wd << 3)) - 1)
-                            if rc >> 8:
-                                sb = 1 << ((wd << 3) - 1)
-                                w_ = ((w_ ^ sb) - sb) \
-                                    & 0xFFFFFFFFFFFFFFFF
-                            v = w_
-                        elif not va & (wd - 1) and dok:
-                            vp = va >> 12
-                            t = _lfl(vp, um)
-                            if t is not None:
-                                if vp != ldp:
-                                    dla(vp)
-                                    ldp = vp
-                                dh += 1
-                                if t is False:
-                                    if ti:
-                                        _fl(ti, tcy, tb2, tmd, tic)
-                                        ti = tcy = tb2 = tmd = tic = 0
-                                    fc, bc, mc, pf, ip = \
-                                        _sy(i, fc, bc, mc, pf)
-                                    raise Trap(LPF, PCA[i], tval=va)
-                                lvb, lpb, mql, fbl = t
-                                lvp = vp
-                                SGB[i] = lvb
-                                SPT[i] = t
-                                SVP[i] = vp
-                                SEP[i] = ep
-                                of = va & 0xFFF
-                                if use_dc:
-                                    ln = (lpb | of) >> DSH
-                                    if ln == lln:
-                                        ch += 1
-                                    else:
-                                        wy = dsets[ln & DMK]
-                                        if ln in wy:
-                                            cla(ln)
-                                            ch += 1
-                                        else:
-                                            _dmiss(ln, wy)
-                                        lln = ln
-                                w_ = (mql[of >> 3] >> ((of & 7) << 3)) \
-                                    & ((1 << (wd << 3)) - 1)
-                                if rc >> 8:
-                                    sb = 1 << ((wd << 3) - 1)
-                                    w_ = ((w_ ^ sb) - sb) \
-                                        & 0xFFFFFFFFFFFFFFFF
-                                v = w_
-                        if v is _S:
-                            if ti:
-                                _fl(ti, tcy, tb2, tmd, tic)
-                                ti = tcy = tb2 = tmd = tic = 0
-                            fc, bc, mc, pf, ip = _sy(i, fc, bc, mc, pf)
-                            lvb = svb = ldp = lln = -1
-                            ep = EPB[0] = ep + 1
-                            v = load(va, wd, bool(rc >> 8))
-                    if ad:
-                        R[ad] = v
-
-                elif op == 15:  # OP_ST4
-                    va = (R[rb] + imv) & 0xFFFFFFFFFFFFFFFF
-                    if va & 0xFFFFFFFFFFFFF003 == svb:
-                        if svp != ldp:
-                            dla(svp)
-                            ldp = svp
-                        dh += 1
-                        of = va & 0xFFF
-                        if cframes and spp in cframes:
-                            core._flush_blocks()
-                        if use_dc:
-                            ln = (spb | of) >> DSH
-                            if ln == lln:
-                                ch += 1
-                            else:
-                                wy = dsets[ln & DMK]
-                                if ln in wy:
-                                    cla(ln)
-                                    ch += 1
-                                else:
-                                    _dmiss(ln, wy)
-                                lln = ln
-                        idx = of >> 3
-                        sh = (of & 4) << 3
-                        mqs[idx] = (mqs[idx]
-                                    & (0xFFFFFFFFFFFFFFFF
-                                       ^ (0xFFFFFFFF << sh))) \
-                            | ((R[rc] & 0xFFFFFFFF) << sh)
-                    else:
-                        ok = False
-                        if va & 0xFFFFFFFFFFFFF003 == SGB[i] \
-                                and SEP[i] == ep:
-                            svb, spb, spp, mqs, fbs = SPT[i]
-                            svp = SVP[i]
-                            if svp != ldp:
-                                dla(svp)
-                                ldp = svp
-                            dh += 1
-                            of = va & 0xFFF
-                            if cframes and spp in cframes:
-                                core._flush_blocks()
-                            if use_dc:
-                                ln = (spb | of) >> DSH
-                                if ln == lln:
-                                    ch += 1
-                                else:
-                                    wy = dsets[ln & DMK]
-                                    if ln in wy:
-                                        cla(ln)
-                                        ch += 1
-                                    else:
-                                        _dmiss(ln, wy)
-                                    lln = ln
-                            idx = of >> 3
-                            sh = (of & 4) << 3
-                            mqs[idx] = (mqs[idx]
-                                        & (0xFFFFFFFFFFFFFFFF
-                                           ^ (0xFFFFFFFF << sh))) \
-                                | ((R[rc] & 0xFFFFFFFF) << sh)
-                            ok = True
-                        elif not va & 3 and dok:
-                            vp = va >> 12
-                            t = _sfl(vp, um)
-                            if t is not None:
-                                if vp != ldp:
-                                    dla(vp)
-                                    ldp = vp
-                                dh += 1
-                                if t is False:
-                                    if ti:
-                                        _fl(ti, tcy, tb2, tmd, tic)
-                                        ti = tcy = tb2 = tmd = tic = 0
-                                    fc, bc, mc, pf, ip = \
-                                        _sy(i, fc, bc, mc, pf)
-                                    raise Trap(SPF, PCA[i], tval=va)
-                                svb, spb, spp, mqs, fbs = t
-                                svp = vp
-                                SGB[i] = svb
-                                SPT[i] = t
-                                SVP[i] = vp
-                                SEP[i] = ep
-                                of = va & 0xFFF
-                                if cframes and spp in cframes:
-                                    core._flush_blocks()
-                                if use_dc:
-                                    ln = (spb | of) >> DSH
-                                    if ln == lln:
-                                        ch += 1
-                                    else:
-                                        wy = dsets[ln & DMK]
-                                        if ln in wy:
-                                            cla(ln)
-                                            ch += 1
-                                        else:
-                                            _dmiss(ln, wy)
-                                        lln = ln
-                                idx = of >> 3
-                                sh = (of & 4) << 3
-                                mqs[idx] = (mqs[idx]
-                                            & (0xFFFFFFFFFFFFFFFF
-                                               ^ (0xFFFFFFFF << sh))) \
-                                    | ((R[rc] & 0xFFFFFFFF) << sh)
-                                ok = True
-                        if not ok:
-                            if ti:
-                                _fl(ti, tcy, tb2, tmd, tic)
-                                ti = tcy = tb2 = tmd = tic = 0
-                            fc, bc, mc, pf, ip = _sy(i, fc, bc, mc, pf)
-                            lvb = svb = ldp = lln = -1
-                            ep = EPB[0] = ep + 1
-                            store(va, 4, R[rc])
-                    if core._block_abort:
-                        if ti:
-                            _fl(ti, tcy, tb2, tmd, tic)
-                        return _xt(i, 1, 0, xv, ch, dh, warm,
-                                   fc, bc, mc, pf)
-
-                elif op == 16:  # OP_ST1
-                    va = (R[rb] + imv) & 0xFFFFFFFFFFFFFFFF
-                    if va & 0xFFFFFFFFFFFFF000 == svb:
-                        if svp != ldp:
-                            dla(svp)
-                            ldp = svp
-                        dh += 1
-                        of = va & 0xFFF
-                        if cframes and spp in cframes:
-                            core._flush_blocks()
-                        if use_dc:
-                            ln = (spb | of) >> DSH
-                            if ln == lln:
-                                ch += 1
-                            else:
-                                wy = dsets[ln & DMK]
-                                if ln in wy:
-                                    cla(ln)
-                                    ch += 1
-                                else:
-                                    _dmiss(ln, wy)
-                                lln = ln
-                        fbs[of] = R[rc] & 0xFF
-                    else:
-                        ok = False
-                        if va & 0xFFFFFFFFFFFFF000 == SGB[i] \
-                                and SEP[i] == ep:
-                            svb, spb, spp, mqs, fbs = SPT[i]
-                            svp = SVP[i]
-                            if svp != ldp:
-                                dla(svp)
-                                ldp = svp
-                            dh += 1
-                            of = va & 0xFFF
-                            if cframes and spp in cframes:
-                                core._flush_blocks()
-                            if use_dc:
-                                ln = (spb | of) >> DSH
-                                if ln == lln:
-                                    ch += 1
-                                else:
-                                    wy = dsets[ln & DMK]
-                                    if ln in wy:
-                                        cla(ln)
-                                        ch += 1
-                                    else:
-                                        _dmiss(ln, wy)
-                                    lln = ln
-                            fbs[of] = R[rc] & 0xFF
-                            ok = True
-                        elif dok:
-                            vp = va >> 12
-                            t = _sfl(vp, um)
-                            if t is not None:
-                                if vp != ldp:
-                                    dla(vp)
-                                    ldp = vp
-                                dh += 1
-                                if t is False:
-                                    if ti:
-                                        _fl(ti, tcy, tb2, tmd, tic)
-                                        ti = tcy = tb2 = tmd = tic = 0
-                                    fc, bc, mc, pf, ip = \
-                                        _sy(i, fc, bc, mc, pf)
-                                    raise Trap(SPF, PCA[i], tval=va)
-                                svb, spb, spp, mqs, fbs = t
-                                svp = vp
-                                SGB[i] = svb
-                                SPT[i] = t
-                                SVP[i] = vp
-                                SEP[i] = ep
-                                of = va & 0xFFF
-                                if cframes and spp in cframes:
-                                    core._flush_blocks()
-                                if use_dc:
-                                    ln = (spb | of) >> DSH
-                                    if ln == lln:
-                                        ch += 1
-                                    else:
-                                        wy = dsets[ln & DMK]
-                                        if ln in wy:
-                                            cla(ln)
-                                            ch += 1
-                                        else:
-                                            _dmiss(ln, wy)
-                                        lln = ln
-                                fbs[of] = R[rc] & 0xFF
-                                ok = True
-                        if not ok:
-                            if ti:
-                                _fl(ti, tcy, tb2, tmd, tic)
-                                ti = tcy = tb2 = tmd = tic = 0
-                            fc, bc, mc, pf, ip = _sy(i, fc, bc, mc, pf)
-                            lvb = svb = ldp = lln = -1
-                            ep = EPB[0] = ep + 1
-                            store(va, 1, R[rc])
-                    if core._block_abort:
-                        if ti:
-                            _fl(ti, tcy, tb2, tmd, tic)
-                        return _xt(i, 1, 0, xv, ch, dh, warm,
-                                   fc, bc, mc, pf)
-
-                elif op == 17:  # OP_STW (generic sub-8)
-                    wd = ad
-                    va = (R[rb] + imv) & 0xFFFFFFFFFFFFFFFF
-                    if va & (0xFFFFFFFFFFFFF000 | (wd - 1)) == svb:
-                        if svp != ldp:
-                            dla(svp)
-                            ldp = svp
-                        dh += 1
-                        of = va & 0xFFF
-                        if cframes and spp in cframes:
-                            core._flush_blocks()
-                        if use_dc:
-                            ln = (spb | of) >> DSH
-                            if ln == lln:
-                                ch += 1
-                            else:
-                                wy = dsets[ln & DMK]
-                                if ln in wy:
-                                    cla(ln)
-                                    ch += 1
-                                else:
-                                    _dmiss(ln, wy)
-                                lln = ln
-                        idx = of >> 3
-                        sh = (of & 7) << 3
-                        wm = (1 << (wd << 3)) - 1
-                        mqs[idx] = (mqs[idx]
-                                    & (0xFFFFFFFFFFFFFFFF
-                                       ^ (wm << sh))) \
-                            | ((R[rc] & wm) << sh)
-                    else:
-                        ok = False
-                        if va & (0xFFFFFFFFFFFFF000 | (wd - 1)) == SGB[i] \
-                                and SEP[i] == ep:
-                            svb, spb, spp, mqs, fbs = SPT[i]
-                            svp = SVP[i]
-                            if svp != ldp:
-                                dla(svp)
-                                ldp = svp
-                            dh += 1
-                            of = va & 0xFFF
-                            if cframes and spp in cframes:
-                                core._flush_blocks()
-                            if use_dc:
-                                ln = (spb | of) >> DSH
-                                if ln == lln:
-                                    ch += 1
-                                else:
-                                    wy = dsets[ln & DMK]
-                                    if ln in wy:
-                                        cla(ln)
-                                        ch += 1
-                                    else:
-                                        _dmiss(ln, wy)
-                                    lln = ln
-                            idx = of >> 3
-                            sh = (of & 7) << 3
-                            wm = (1 << (wd << 3)) - 1
-                            mqs[idx] = (mqs[idx]
-                                        & (0xFFFFFFFFFFFFFFFF
-                                           ^ (wm << sh))) \
-                                | ((R[rc] & wm) << sh)
-                            ok = True
-                        elif not va & (wd - 1) and dok:
-                            vp = va >> 12
-                            t = _sfl(vp, um)
-                            if t is not None:
-                                if vp != ldp:
-                                    dla(vp)
-                                    ldp = vp
-                                dh += 1
-                                if t is False:
-                                    if ti:
-                                        _fl(ti, tcy, tb2, tmd, tic)
-                                        ti = tcy = tb2 = tmd = tic = 0
-                                    fc, bc, mc, pf, ip = \
-                                        _sy(i, fc, bc, mc, pf)
-                                    raise Trap(SPF, PCA[i], tval=va)
-                                svb, spb, spp, mqs, fbs = t
-                                svp = vp
-                                SGB[i] = svb
-                                SPT[i] = t
-                                SVP[i] = vp
-                                SEP[i] = ep
-                                of = va & 0xFFF
-                                if cframes and spp in cframes:
-                                    core._flush_blocks()
-                                if use_dc:
-                                    ln = (spb | of) >> DSH
-                                    if ln == lln:
-                                        ch += 1
-                                    else:
-                                        wy = dsets[ln & DMK]
-                                        if ln in wy:
-                                            cla(ln)
-                                            ch += 1
-                                        else:
-                                            _dmiss(ln, wy)
-                                        lln = ln
-                                idx = of >> 3
-                                sh = (of & 7) << 3
-                                wm = (1 << (wd << 3)) - 1
-                                mqs[idx] = (mqs[idx]
-                                            & (0xFFFFFFFFFFFFFFFF
-                                               ^ (wm << sh))) \
-                                    | ((R[rc] & wm) << sh)
-                                ok = True
-                        if not ok:
-                            if ti:
-                                _fl(ti, tcy, tb2, tmd, tic)
-                                ti = tcy = tb2 = tmd = tic = 0
-                            fc, bc, mc, pf, ip = _sy(i, fc, bc, mc, pf)
-                            lvb = svb = ldp = lln = -1
-                            ep = EPB[0] = ep + 1
-                            store(va, wd, R[rc])
-                    if core._block_abort:
-                        if ti:
-                            _fl(ti, tcy, tb2, tmd, tic)
-                        return _xt(i, 1, 0, xv, ch, dh, warm,
-                                   fc, bc, mc, pf)
-
-                elif op == 19:  # OP_ANDI
-                    R[ad] = R[rb] & imv
-
-                elif op == 20:  # OP_ORI
-                    R[ad] = R[rb] | imv
-
-                elif op == 21:  # OP_XORI
-                    R[ad] = R[rb] ^ imv
-
-                elif op == 22:  # OP_SLLI
-                    R[ad] = (R[rb] << imv) & 0xFFFFFFFFFFFFFFFF
-
-                elif op == 23:  # OP_SRLI
-                    R[ad] = R[rb] >> imv
-
-                elif op == 24:  # OP_SRAI
-                    R[ad] = (((R[rb] ^ 0x8000000000000000)
-                                - 0x8000000000000000) >> imv) \
-                        & 0xFFFFFFFFFFFFFFFF
-
-                elif op == 25:  # OP_SLTI (IM pre-xored with H63)
-                    R[ad] = 1 if (R[rb] ^ 0x8000000000000000) \
-                        < imv else 0
-
-                elif op == 26:  # OP_SLTIU
-                    R[ad] = 1 if R[rb] < imv else 0
-
-                elif op == 34:  # OP_SRA
-                    R[ad] = (((R[rb] ^ 0x8000000000000000)
-                                - 0x8000000000000000)
-                               >> (R[rc] & 63)) & 0xFFFFFFFFFFFFFFFF
-
-                elif op == 35:  # OP_SLT
-                    R[ad] = 1 if (R[rb] ^ 0x8000000000000000) \
-                        < (R[rc] ^ 0x8000000000000000) else 0
-
-                elif op == 36:  # OP_SLTU
-                    R[ad] = 1 if R[rb] < R[rc] else 0
-
-                elif op == 37:  # OP_ADDW
-                    R[ad] = ((((R[rb] + R[rc]) & 0xFFFFFFFF)
-                                ^ 0x80000000) - 0x80000000) \
-                        & 0xFFFFFFFFFFFFFFFF
-
-                elif op == 38:  # OP_SUBW
-                    R[ad] = ((((R[rb] - R[rc]) & 0xFFFFFFFF)
-                                ^ 0x80000000) - 0x80000000) \
-                        & 0xFFFFFFFFFFFFFFFF
-
-                elif op == 39:  # OP_MUL (latency rides MU static)
-                    R[ad] = (R[rb] * R[rc]) & 0xFFFFFFFFFFFFFFFF
-
-                elif op == 40:  # OP_MULW
-                    R[ad] = ((((R[rb] * R[rc]) & 0xFFFFFFFF)
-                                ^ 0x80000000) - 0x80000000) \
-                        & 0xFFFFFFFFFFFFFFFF
-
-                elif op == 41:  # OP_SLLIW
-                    R[ad] = ((((R[rb] << imv) & 0xFFFFFFFF)
-                                ^ 0x80000000) - 0x80000000) \
-                        & 0xFFFFFFFFFFFFFFFF
-
-                elif op == 42:  # OP_SRLIW
-                    R[ad] = (((((R[rb] & 0xFFFFFFFF) >> imv)
-                                 & 0xFFFFFFFF) ^ 0x80000000)
-                               - 0x80000000) & 0xFFFFFFFFFFFFFFFF
-
-                elif op == 43:  # OP_SRAIW
-                    R[ad] = ((((((R[rb] & 0xFFFFFFFF) ^ 0x80000000)
-                                  - 0x80000000) >> imv) & 0xFFFFFFFF
-                                 ^ 0x80000000) - 0x80000000) \
-                        & 0xFFFFFFFFFFFFFFFF
-
-                elif op == 44:  # OP_SLLW
-                    R[ad] = ((((R[rb] << (R[rc] & 31))
-                                 & 0xFFFFFFFF) ^ 0x80000000)
-                               - 0x80000000) & 0xFFFFFFFFFFFFFFFF
-
-                elif op == 45:  # OP_SRLW
-                    R[ad] = (((((R[rb] & 0xFFFFFFFF)
-                                  >> (R[rc] & 31)) & 0xFFFFFFFF)
-                                ^ 0x80000000) - 0x80000000) \
-                        & 0xFFFFFFFFFFFFFFFF
-
-                elif op == 46:  # OP_SRAW
-                    R[ad] = ((((((R[rb] & 0xFFFFFFFF) ^ 0x80000000)
-                                  - 0x80000000) >> (R[rc] & 31))
-                                 & 0xFFFFFFFF ^ 0x80000000)
-                                - 0x80000000) & 0xFFFFFFFFFFFFFFFF
-
-                elif op == 47:  # OP_JAL (mid; penalty is static)
-                    R[ad] = imv
-
-                elif op == 49:  # OP_MEMCHK
-                    if imv not in fpages:
-                        core.region_side_exits += 1
-                        if ti:
-                            _fl(ti, tcy, tb2, tmd, tic)
-                        return _xt(i, 0, 0, xv, ch, dh, warm,
-                                   fc, bc, mc, pf)
-
-                elif op == 50:  # OP_HEADCHK
-                    if imv not in fpages:
-                        core.region_side_exits += 1
-                        if ti:
-                            _fl(ti, tcy, tb2, tmd, tic)
-                        return _xt(i, 0, 0, xv, ch, dh, warm,
-                                   fc, bc, mc, pf)
-
-                elif op == 51:  # OP_ROLOAD — never cached (DESIGN.md 8)
-                    if ti:
-                        _fl(ti, tcy, tb2, tmd, tic)
-                        ti = tcy = tb2 = tmd = tic = 0
-                    fc, bc, mc, pf, ip = _sy(i, fc, bc, mc, pf)
-                    v = load(R[rb], rc, xv, "read_ro", imv)
-                    if ad:
-                        R[ad] = v
-                    lvb = svb = ldp = lln = -1
-                    ep = EPB[0] = ep + 1
-
-                elif op == 52:  # OP_GEN
-                    if ti:
-                        _fl(ti, tcy, tb2, tmd, tic)
-                        ti = tcy = tb2 = tmd = tic = 0
-                    fc, bc, mc, pf, ip = _sy(i, fc, bc, mc, pf)
-                    h_, i_ = GH[ad]
-                    h_(core, i_, PCA[i])
-                    if dside:
-                        um = not mmu.user_mode
-                    lvb = svb = ldp = lln = -1
-                    ep = EPB[0] = ep + 1
-                    if core._block_abort:
-                        if ti:
-                            _fl(ti, tcy, tb2, tmd, tic)
-                        return _xt(i, 1, 0, xv, ch, dh, warm,
-                                   fc, bc, mc, pf)
-
-                elif op == 53:  # OP_LD_EAGER (no D-side fast path)
-                    if ti:
-                        _fl(ti, tcy, tb2, tmd, tic)
-                        ti = tcy = tb2 = tmd = tic = 0
-                    fc, bc, mc, pf, ip = _sy(i, fc, bc, mc, pf)
-                    v = load((R[rb] + imv) & 0xFFFFFFFFFFFFFFFF,
-                             rc, xv)
-                    if ad:
-                        R[ad] = v
-
-                elif op == 54:  # OP_ST_EAGER
-                    if ti:
-                        _fl(ti, tcy, tb2, tmd, tic)
-                        ti = tcy = tb2 = tmd = tic = 0
-                    fc, bc, mc, pf, ip = _sy(i, fc, bc, mc, pf)
-                    store((R[rb] + imv) & 0xFFFFFFFFFFFFFFFF,
-                          ad, R[rc])
-                    if core._block_abort:
-                        if ti:
-                            _fl(ti, tcy, tb2, tmd, tic)
-                        return _xt(i, 1, 0, xv, ch, dh, warm,
-                                   fc, bc, mc, pf)
-
-                elif op == 55:  # OP_RET
-                    if ti:
-                        _fl(ti, tcy, tb2, tmd, tic)
-                    return _xt(i, 0, 0, xv, ch, dh, warm,
-                               fc, bc, mc, pf)
-
-                elif op == 56:  # OP_BR_F
-                    cc2 = ad
-                    x_ = R[rb]
-                    y_ = R[rc]
-                    if cc2 == 0:
-                        c_ = x_ == y_
-                    elif cc2 == 1:
-                        c_ = x_ != y_
-                    elif cc2 == 2:
-                        c_ = (x_ ^ 0x8000000000000000) \
-                            < (y_ ^ 0x8000000000000000)
-                    elif cc2 == 3:
-                        c_ = (x_ ^ 0x8000000000000000) \
-                            >= (y_ ^ 0x8000000000000000)
-                    elif cc2 == 4:
-                        c_ = x_ < y_
-                    else:
-                        c_ = x_ >= y_
-                    if ti:
-                        _fl(ti, tcy, tb2, tmd, tic)
-                    return _xt(i, 1, TBP if c_ else 0,
-                               imv if c_ else xv,
-                               ch, dh, warm, fc, bc, mc, pf)
-
-                elif op == 57:  # OP_JAL_F
-                    if ad:
-                        R[ad] = xv
-                    if ti:
-                        _fl(ti, tcy, tb2, tmd, tic)
-                    return _xt(i, 1, JP, imv, ch, dh, warm,
-                               fc, bc, mc, pf)
-
-                elif op == 58:  # OP_JALR_F
-                    t = (R[rb] + imv) & 0xFFFFFFFFFFFFFFFE
-                    if ad:
-                        R[ad] = xv
-                    if ti:
-                        _fl(ti, tcy, tb2, tmd, tic)
-                    return _xt(i, 1, JP, t, ch, dh, warm,
-                               fc, bc, mc, pf)
-
-                else:           # OP_GEN_F (59)
-                    if ti:
-                        _fl(ti, tcy, tb2, tmd, tic)
-                        ti = tcy = tb2 = tmd = tic = 0
-                    fc, bc, mc, pf, ip = _sy(i, fc, bc, mc, pf)
-                    h_, i_ = GH[ad]
-                    res = h_(core, i_, PCA[i])
-                    stats.instructions += 1
-                    stats.cycles += CPI
-                    if ch:
-                        dcache.hits += ch
-                    if dh:
-                        dtlb.hits += dh
-                        mmu_stats.translations += dh
-                    _lf()
-                    return xv if res is None else res
-
-                i += 1
-        except BaseException:
-            # Counters were synced at the raising site (which stamped
-            # ``ip``); the register file is already current (written
-            # in place). Drain the deferred hits and any banked
-            # iterations, replay the LRU lists, and replay the warm
-            # I-side permutation.
-            if ti:
-                _fl(ti, tcy, tb2, tmd, tic)
-            if ch:
-                dcache.hits += ch
-            if dh:
-                dtlb.hits += dh
-                mmu_stats.translations += dh
-            _lf()
-            if warm:
-                _irp(ip)
-            raise
-
-    return _run

@@ -13,9 +13,10 @@ concurrent serve or fuzz workers starting from a cold cache are safe.
 
 Any failure — a big-endian host, no compiler, a failed compile, an
 unwritable cache directory, a failed load — makes :func:`load` return
-None, and the flat core runs its Python loop instead: same results,
-only slower. There is deliberately no switch: which runner runs is a
-property of the host, never of the experiment.
+None. Then nothing is lowered: repro.cpu.core turns tiers 2 and 4 off
+and runs tiers 0 and 1 only, with the same results, only slower.
+There is deliberately no switch: which tiers run is a property of the
+host, never of the experiment.
 """
 
 from __future__ import annotations
@@ -111,6 +112,6 @@ def load():
         if not target.exists():
             _build(target)
         return _import(target)
-    except Exception as exc:    # any failure: the Python loop runs
+    except Exception as exc:    # any failure: tiers 2 and 4 stay off
         failure = f"{type(exc).__name__}: {exc}"
         return None

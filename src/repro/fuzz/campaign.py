@@ -46,6 +46,13 @@ SCHEMA_VERSION = 1
 # crashes count as misses — fails its own verdict.
 MIN_DETECTION_RATE = 0.85
 
+# Defaults of a Campaign whose caller (or roload-fuzz flag) leaves the
+# setting out.
+EXECUTIONS = 10_000     # execution budget
+SEED = 1                # PRNG seed: same seed + same budget = same campaign
+SCHEDULE_MAX = 3        # max injection-schedule entries per fuzz input
+CORPUS_CAP = 256        # max corpus entries kept by the guided scheduler
+
 
 @dataclass
 class CampaignReportV1:
@@ -135,15 +142,13 @@ class Campaign:
         if mode not in ("guided", "random"):
             raise ReplayError(f"unknown campaign mode {mode!r}; choose "
                               f"guided or random")
-        self.executions = executions if executions is not None \
-            else cfg.fuzz_executions
+        self.executions = EXECUTIONS if executions is None else executions
         self.workers = cfg.resolve_jobs(workers)
         self.mode = mode
-        self.seed = seed if seed is not None else cfg.fuzz_seed
-        self.schedule_max = schedule_max if schedule_max is not None \
-            else cfg.fuzz_schedule
-        self.corpus_cap = corpus_cap if corpus_cap is not None \
-            else cfg.fuzz_corpus
+        self.seed = SEED if seed is None else seed
+        self.schedule_max = SCHEDULE_MAX if schedule_max is None \
+            else schedule_max
+        self.corpus_cap = CORPUS_CAP if corpus_cap is None else corpus_cap
         self.tier = tier
         self.profile = profile
         self.curve_points = max(1, curve_points)

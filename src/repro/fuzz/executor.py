@@ -130,9 +130,7 @@ class WarmVictimPool:
             exit_code=process.exit_code, events=events,
             journal_entries=journal.entries,
             signature=signature(events, (), fingerprint))
-        core = kernel.system.core
-        translations = publish(None, core, snap)
-        core.flush_decode_cache("release")
+        translations = publish(None, kernel.system.core, snap)
         return WarmVictim(image=image, snapshot=snap, baseline=baseline,
                           translations=translations)
 
@@ -207,9 +205,6 @@ class WarmVictimPool:
                 kernel, process, seclog_before,
                 baseline_exit=baseline.exit_code)
             final_instret = kernel.system.core.instret
-            # Free the lowered code (it closes over the core) by
-            # reference counting rather than a full garbage collection.
-            kernel.system.core.flush_decode_cache("release")
 
         sig = signature(events, tuple(checks_at), fingerprint)
         divergence = journal_divergence(baseline.journal_entries,

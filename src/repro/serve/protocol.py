@@ -54,6 +54,10 @@ _FIELDS = {
 _SESSION_OPS = frozenset({"step", "query", "detach", "reattach",
                           "destroy"})
 
+# Default warm-snapshot boot point of create and warm: instructions
+# retired before the pool captures the snapshot.
+BOOT = 4096
+
 
 def parse_request(line: str) -> dict:
     """Parse and validate one protocol line; raises ServeError."""
@@ -94,16 +98,15 @@ def _require_flag(request: dict, name: str) -> None:
         raise ServeError(f"{name!r} must be a boolean, got {value!r}")
 
 
-def pool_key(request: dict, config=None) -> PoolKey:
+def pool_key(request: dict) -> PoolKey:
     """Build (and validate) the snapshot-pool key a request names."""
-    cfg = config or _config.current()
     scale = request.get("scale", 1.0)
     if not isinstance(scale, (int, float)) or isinstance(scale, bool):
         raise ServeError(f"'scale' must be a number, got {scale!r}")
     variant = request.get("variant", "vcall")
     if not isinstance(variant, str):
         raise ServeError(f"'variant' must be a string, got {variant!r}")
-    boot = request.get("boot", cfg.serve_boot)
+    boot = request.get("boot", BOOT)
     if not isinstance(boot, int) or isinstance(boot, bool):
         raise ServeError(f"'boot' must be an integer, got {boot!r}")
     return PoolKey(profile=str(request.get("profile", "")),

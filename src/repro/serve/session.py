@@ -270,7 +270,7 @@ class Session:
         The session first publishes its translations onto the pool
         entry it was forked from (:meth:`WarmSnapshot.publish
         <repro.serve.pool.WarmSnapshot.publish>`), so later forks start
-        on its decoded and lowered code, then releases them.
+        on its decoded and lowered code.
         """
         if self.state != DESTROYED:
             self.audit.append("serve.destroy", state=self.state,
@@ -279,9 +279,5 @@ class Session:
             self.state = DESTROYED
             if self.origin is not None:
                 self.origin.publish(self.kernel)
-            # Lowered code closes over the core that holds it; dropping
-            # it here lets reference counting free it (and the frames it
-            # pins) instead of leaving cycles for a full collection.
-            self.kernel.system.core.flush_decode_cache("release")
         return {"session": self.sid, "state": self.state,
                 "audit": list(self.audit.records)}

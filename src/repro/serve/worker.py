@@ -57,7 +57,7 @@ class Worker:
         if sid in self.sessions:
             raise ServeError(f"session {sid} already exists")
         caps = SessionCaps.from_request(request.get("caps"), self.config)
-        key = protocol.pool_key(request, self.config)
+        key = protocol.pool_key(request)
         tier = request.get("tier")
         entry, built = self.pool.warm(key)
         kernel, process, fork_seconds = self.pool.fork(key, tier=tier)
@@ -115,7 +115,7 @@ class Worker:
         return protocol.ok(**session.destroy())
 
     def _warm(self, request: dict) -> dict:
-        key = protocol.pool_key(request, self.config)
+        key = protocol.pool_key(request)
         entry, built = self.pool.warm(key)
         return protocol.ok(built=built, worker=self.worker_id,
                            boot_us=entry.boot_seconds * 1e6,

@@ -33,6 +33,7 @@ from repro.tools.cli import (add_config_flag, add_obs_flags, config_scope,
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.fuzz import campaign as campaign_mod
     parser = argparse.ArgumentParser(
         prog="roload-fuzz",
         description="Coverage-guided fault/fuzz campaigns over warm "
@@ -43,8 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign", help="run a fuzz/fault campaign and print the "
                          "coverage + detection summary")
     campaign.add_argument("--executions", type=int, default=None,
-                          help="execution budget "
-                               "(default: REPRO_FUZZ_EXECUTIONS)")
+                          help=f"execution budget "
+                               f"(default {campaign_mod.EXECUTIONS})")
     campaign.add_argument("--workers", type=int, default=None,
                           help="worker processes (default: REPRO_JOBS)")
     campaign.add_argument("--mode", choices=("guided", "random"),
@@ -56,11 +57,11 @@ def build_parser() -> argparse.ArgumentParser:
                                "guided_vs_random section and ok requires "
                                "guided to win")
     campaign.add_argument("--seed", type=int, default=None,
-                          help="campaign PRNG seed "
-                               "(default: REPRO_FUZZ_SEED)")
+                          help=f"campaign PRNG seed "
+                               f"(default {campaign_mod.SEED})")
     campaign.add_argument("--schedule-max", type=int, default=None,
-                          help="max injection-schedule entries per input "
-                               "(default: REPRO_FUZZ_SCHEDULE)")
+                          help=f"max injection-schedule entries per input "
+                               f"(default {campaign_mod.SCHEDULE_MAX})")
     campaign.add_argument("--tier", default=None,
                           help="pin an interpreter tier for every "
                                "execution (default: ambient config)")

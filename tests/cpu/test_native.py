@@ -1,14 +1,16 @@
 """The flat core's native runner: build, cache and fallback.
 
-The runner is picked when repro.cpu.flatcore is imported, from whether
-the C extension built and loaded (repro.cpu.native); there is no knob.
-These tests hold the three properties that choice rests on:
+Whether tiers 2 and 4 run is settled when repro.cpu.flatcore is
+imported, from whether the C extension built and loaded
+(repro.cpu.native); there is no knob. These tests hold the three
+properties this rests on:
 
-* on a host whose compiler works, the native runner is the one in use —
-  so a silently failed build cannot leave CI or the benchmark measuring
-  the Python loop;
-* a build that fails (the compiler replaced by ``/bin/false``) falls back
-  to the Python loop with no exception and identical results;
+* on a host whose compiler works, the native runner is in use — so a
+  silently failed build cannot leave CI or the benchmark measuring
+  tier 1 alone;
+* a build that fails (the compiler replaced by ``/bin/false``) leaves
+  no runner, with no exception: the core runs tiers 0 and 1 only,
+  lowers nothing, and gets identical results;
 * a second import reuses the cached build and does not compile again.
 
 The fallback and cache tests run in subprocesses over a private copy of
@@ -41,6 +43,7 @@ measurement = run_variant(build_workload(profile("429.mcf"), scale=0.05),
 print(json.dumps({"runner": flatcore.runner(),
                   "compiled_here": native.compiled_here,
                   "failure": native.failure,
+                  "residency": measurement.tier_residency,
                   "result": dataclasses.asdict(measurement)}))
 """
 
@@ -113,8 +116,12 @@ def test_failed_build_falls_back_with_identical_results(package_copy,
                                                         monkeypatch):
     empty_cache(package_copy)
     fallback = run_probe(package_copy, CC="/bin/false")
-    assert fallback["runner"] == "python"
+    assert fallback["runner"] == "none"
     assert not fallback["compiled_here"]
+    residency = fallback["residency"]
+    assert residency["tier2_retired"] == residency["tier4_retired"] == 0
+    assert residency["jit_compiled"] == residency["regions_compiled"] == 0
+    assert residency["tier1_retired"] > 0
     assert "compiler exited" in fallback["failure"]
     assert not list((package_copy / "repro" / "cpu").glob(
         "_native_build/*.so"))

@@ -206,6 +206,59 @@ class TestSyscalls:
         assert process.exit_code == (-9) & 0xFF  # -EBADF
 
 
+HOT_LOOP = r"""
+.globl _start
+_start:
+    li t0, 200
+loop:
+    addi s0, s0, 3
+    xori s0, s0, 5
+    addi t0, t0, -1
+    bnez t0, loop
+    li a0, 0
+    li a7, 93
+    ecall
+"""
+
+
+@pytest.mark.parametrize("fork", [None, "copy", "cow"])
+@pytest.mark.parametrize("tier", ["tier2", "tier4"])
+def test_finished_machine_dies_without_a_collection(tier, fork):
+    """A machine that ran lowered code and exited normally, forked from
+    a snapshot or not, is freed by reference counting alone once it is
+    dropped: its kernel releases the bound units, which hold the
+    core."""
+    from repro import config
+    from repro.cpu import flatcore, native
+    from repro.replay import restore, snapshot
+
+    if flatcore.runner() != "native":
+        pytest.skip(f"no native flat-core runner: {native.failure}")
+    with config.overrides(**config.TIERS[tier], jit_threshold=2,
+                          region_threshold=2):
+        kernel = Kernel(build_system("processor+kernel",
+                                     memory_size=64 << 20))
+        process = kernel.create_process(build_image(HOT_LOOP))
+        kernels = [kernel]
+        if fork:
+            kernel.run(process, stop_after=300)
+            kernel, process = restore(snapshot(kernel), cow=fork == "cow")
+            kernels.append(kernel)
+        kernel.run(process)
+    assert process.exit_code == 0
+    cores = [k.system.core for k in kernels]
+    assert all(core.jit_compiled for core in cores)     # non-vacuity
+    if tier == "tier4":
+        assert cores[-1].regions_compiled
+    refs = [weakref.ref(x) for x in kernels + cores]
+    gc.disable()
+    try:
+        del kernel, process, kernels, cores
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
 class TestFaultDiscrimination:
     WRONG_KEY = r"""
     .globl _start
@@ -236,7 +289,6 @@ class TestFaultDiscrimination:
         kernel.run(process)
         assert process.state is ProcessState.KILLED
         core = kernel.system.core
-        core.flush_decode_cache("release")   # lowered code holds the core
         ref = weakref.ref(core)
         gc.disable()
         try:

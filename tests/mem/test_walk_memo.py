@@ -8,9 +8,9 @@ defeat it: an mprotect-style permission rewrite (followed by the usual
 generation bump) and a direct leaf-PTE rewrite in physical memory. In
 both cases the next translation must observe the new PTE, and the
 architectural walk counters must be exactly what a memo-less MMU would
-have charged — on the bare MMU and through every interpreter tier, on
-both flat-core runners (the native one refills the D-TLB from the memo
-itself).
+have charged — on the bare MMU and through every interpreter tier
+(tiers 2 and 4 where the flat core's native runner, which refills the
+D-TLB from the memo itself, was built).
 """
 
 import pytest
@@ -126,10 +126,10 @@ DATA_VA = 0x10000
 FRAME_A = 48 << 20
 FRAME_B = (48 << 20) + 0x1000
 
-# The flat-core runners this host has: the native one when it was built,
-# and always the Python loop.
-NATIVE = flatcore._native
-RUNNERS = ("python",) if NATIVE is None else ("native", "python")
+# The tiers this host runs: tiers 2 and 4 only where the native runner
+# was built.
+CONFIGS = ("slow", "tier1") + (
+    ("tier2", "tier4") if flatcore.runner() == "native" else ())
 
 # Three identical hot load loops separated by ebreaks, so the host can
 # mutate the page tables between phases while regions are live, then a
@@ -197,17 +197,12 @@ def test_memo_invalidation_identical_across_tiers(monkeypatch):
     between phases the host rewrites the data page's leaf PTE — first
     mprotect-style through the builder, then directly in physical
     memory, retargeting the frame. Every tier must observe each rewrite
-    on the very next load, with bit-identical walk charges, and tiers 2
-    and 4 on both flat-core runners. A store leg runs a load/store loop
-    hot on the writable page; after the mprotect its next store faults
-    with the same tval and pc."""
+    on the very next load, with bit-identical walk charges. A store leg
+    runs a load/store loop hot on the writable page; after the mprotect
+    its next store faults with the same tval and pc."""
     monkeypatch.setenv("REPRO_JIT_DEBUG", "1")
     results = {}
-    configs = [("slow", "python"), ("tier1", "python")] + [
-        (tier, runner) for tier in ("tier2", "tier4") for runner in RUNNERS]
-    for tier, runner in configs:
-        monkeypatch.setattr(flatcore, "_native",
-                            NATIVE if runner == "native" else None)
+    for tier in CONFIGS:
         mem, builder, mmu, core = _tier_system(tier)
         _run_phase(core)  # phase 1: RW page, loads see frame A
         resume = core.pc
@@ -232,15 +227,15 @@ def test_memo_invalidation_identical_across_tiers(monkeypatch):
         if tier == "tier4":
             assert core.regions_compiled >= 1
             assert core.tier4_retired > 0
-        results[tier, runner] = (
+        results[tier] = (
             tuple(core.regs[r] for r in _LOOP_REGS),
             core.instret, core.cycles, core.timing.stats.dtlb_walk_cycles,
             mmu.dtlb.hits, mmu.dtlb.misses,
             mmu.itlb.hits, mmu.itlb.misses,
             mmu.stats.walks, mmu.stats.translations,
         )
-    slow = results["slow", "python"]
-    for config in configs:
-        assert results[config] == slow, config
+    slow = results["slow"]
+    for tier in CONFIGS:
+        assert results[tier] == slow, tier
     sums = slow[0]
     assert sums == (40 * 1234, 40 * 1234, 40 * 99)

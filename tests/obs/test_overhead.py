@@ -4,21 +4,23 @@ Three layers of proof:
 
 * behavioural — a full kernel run with the switchboard off allocates no
   buffers and emits no events;
-* structural — the per-instruction slow path and the flat core that
-  runs both compiled tiers, on either of its runners (the Python loop
-  and the native C one), contain no reference to the obs layer at all
-  (the only hot-path cost anywhere is one ``enabled`` attribute test at
-  cold sites, plus one ``is not None`` test at the batch observation
+* structural — the per-instruction slow path, the flat core that
+  lowers both compiled tiers and its native runner's C source and
+  bound units contain no reference to the obs layer at all (the only
+  hot-path cost anywhere is one ``enabled`` attribute test at cold
+  sites, plus one ``is not None`` test at the batch observation
   points);
 * end-to-end — a tier-2 mini-sweep with REPRO_OBS=0 stays within 15%
   of the throughput of an identical sweep, and a tier-4 sweep with the
-  flight recorder ON stays within 15% of an obs-off reference. Both
-  run on the native runner wherever it is built.
+  flight recorder ON stays within 15% of an obs-off reference. Every
+  unit both sweeps lower runs on the native runner.
 """
 
 import dataclasses
 import inspect
 import re
+
+import pytest
 
 from repro import config, obs
 from repro.asm import assemble, link
@@ -97,39 +99,45 @@ def _compiled_core(monkeypatch, tier4=True):
     return core
 
 
-def _code_names(fn):
-    code = fn.__code__
-    return set(code.co_names) | set(code.co_freevars) | set(code.co_varnames)
+def _require_native():
+    if flatcore.runner() != "native":
+        pytest.skip(f"no native flat-core runner: {native.failure}")
+
+
+def _unit_names(fn):
+    """The names a bound unit carries; it is a native runner unit."""
+    assert type(fn).__module__ == "repro.cpu._flatcore_native"
+    return dir(fn)
 
 
 def test_tier2_generated_source_has_no_obs_reference(monkeypatch):
     """Tier 2 generates no source any more: a hot block is lowered by the
-    flat core into one closure (on the Python runner). That closure is
-    all the compiled tier runs, so if the word 'obs' ever shows up among
-    its names, instrumentation leaked into the hot loop."""
-    monkeypatch.setattr(flatcore, "_native", None)
+    flat core and bound as one native unit. That unit is all the
+    compiled tier runs, so if the word 'obs' ever shows up among its
+    names, instrumentation leaked into the hot loop."""
+    _require_native()
     core = _compiled_core(monkeypatch, tier4=False)
     loop_pc = countdown_loop(core, 10)
     run_to_ebreak(core)
     block = core._jit_blocks[loop_pc]  # the loop really lowered
-    assert not any("obs" in name.lower() for name in _code_names(block.fn))
+    assert not any("obs" in name.lower() for name in _unit_names(block.fn))
 
 
 def test_tier4_flat_core_has_no_obs_reference(monkeypatch):
     """The flat-core backend (module source AND a real lowered region's
-    code object) carries no observability reference: tier-4 dispatch
+    bound unit) carries no observability reference: tier-4 dispatch
     runs past the obs layer entirely."""
     source = inspect.getsource(flatcore)
     assert "_OBS" not in source
     assert "repro.obs" not in source
 
-    monkeypatch.setattr(flatcore, "_native", None)
+    _require_native()
     core = _compiled_core(monkeypatch)
     countdown_loop(core, 50)
     run_to_ebreak(core)
     assert core.regions_compiled >= 1
     region = next(iter(core._regions.values()))
-    assert not any("obs" in name.lower() for name in _code_names(region.fn))
+    assert not any("obs" in name.lower() for name in _unit_names(region.fn))
 
 
 def _c_names(text):
@@ -140,23 +148,12 @@ def _c_names(text):
         | set(re.findall(r'"([^"\n]*)"', text))
 
 
-def test_native_runner_has_no_obs_reference(monkeypatch):
-    """The native runner's C source, and a real lowered region bound to
-    it, carry no observability reference either: the same 'no obs name'
-    contract as the Python loop's code object."""
+def test_native_runner_has_no_obs_reference():
+    """The native runner's C source carries no observability reference
+    either: the same 'no obs name' contract as its bound units."""
     names = _c_names(native.SOURCE.read_text())
     assert "instructions" in names      # non-vacuity: names were found
     assert not any("obs" in name.lower() for name in names)
-
-    if flatcore.runner() != "native":
-        return      # the extension is not built on this host
-    core = _compiled_core(monkeypatch)
-    countdown_loop(core, 50)
-    run_to_ebreak(core)
-    assert core.regions_compiled >= 1
-    region = next(iter(core._regions.values()))
-    assert type(region.fn).__module__ == "repro.cpu._flatcore_native"
-    assert not any("obs" in name.lower() for name in dir(region.fn))
 
 
 # The timed sweep: one SPEC-style workload, unhardened. Its scale keeps
@@ -179,24 +176,24 @@ def _sweep(tier):
     """One serial sweep under a named tier configuration: its sim-MIPS
     over ``Kernel.run`` time only (generation and compilation cost the
     same on both sides) and every measurement's architectural fields.
-    Where the native runner is built, every unit of the sweep runs on
-    it, observed or not."""
-    bind_python = flatcore._bind_python
-    python_binds = []
+    Every unit the sweep binds, observed or not, is a native runner
+    unit."""
+    bind = flatcore._bind
+    modules = set()
 
-    def counting_bind(core, lowered):
-        python_binds.append(lowered.head_pc)
-        return bind_python(core, lowered)
+    def recording_bind(core, lowered):
+        unit = bind(core, lowered)
+        modules.add(type(unit).__module__)
+        return unit
 
-    flatcore._bind_python = counting_bind
+    flatcore._bind = recording_bind
     try:
         with config.env_knobs(**config.TIERS[tier]):
             runs = run_benchmarks(BENCHMARKS, VARIANTS, scale=SCALE,
                                   jobs=1)
     finally:
-        flatcore._bind_python = bind_python
-    if flatcore.runner() == "native":
-        assert not python_binds
+        flatcore._bind = bind
+    assert modules <= {"repro.cpu._flatcore_native"}
     measurements = [m for run in runs.values()
                     for m in run.measurements.values()]
     instructions = sum(m.instructions for m in measurements)

@@ -92,8 +92,9 @@ class TestSessionLifecycle:
 
     def test_destroy_releases_lowered_code_without_a_gc(
             self, pool, warm_key, monkeypatch):
-        # Lowered units close over the core that holds them; destroy
-        # must break that cycle so refcounting alone frees them.
+        # Bound native units hold the core that holds them; dropping a
+        # destroyed session must break that cycle so reference counting
+        # alone frees them.
         monkeypatch.setenv("REPRO_JIT_THRESHOLD", "2")
         monkeypatch.setenv("REPRO_REGION_THRESHOLD", "2")
         session = _fork_session(pool, warm_key, tier="tier4")

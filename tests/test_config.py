@@ -184,12 +184,11 @@ class TestServeKnobs:
         assert cfg.serve_slice == 50_000
         assert cfg.serve_instret == 10_000_000
         assert cfg.serve_frames == 8192
-        assert cfg.serve_boot == 4096
 
     def test_env_round_trip(self):
         cfg = config.Config(serve_workers=4, serve_sessions=16,
                             serve_slice=1000, serve_instret=50_000,
-                            serve_frames=64, serve_boot=100)
+                            serve_frames=64)
         assert config.Config.from_env(cfg.to_env()) == cfg
 
     def test_workers_auto_rule(self):

@@ -16,11 +16,11 @@ bit-identical: cycles, retired instructions, memory, exit codes,
 cache/TLB miss rates, and fault delivery (including the ROLoad security
 log).
 
-Tiers 2 and 4 run their lowered units on one of two flat-core runners:
-the native one (a C extension built at import, when the host can build
-it) and the Python loop it was ported from. Every tier-2 and tier-4
-comparison here runs on each runner the host has (:data:`CONFIGS`),
-switched at module level by the ``use_runner`` fixture.
+Tiers 2 and 4 run their lowered units on the flat core's native runner,
+a C extension built at import. Where the host cannot build it those
+tiers are off, so their configurations are left out of :data:`CONFIGS`
+and the tests that need them skip with :data:`repro.cpu.native.failure`
+as the reason.
 """
 
 import dataclasses
@@ -28,7 +28,7 @@ import dataclasses
 import pytest
 
 from repro.asm import assemble, link
-from repro.cpu import Core, TimingModel, flatcore
+from repro.cpu import Core, TimingModel, flatcore, native
 from repro.errors import SimulationError
 from repro.eval.measure import run_variant
 from repro.kernel import Kernel, ProcessState, SIGSEGV
@@ -48,27 +48,13 @@ TIERS = {
 
 COMPARED = ("tier1", "tier2", "tier4")
 
-# The flat-core runners this host has: the native one when it was built
-# here, and always the Python loop, the reference.
-NATIVE = flatcore._native
-RUNNERS = ("python",) if NATIVE is None else ("native", "python")
+# Every compared tier this host runs: tiers 2 and 4 only where the
+# native runner was built.
+CONFIGS = COMPARED if flatcore.runner() == "native" else ("tier1",)
 
-# Every compared configuration: a tier, and the runner its flat-core
-# units use (tier 1 lowers nothing, so one runner is enough there).
-CONFIGS = [("tier1", "python")] + [(tier, runner)
-                                   for tier in ("tier2", "tier4")
-                                   for runner in RUNNERS]
-
-
-@pytest.fixture()
-def use_runner(monkeypatch):
-    """Switch the module-level flat-core runner for the rest of a test:
-    ``use_runner("native")`` or ``use_runner("python")``."""
-    def use(runner):
-        monkeypatch.setattr(flatcore, "_native",
-                            NATIVE if runner == "native" else None)
-        assert flatcore.runner() == runner
-    return use
+needs_native = pytest.mark.skipif(
+    flatcore.runner() != "native",
+    reason=f"no native flat-core runner: {native.failure}")
 
 
 def set_tier(monkeypatch, tier):
@@ -99,12 +85,10 @@ def measure(monkeypatch, name, variant, tier):
 
 
 @pytest.mark.parametrize("name,variant", WORKLOADS)
-def test_workload_equivalence(monkeypatch, use_runner, name, variant):
+def test_workload_equivalence(monkeypatch, name, variant):
     slow = measure(monkeypatch, name, variant, "slow")
-    for tier, runner in CONFIGS:
-        use_runner(runner)
+    for tier in CONFIGS:
         fast = measure(monkeypatch, name, variant, tier)
-        tier = f"{tier}/{runner}"
         assert dataclasses.asdict(fast) == dataclasses.asdict(slow), tier
         # The fields the issue names, spelled out for a readable failure:
         assert fast.cycles == slow.cycles, tier
@@ -143,10 +127,9 @@ def run_kernel_program(monkeypatch, source, tier):
     return kernel, process
 
 
-def test_roload_key_mismatch_through_fast_path(monkeypatch, use_runner):
+def test_roload_key_mismatch_through_fast_path(monkeypatch):
     results = {}
-    for tier, runner in [("slow", "python")] + CONFIGS:
-        use_runner(runner)
+    for tier in ("slow",) + CONFIGS:
         kernel, process = run_kernel_program(monkeypatch, ROLOAD_FAULT, tier)
         assert process.state is ProcessState.KILLED
         assert process.signal.number == SIGSEGV
@@ -163,14 +146,14 @@ def test_roload_key_mismatch_through_fast_path(monkeypatch, use_runner):
             # as a lowered region when the tier-4 knob is on.
             assert core.regions_compiled > 0
             assert core.tier4_retired > 0
-        results[tier, runner] = (
+        results[tier] = (
             core.cycles, core.instret,
             len(kernel.security_log), event.reason,
             event.insn_key, event.page_key, event.pc, event.fault_address,
         )
-    slow = results["slow", "python"]
-    for config in CONFIGS:
-        assert results[config] == slow, config
+    slow = results["slow"]
+    for tier in CONFIGS:
+        assert results[tier] == slow, tier
     assert slow[3] == "key_mismatch"
     assert slow[4] == 7 and slow[5] == 42
 
@@ -183,7 +166,7 @@ def _bare_core(monkeypatch, tier):
     return core
 
 
-def test_self_modifying_code_equivalence(monkeypatch, use_runner):
+def test_self_modifying_code_equivalence(monkeypatch):
     """A store over not-yet-executed code (no fence.i) must behave the
     same whether or not the first copy was already block-cached (tier 1)
     or compiled (tier 2)."""
@@ -209,25 +192,23 @@ def test_self_modifying_code_equivalence(monkeypatch, use_runner):
                           encode(Instruction("addi", rd=10, rs1=0, imm=9)))
 
     outcomes = {}
-    for tier, runner in [("slow", "python")] + CONFIGS:
-        use_runner(runner)
+    for tier in ("slow",) + CONFIGS:
         core = _bare_core(monkeypatch, tier)
         program(core)
         retired = core.run(100, trap_handler=None)  # stops at ebreak
-        outcomes[tier, runner] = (core.regs[10], retired, core.cycles)
-    slow = outcomes["slow", "python"]
-    for config in CONFIGS:
-        assert outcomes[config] == slow, config
+        outcomes[tier] = (core.regs[10], retired, core.cycles)
+    slow = outcomes["slow"]
+    for tier in CONFIGS:
+        assert outcomes[tier] == slow, tier
     assert slow[0] == 9  # the patched instruction executed
 
 
-def test_budget_exhaustion_identical(monkeypatch, use_runner):
+def test_budget_exhaustion_identical(monkeypatch):
     """Block replay and compiled blocks must not overshoot the
     instruction budget."""
     from repro.isa import Instruction, encode
 
-    for tier, runner in [("slow", "python")] + CONFIGS:
-        use_runner(runner)
+    for tier in ("slow",) + CONFIGS:
         core = _bare_core(monkeypatch, tier)
         # A straight-line run ending in a backwards jump: infinite loop.
         addr = 0x1000
@@ -244,10 +225,10 @@ def test_budget_exhaustion_identical(monkeypatch, use_runner):
             assert core.jit_compiled > 0  # the loop really was compiled
 
 
-# -- both runners, state after faults and aborts ------------------------------
+# -- state after faults and aborts ---------------------------------------------
 
 def machine_state(core):
-    """Everything a run leaves behind that a runner could get wrong:
+    """Everything a run leaves behind that a tier could get wrong:
     registers, pc, the timing and MMU counters, and the caches' and
     TLBs' hit/miss counts and LRU order."""
     mmu = core.mmu
@@ -266,37 +247,22 @@ def machine_state(core):
     }
 
 
-def unit_counters(core):
-    """Counters of the compiled tiers themselves: equal between the two
-    runners of one tier, not across tiers."""
-    return {"tier4": core.tier4_retired,
-            "side_exits": core.region_side_exits,
-            "compiled": (core.jit_compiled, core.regions_compiled)}
-
-
-def compare_kernel_runs(monkeypatch, use_runner, source):
+def compare_kernel_runs(monkeypatch, source):
     """Run ``source`` on the slow tier and on every configuration; every
-    configuration must leave the slow tier's machine state, and the two
-    runners of a tier the same unit counters. Returns the slow run's
-    kernel, process and state."""
-    use_runner("python")
+    configuration must leave the slow tier's machine state. Returns the
+    slow run's kernel, process and state."""
     slow_kernel, slow_process = run_kernel_program(monkeypatch, source,
                                                    "slow")
     slow = machine_state(slow_kernel.system.core)
-    units = {}
-    for tier, runner in CONFIGS:
-        use_runner(runner)
+    for tier in CONFIGS:
         kernel, process = run_kernel_program(monkeypatch, source, tier)
         core = kernel.system.core
-        assert process.state is slow_process.state, (tier, runner)
-        assert machine_state(core) == slow, (tier, runner)
+        assert process.state is slow_process.state, tier
+        assert machine_state(core) == slow, tier
         assert [dataclasses.astuple(e) for e in kernel.security_log] == \
             [dataclasses.astuple(e) for e in slow_kernel.security_log]
-        units.setdefault(tier, {})[runner] = unit_counters(core)
         if tier == "tier4":
-            assert core.tier4_retired > 0, runner   # non-vacuity
-    for tier, by_runner in units.items():
-        assert len(set(map(repr, by_runner.values()))) == 1, tier
+            assert core.tier4_retired > 0   # non-vacuity
     return slow_kernel, slow_process, slow
 
 
@@ -304,16 +270,16 @@ def compare_kernel_runs(monkeypatch, use_runner, source):
     ("HOT_WALK_KEY", "key_mismatch"),
     ("HOT_WALK_WRITABLE", "not_read_only"),
 ], ids=["key-mismatch", "writable-page"])
-def test_hot_roload_faults_match_on_both_runners(monkeypatch, use_runner,
-                                                 source, reason):
+def test_hot_roload_faults_match_on_both_runners(monkeypatch, source,
+                                                 reason):
     """An ld.ro that faults from inside a hot block or region — a key
     mismatch, or a pointee on a writable page — is delivered with the
-    same tval, pc and security-log entry on both runners, which also
-    leave the same registers and counters."""
+    slow tier's tval, pc and security-log entry, registers and
+    counters."""
     from tests.cpu import test_jit
 
     kernel, process, __ = compare_kernel_runs(
-        monkeypatch, use_runner, getattr(test_jit, source))
+        monkeypatch, getattr(test_jit, source))
     assert process.signal.number == SIGSEGV and process.signal.roload
     assert kernel.security_log[0].reason == reason
 
@@ -338,21 +304,21 @@ buf: .quad 7
 """
 
 
-def test_trap_mid_region_leaves_same_state(monkeypatch, use_runner):
+def test_trap_mid_region_leaves_same_state(monkeypatch):
     """A page fault raised in the middle of a region pass leaves the
     same registers (including the ones the pass wrote before the fault)
-    and the same counters on both runners as on the slow tier."""
-    __, process, slow = compare_kernel_runs(monkeypatch, use_runner,
-                                            WALK_OFF_THE_END)
+    and the same counters as on the slow tier."""
+    __, process, slow = compare_kernel_runs(monkeypatch, WALK_OFF_THE_END)
     assert process.state is ProcessState.KILLED
     assert process.signal.number == SIGSEGV
     assert slow["regs"][9] > 64     # s1: the loop ran hot before faulting
 
 
-# Each pass loads from two pages and stores to a third at the same page
-# offset, so one pass touches three D-TLB entries and three lines of
-# one D-cache set (the L1D's ways are 4 KiB): the deferred LRU moves
-# must replay in the order the accesses happened.
+# Each pass loads from two pages, stores to a third at the same page
+# offset and loads from the first page again, so one pass touches three
+# D-TLB entries and three lines of one D-cache set (the L1D's ways are
+# 4 KiB), the first of them twice: the deferred LRU moves must replay
+# in the order of each key's last access, not its first.
 THREE_PAGES_ONE_SET = r"""
 .globl _start
 _start:
@@ -366,6 +332,7 @@ loop:
     ld a2, 0(s1)
     add a3, a1, a2
     sd a3, 8(s2)
+    ld a4, 16(s0)
     addi t0, t0, -1
     bnez t0, loop
     li a0, 0
@@ -379,11 +346,11 @@ pages:
 """
 
 
-def test_lru_order_matches_on_both_runners(monkeypatch, use_runner):
+def test_lru_order_matches_on_both_runners(monkeypatch):
     """Cache and TLB LRU order after a loop that reorders one set and
-    several TLB entries every pass: the deferred replay on both runners
-    ends in the order eager moves leave on the slow tier."""
-    __, process, slow = compare_kernel_runs(monkeypatch, use_runner,
+    several TLB entries every pass: the deferred replay ends in the
+    order eager moves leave on the slow tier."""
+    __, process, slow = compare_kernel_runs(monkeypatch,
                                             THREE_PAGES_ONE_SET)
     assert process.exit_code == 0
 
@@ -433,7 +400,7 @@ buf: .quad 0
 """
 
 
-def test_capacity_flushes_match_on_both_runners(monkeypatch, use_runner):
+def test_capacity_flushes_match_on_both_runners(monkeypatch):
     """Block and decode caches shrunk on one core: the block cache
     flushes on capacity and the decode caches wrap every outer pass,
     dropping lowered units with the blocks, and every configuration
@@ -451,46 +418,36 @@ def test_capacity_flushes_match_on_both_runners(monkeypatch, use_runner):
         assert len(core._decode_cache) <= 8, tier
         return core, (process.state, process.exit_code, machine_state(core))
 
-    use_runner("python")
     __, slow = run("slow")
     assert slow[0] is ProcessState.EXITED
-    for tier, runner in CONFIGS:
-        use_runner(runner)
+    for tier in CONFIGS:
         core, outcome = run(tier)
-        assert outcome == slow, (tier, runner)
-        assert core.flush_causes["block_cache_capacity"] >= 1, (tier, runner)
+        assert outcome == slow, tier
+        assert core.flush_causes["block_cache_capacity"] >= 1, tier
         if tier != "tier1":                                 # non-vacuity
-            assert core.jit_compiled > 0, (tier, runner)
+            assert core.jit_compiled > 0, tier
         if tier == "tier4":
-            assert core.tier4_retired > 0, runner
+            assert core.tier4_retired > 0
 
 
-def test_smc_abort_resumes_at_same_pc(monkeypatch, use_runner):
-    """A unit that patches its own code leaves right after the store;
-    on both runners every trampoline return lands on the same pc with
-    the same instret, and the run ends as on the slow tier."""
+def test_smc_abort_resumes_at_same_pc(monkeypatch):
+    """A unit that patches its own code leaves right after the store,
+    and the run ends as on the slow tier."""
     from repro.cpu.trap import Trap
 
-    traces, finals = {}, {}
-    for tier, runner in [("slow", "python")] + CONFIGS:
-        use_runner(runner)
+    finals = {}
+    for tier in ("slow",) + CONFIGS:
         core = _bare_core(monkeypatch, tier)
         patch_own_code_loop(core)
-        trace = []
         with pytest.raises(Trap):           # the final ebreak
             while True:
                 core.step_block(1000)
-                trace.append((core.pc, core.instret))
-        traces[tier, runner] = trace
-        finals[tier, runner] = (list(core.regs), core.pc, core.instret,
-                                core.cycles)
+        finals[tier] = (list(core.regs), core.pc, core.instret, core.cycles)
         if tier in ("tier2", "tier4"):
-            assert core.jit_flushes >= 1, (tier, runner)  # it did abort
-    for tier in ("tier2", "tier4"):
-        assert traces[tier, RUNNERS[0]] == traces[tier, "python"], tier
-    slow = finals["slow", "python"]
-    for config in CONFIGS:
-        assert finals[config] == slow, config
+            assert core.jit_flushes >= 1, tier  # it did abort
+    slow = finals["slow"]
+    for tier in CONFIGS:
+        assert finals[tier] == slow, tier
     assert slow[0][10] == 12    # a0: every pass ran its addi
 
 
@@ -524,31 +481,25 @@ def roload_checks(monkeypatch, tier):
     return kernel.system.mmu.stats.roload_checks
 
 
-def test_every_ld_ro_execution_takes_the_mmu_check(monkeypatch, use_runner):
+def test_every_ld_ro_execution_takes_the_mmu_check(monkeypatch):
     """``mmu.stats.roload_checks`` counts one check per ld.ro executed,
-    on every tier and both runners: no runner serves ld.ro from a cached
-    page view."""
-    for tier, runner in [("slow", "python")] + CONFIGS:
-        use_runner(runner)
-        assert roload_checks(monkeypatch, tier) == ROLOAD_EXECUTIONS, \
-            (tier, runner)
+    on every tier: no tier serves ld.ro from a cached page view."""
+    for tier in ("slow",) + CONFIGS:
+        assert roload_checks(monkeypatch, tier) == ROLOAD_EXECUTIONS, tier
 
 
-def test_ld_ro_served_from_the_cached_view_is_caught(monkeypatch,
-                                                     use_runner):
+@needs_native
+def test_ld_ro_served_from_the_cached_view_is_caught(monkeypatch):
     """Positive control for the test above: a mutant flat core that
     lowers ld.ro as a plain load, served from the cached page view,
-    skips checks on every runner — and the count exposes it."""
+    skips checks — and the count exposes it."""
     from repro.isa.opcodes import LOAD_INFO, RO_INFO
 
     classify = flatcore._classify
     monkeypatch.setattr(flatcore, "_classify", lambda name: "load"
                         if name in RO_INFO else classify(name))
     monkeypatch.setattr(flatcore, "LOAD_INFO", {**LOAD_INFO, **RO_INFO})
-    for runner in RUNNERS:
-        use_runner(runner)
-        assert roload_checks(monkeypatch, "tier4") < ROLOAD_EXECUTIONS, \
-            runner
+    assert roload_checks(monkeypatch, "tier4") < ROLOAD_EXECUTIONS
 
 
 # -- the native D-TLB refill ---------------------------------------------------
@@ -657,58 +608,53 @@ def run_thrash(monkeypatch, tier, fork=False):
 
 
 @pytest.mark.parametrize("fork", [False, True], ids=["run", "cow-fork"])
-def test_dtlb_thrash_matches_on_both_runners(monkeypatch, use_runner, fork):
+def test_dtlb_thrash_matches_on_both_runners(monkeypatch, fork):
     """A loop over more pages than the D-TLB holds, where nearly every
     access is a walk-memo replay with an eviction: every configuration
     leaves the slow tier's cycles, TLB, cache and MMU counters and LRU
     order, and on a copy-on-write fork the same private frames."""
-    use_runner("python")
     slow_kernel = run_thrash(monkeypatch, "slow", fork)
     slow = machine_state(slow_kernel.system.core)
     slow_frames = slow_kernel.system.memory.private_frame_count()
     assert slow["mmu"]["walks"] > 16 * THRASH_PAGES    # it did thrash
-    for tier, runner in CONFIGS:
-        use_runner(runner)
+    for tier in CONFIGS:
         kernel = run_thrash(monkeypatch, tier, fork)
         core = kernel.system.core
-        assert machine_state(core) == slow, (tier, runner)
+        assert machine_state(core) == slow, tier
         assert kernel.system.memory.private_frame_count() == slow_frames, \
-            (tier, runner)
+            tier
         if tier == "tier4":
-            assert core.tier4_retired > 0, runner   # non-vacuity
+            assert core.tier4_retired > 0   # non-vacuity
 
 
-def test_native_refill_makes_no_python_callouts(monkeypatch, use_runner):
+@needs_native
+def test_native_refill_makes_no_python_callouts(monkeypatch):
     """Once THRASH runs as regions and the walk memo holds every page,
     the native runner serves each D-TLB miss itself: no call reaches
-    ``Core.load``/``Core.store`` in the later passes. On the Python loop
-    the same misses do call them, which shows the probe counts."""
-    calls = {}
+    ``Core.load``/``Core.store`` in the later passes. The warm-up passes
+    before them, whose first touches walk the page table, do call them,
+    which shows the probes count."""
+    calls = {"load": [], "store": []}
     load, store = Core.load, Core.store
 
     def counted(name, fn):
         def wrapper(self, *args, **kwargs):
-            calls.setdefault(runner, {}).setdefault(name, []) \
-                .append(self.instret)
+            calls[name].append(self.instret)
             return fn(self, *args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(Core, "load", counted("load", load))
     monkeypatch.setattr(Core, "store", counted("store", store))
-    for runner in RUNNERS:
-        use_runner(runner)
-        set_tier(monkeypatch, "tier4")
-        kernel = Kernel(build_system("processor+kernel",
-                                     memory_size=64 << 20))
-        process = kernel.create_process(link([assemble(THRASH)]))
-        kernel.run(process)
-        assert kernel.system.core.tier4_retired > 0
-        late = {name: sum(at > THRASH_PAUSE for at in ats)
-                for name, ats in calls[runner].items()}
-        if runner == "native":
-            assert not any(late.values()), late
-        else:
-            assert late["load"] > THRASH_PAGES and late["store"] > 0, late
+    set_tier(monkeypatch, "tier4")
+    kernel = Kernel(build_system("processor+kernel", memory_size=64 << 20))
+    process = kernel.create_process(link([assemble(THRASH)]))
+    kernel.run(process)
+    assert kernel.system.core.tier4_retired > 0
+    early = {name: sum(at <= THRASH_PAUSE for at in ats)
+             for name, ats in calls.items()}
+    late = {name: len(ats) - early[name] for name, ats in calls.items()}
+    assert not any(late.values()), late
+    assert early["load"] > THRASH_PAGES and early["store"] > 0, early
 
 
 # A correctly keyed ld.ro on each of 40 keyed pages per pass: every
@@ -754,14 +700,12 @@ table:
 ROLOAD_THRASH_CHECKS = 3 * 40 + 1 + 1
 
 
-def test_ld_ro_over_refilled_pages_checks_every_execution(monkeypatch,
-                                                           use_runner):
+def test_ld_ro_over_refilled_pages_checks_every_execution(monkeypatch):
     """ld.ro over more keyed pages than the D-TLB holds still takes the
     MMU check once per execution on every configuration, never the
     native refill, and the wrong key on a page that was just evicted and
     refilled faults as on the slow tier."""
-    kernel, process, slow = compare_kernel_runs(monkeypatch, use_runner,
-                                                ROLOAD_THRASH)
+    kernel, process, slow = compare_kernel_runs(monkeypatch, ROLOAD_THRASH)
     assert process.signal.number == SIGSEGV and process.signal.roload
     assert kernel.security_log[0].reason == "key_mismatch"
     assert slow["mmu"]["roload_checks"] == ROLOAD_THRASH_CHECKS
