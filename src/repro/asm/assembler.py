@@ -46,15 +46,14 @@ _LOMEM_RE = re.compile(r"%lo\(([^)]+)\)\(([\w$.]+)\)$")
 _MEM_RE = re.compile(r"(-?\w*)\(([\w$.]+)\)$")
 _SYM_ADDEND_RE = re.compile(r"([A-Za-z_.$][\w.$]*)\s*(?:([+-])\s*(\d+))?$")
 
-# Operand parsing is context-free (no section/line state feeds into the
-# result), so parsed operand lists are memoized by their exact text.
-# Compiler-generated assembly reuses a small set of operand spellings
-# ("a0, a1, a2", "0(sp)", ...) thousands of times per module. _Operand
-# objects are immutable-by-convention (constructed once, only read by
-# the _asm_* emitters), which makes sharing them safe. Bounded so
-# adversarial input cannot grow it without limit.
-_OPERAND_CACHE: dict = {}
-_OPERAND_CACHE_MAX = 8192
+# Encoding an instruction line is a pure function of (rvc, text): some
+# bytes plus relocations at offsets from the line's start. Generated
+# modules repeat a few thousand distinct lines tens of thousands of
+# times, so each is encoded once and then replayed (DESIGN.md §8).
+# Labels, directives and lines that raised never enter the memo; it is
+# bounded so adversarial input cannot grow it without limit.
+_LINE_MEMO: dict = {}
+_LINE_MEMO_MAX = 8192
 
 # Every mnemonic _pseudo() handles, so real instructions skip its chain.
 _PSEUDO_NAMES = frozenset((
@@ -120,7 +119,9 @@ class Assembler:
 
     def assemble(self) -> ObjectFile:
         for self._line, raw in enumerate(self.source.splitlines(), start=1):
-            line = self._strip_comment(raw).strip()
+            line = raw.strip()
+            if "#" in line or "//" in line:
+                line = self._strip_comment(line).strip()
             while ":" in line:
                 match = _LABEL_RE.match(line)
                 if match:
@@ -133,11 +134,31 @@ class Assembler:
             if line.startswith("."):
                 self._directive(line)
             else:
-                self._instruction(line)
+                self._memo_instruction(line)
         for name in self._globals:
             if name in self.obj.symbols:
                 self.obj.symbols[name].is_global = True
         return self.obj
+
+    def _memo_instruction(self, line: str) -> None:
+        """Emit one instruction line, encoding it only on a memo miss."""
+        section, relocations = self._section, self.obj.relocations
+        base, key = section.length, (self.rvc, line)
+        entry = _LINE_MEMO.get(key)
+        if entry is None:
+            start, first = len(section.data), len(relocations)
+            self._instruction(line)
+            if len(_LINE_MEMO) < _LINE_MEMO_MAX:
+                _LINE_MEMO[key] = (
+                    bytes(section.data[start:]),
+                    tuple((r.offset - base, r.rtype, r.symbol, r.addend)
+                          for r in relocations[first:]))
+            return
+        code, relocs = entry
+        section.data += code
+        for offset, rtype, symbol, addend in relocs:
+            relocations.append(Relocation(section.name, base + offset,
+                                          rtype, symbol, addend))
 
     # -- helpers -------------------------------------------------------------
 
@@ -318,15 +339,7 @@ class Assembler:
         parts = line.split(None, 1)
         mnemonic = parts[0].lower()
         operand_text = parts[1] if len(parts) > 1 else ""
-        if operand_text:
-            operands = _OPERAND_CACHE.get(operand_text)
-            if operands is None:
-                operands = [self._operand(t) for t in
-                            _split_operands(operand_text)]
-                if len(_OPERAND_CACHE) < _OPERAND_CACHE_MAX:
-                    _OPERAND_CACHE[operand_text] = operands
-        else:
-            operands = []
+        operands = [self._operand(t) for t in _split_operands(operand_text)]
         if mnemonic in _PSEUDO_NAMES and \
                 self._pseudo(mnemonic, operands, operand_text):
             return

@@ -19,7 +19,7 @@ prevent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import CompilerError
@@ -35,6 +35,14 @@ LOAD_WIDTHS = (1, 2, 4, 8)
 @dataclass
 class Op:
     """Base class for IR operations."""
+
+    def copy(self) -> "Op":
+        """A copy sharing no list (an op's only one is its call args)."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        if isinstance(self, (Call, ICall)):
+            new.args = list(self.args)
+        return new
 
 
 @dataclass
@@ -231,6 +239,11 @@ class Function:
     def labels(self) -> "set[str]":
         return {op.name for op in self.ops if isinstance(op, Label)}
 
+    def copy(self) -> "Function":
+        """A copy whose ops and locals can be rewritten independently."""
+        return replace(self, ops=[op.copy() for op in self.ops],
+                       locals=[replace(local) for local in self.locals])
+
 
 @dataclass
 class Module:
@@ -260,6 +273,16 @@ class Module:
             raise CompilerError(f"duplicate vtable for {table.class_name!r}")
         self.vtables[table.class_name] = table
         return table
+
+    def copy(self) -> "Module":
+        """A copy a defense pass can mutate without touching this module;
+        frozen values (``FuncType``, ``ROLoadMD``) stay shared."""
+        return replace(
+            self, functions={n: f.copy() for n, f in self.functions.items()},
+            globals={n: replace(v, init=list(v.init))
+                     for n, v in self.globals.items()},
+            vtables={n: replace(t, entries=list(t.entries))
+                     for n, t in self.vtables.items()})
 
     def address_taken_functions(self) -> "List[Function]":
         """Functions whose address escapes (ICall's candidate targets)."""

@@ -56,8 +56,7 @@ def compile_to_assembly(module: Module, *,
     if hardening:
         # Defenses mutate the IR (metadata, sections); work on a copy so
         # one module can be compiled into many variants.
-        import copy
-        module = copy.deepcopy(module)
+        module = module.copy()
     for defense in hardening or []:
         apply_pass = getattr(defense, "apply", None)
         if apply_pass is not None:

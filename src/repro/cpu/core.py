@@ -331,6 +331,16 @@ class Core:
     def instret(self) -> int:
         return self.timing.stats.instructions
 
+    @property
+    def tier(self) -> str:
+        """The top tier this core runs (a ``repro.config.TIERS`` name);
+        tier 1 where tiers 2 and 4 lack the native runner."""
+        if not self.fast_path_enabled:
+            return "slow"
+        if not self.jit_enabled:
+            return "tier1"
+        return "tier4" if self.tier4_enabled else "tier2"
+
     # -- register helpers ----------------------------------------------------
 
     def read_reg(self, index: int) -> int:

@@ -25,10 +25,9 @@ from repro.utils.bits import align_up
 def load_executable(image: Executable, space: AddressSpace) -> int:
     """Map all segments of ``image`` into ``space``; returns the entry pc.
 
-    Key-carrying segments are mapped read-only with their key; the
-    write-then-protect dance (map RW to copy contents, then mprotect to
-    the final read-only + key state) mirrors how a real loader must
-    populate pages it will later seal.
+    Each segment is mapped once, with its final permissions and key
+    (keyed segments read-only), then filled by the kernel's privileged
+    copy-in, which ignores page permissions.
     """
     if not image.segments:
         raise LoaderError("image has no segments")
@@ -45,13 +44,10 @@ def load_executable(image: Executable, space: AddressSpace) -> int:
             raise LoaderError(f"segment {segment.name!r}: keyed segments "
                               f"must be read-only")
         # [roload-end]
-        # Populate via a temporary writable mapping, then seal.
-        space.map_region(segment.vaddr, segment.memsize,
-                         PROT_READ | PROT_WRITE, name=segment.name)
+        space.map_region(segment.vaddr, segment.memsize, prot,
+                         key=segment.key, name=segment.name)
         if segment.data:
             space.write_initial(segment.vaddr, segment.data)
-        space.mprotect(segment.vaddr, segment.memsize, prot,
-                       key=segment.key)
     heap_base = image.symbols.get(
         "_end", align_up(max(s.end for s in image.segments), PAGE_SIZE))
     space.brk_base = space.brk = heap_base

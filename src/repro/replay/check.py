@@ -89,12 +89,12 @@ class ObsCapture:
 _ObsWindow = ObsCapture
 
 
-def _digest(kernel, process, tier: str,
-            events: "Tuple[tuple, ...]") -> ReplayResult:
+def _digest(kernel, process, events: "Tuple[tuple, ...]") -> ReplayResult:
     from repro.replay.snapshot import state_hash
     return ReplayResult(
-        tier=tier, state_hash=state_hash(kernel), arch_events=events,
-        status=process.status(), exit_code=process.exit_code,
+        tier=kernel.system.core.tier, state_hash=state_hash(kernel),
+        arch_events=events, status=process.status(),
+        exit_code=process.exit_code,
         instructions=kernel.system.core.instret)
 
 
@@ -130,8 +130,7 @@ def record_reference(image, *, stop_after: int,
     with ObsCapture() as window:
         kernel.run(process, max_instructions=max_instructions)
         events = window.arch()
-    result = _digest(kernel, process, tier=_config.current().tier,
-                     events=events)
+    result = _digest(kernel, process, events=events)
     return Reference(snap, journal, result,
                      max_instructions=max_instructions)
 
@@ -153,8 +152,7 @@ def replay_tier(reference: Reference,
                        max_instructions=reference.max_instructions)
             events = window.arch()
         kernel.journal.finish()
-        return _digest(kernel, process,
-                       tier=tier or _config.current().tier, events=events)
+        return _digest(kernel, process, events=events)
 
 
 @dataclass

@@ -130,7 +130,8 @@ def _verify(args) -> int:
         print("roload-inject: replay diverged between tiers",
               file=sys.stderr)
         return 1
-    print(f"replay deterministic across {', '.join(tiers)}")
+    ran = dict.fromkeys(run.tier for run in report.runs)
+    print(f"replay deterministic across {', '.join(ran)}")
     return 0
 
 

@@ -1,8 +1,11 @@
 """Defense-pass tests: functional preservation + mechanism checks."""
 
+import copy
+
 import pytest
 
 from repro.compiler import (
+    IRBuilder,
     KeyAllocator,
     Load,
     Module,
@@ -10,10 +13,13 @@ from repro.compiler import (
     compile_to_assembly,
 )
 from repro.defenses import (
+    KeyedAllowlist,
     LabelCFIBaseline,
+    ReturnProtection,
     TypeBasedCFI,
     VCallProtection,
     VTintBaseline,
+    full_hardening,
     gfpt_symbol,
     id_word,
     type_id,
@@ -25,6 +31,36 @@ from .conftest import SIG, SIG2, make_test_module
 
 def run(module, hardening=None):
     return run_program(compile_module(module, hardening=hardening))
+
+
+def make_mixed_module():
+    """The shared test module plus a keyed allowlist read through ld.ro
+    and a directly called leaf that ReturnProtection can guard."""
+    m = make_test_module()
+    leaf = m.function("leaf", num_params=1)
+    b = IRBuilder(leaf)
+    b.ret(b.addi(b.param(0), 1))
+    allowlist = KeyedAllowlist(m, "ops")
+    slot = allowlist.add_symbol("inc")
+    allowlist.seal()
+    user = m.function("use_leaf", num_params=1)
+    b = IRBuilder(user)
+    target = allowlist.load_checked(b, b.la(slot))
+    b.ret(b.icall(target, [b.call("leaf", [b.param(0)])],
+                  func_type=SIG2))
+    return m
+
+
+# Every defense pass that rewrites the IR, alone and composed.
+MUTATING_HARDENINGS = {
+    "vcall": lambda: [VCallProtection()],
+    "vtint": lambda: [VTintBaseline()],
+    "icall": lambda: [TypeBasedCFI()],
+    "cfi": lambda: [LabelCFIBaseline()],
+    "retprotect": lambda: [ReturnProtection(["leaf"])],
+    "full": lambda: full_hardening(hierarchies={"A": "h", "B": "h"},
+                                   protect_returns=["leaf"]),
+}
 
 
 class TestFunctionalPreservation:
@@ -42,11 +78,21 @@ class TestFunctionalPreservation:
     def test_hardened(self, module, make_defense):
         assert run(module, make_defense()).exit_code == 42
 
-    def test_module_not_mutated_by_compile(self, module):
-        compile_module(module, hardening=[VCallProtection()])
-        # Original module must be untouched: still no keyed sections.
-        assert all(t.section == ".rodata" for t in module.vtables.values())
-        assert run(module).exit_code == 42
+    def test_module_not_mutated_by_compile(self):
+        """Hardening works on a copy of the module: the caller's module
+        stays equal to a deep copy taken before, and compiling it again
+        gives the same image byte for byte."""
+        for name, make_defense in MUTATING_HARDENINGS.items():
+            module = make_mixed_module()
+            before = copy.deepcopy(module)
+            first = compile_module(module, hardening=make_defense())
+            assert module == before, name
+            second = compile_module(module, hardening=make_defense())
+            assert module == before, name
+            assert first.to_bytes() == second.to_bytes(), name
+            assert all(t.section == ".rodata"
+                       for t in module.vtables.values()), name
+            assert run(module).exit_code == 42, name
 
 
 class TestVCallMechanism:
