@@ -66,31 +66,6 @@ _BLOCK_TERMINATORS = frozenset({
 })
 
 
-def _fastpath_default() -> bool:
-    """REPRO_FASTPATH=0 forces every instruction down the slow path."""
-    return _config.current().fast_path
-
-
-def _jit_default() -> bool:
-    """REPRO_JIT=0 disables tier 2: hot blocks on the flat core (§9)."""
-    return _config.current().jit
-
-
-def _jit_threshold_default() -> int:
-    """Dispatches of a cached block before it is lowered to tier 2."""
-    return _config.current().jit_threshold
-
-
-def _tier4_default() -> bool:
-    """REPRO_TIER4=0 disables the tier-4 region tier (DESIGN.md §12-13)."""
-    return _config.current().tier4
-
-
-def _region_threshold_default() -> int:
-    """Compiled-block arrivals before a region is planned around a pc."""
-    return _config.current().region_threshold
-
-
 class MMIORegion:
     """A memory-mapped device window (physical addresses)."""
 
@@ -144,9 +119,11 @@ class Core:
         # Fast-path machinery (DESIGN.md "Simulation performance
         # architecture"). Purely an interpreter implementation detail:
         # architectural results are bit-identical with fast_path=False
-        # (or REPRO_FASTPATH=0 in the environment).
+        # (or REPRO_FASTPATH=0 in the environment). The execution knobs
+        # (repro.config) are read once, here; arguments override them.
+        knobs = _config.current()
         self.fast_path_enabled = \
-            _fastpath_default() if fast_path is None else fast_path
+            knobs.fast_path if fast_path is None else fast_path
         # Basic-block translation cache: start pc -> (entries, vpn, frame).
         self._blocks: "dict[int, tuple]" = {}
         self._block_generation = -1
@@ -182,9 +159,9 @@ class Core:
         # each (repro.cpu.flatcore.compile_block) and chained directly.
         # Lowered units run on the native runner only: where it could
         # not be built, tiers 2 and 4 are off (DESIGN.md §13.1).
-        self.jit_enabled = (_jit_default() if jit is None else jit) \
+        self.jit_enabled = (knobs.jit if jit is None else jit) \
             and self.fast_path_enabled and _flatcore._native is not None
-        self.jit_threshold = _jit_threshold_default() \
+        self.jit_threshold = knobs.jit_threshold \
             if jit_threshold is None else max(1, jit_threshold)
         self._jit_blocks: "dict[int, object]" = {}   # start pc -> JITBlock
         self._jit_counts: "dict[int, int]" = {}      # dispatch counters
@@ -198,9 +175,9 @@ class Core:
         # lowered to the flat representation (repro.cpu.flatcore); the
         # trampoline records block-successor edge counts
         # (JITBlock.edges) as the direction profile.
-        self.tier4_enabled = (_tier4_default() if tier4 is None else tier4) \
+        self.tier4_enabled = (knobs.tier4 if tier4 is None else tier4) \
             and self.jit_enabled
-        self.region_threshold = _region_threshold_default() \
+        self.region_threshold = knobs.region_threshold \
             if region_threshold is None else max(1, region_threshold)
         self.region_blocks = REGION_BLOCKS
         self._regions: "dict[int, object]" = {}      # head pc -> Region

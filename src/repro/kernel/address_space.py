@@ -128,17 +128,24 @@ class AddressSpace:
                 raise KernelError(
                     f"mapping [{start:#x},{end:#x}) overlaps "
                     f"{vma.name or 'existing region'}")
-        for page in range(start, end, PAGE_SIZE):
-            frame = self.allocator.alloc()
-            self.memory.fill(frame, PAGE_SIZE, 0)
-            self._frames[page] = frame
-            self.page_table.map_page(
-                page, frame, readable=bool(prot & PROT_READ),
-                writable=bool(prot & PROT_WRITE),
-                executable=bool(prot & PROT_EXEC), user=True, key=key)
+        self.page_table.map_pages(
+            self._fresh_pages(start, end), readable=bool(prot & PROT_READ),
+            writable=bool(prot & PROT_WRITE),
+            executable=bool(prot & PROT_EXEC), user=True, key=key)
         vma = VMA(start, end, prot, key, name)
         self.vmas.append(vma)
         return vma
+
+    def _fresh_pages(self, start: int, end: int):
+        """Back each page of [start, end) with a fresh zeroed frame,
+        yielding ``(page, frame)`` for the page table to map."""
+        alloc = self.allocator.alloc
+        zero_frame = self.memory.zero_frame
+        for page in range(start, end, PAGE_SIZE):
+            frame = alloc()
+            zero_frame(frame)
+            self._frames[page] = frame
+            yield page, frame
 
     def write_initial(self, vaddr: int, data: bytes) -> None:
         """Kernel copy-in (used by the loader, before the process runs)."""

@@ -21,6 +21,7 @@ from repro.mem.pte import (
     PTE_V,
     PTE_W,
     PTE_X,
+    make_leaf,
     make_table_pointer,
 )
 
@@ -29,6 +30,8 @@ VPN_BITS = 9
 VA_BITS = 39
 PTE_SIZE = 8
 PTES_PER_PAGE = PAGE_SIZE // PTE_SIZE
+# Virtual span one leaf table maps (512 pages, 2 MiB).
+LEAF_SPAN_SHIFT = PAGE_SHIFT + VPN_BITS
 
 
 def vpn_fields(vaddr: int) -> "tuple[int, int, int]":
@@ -176,14 +179,40 @@ class PageTableBuilder:
                  writable=False, executable=False, user=True,
                  key: int = 0) -> None:
         """Install a 4 KiB leaf mapping vaddr -> paddr."""
-        if vaddr & (PAGE_SIZE - 1) or paddr & (PAGE_SIZE - 1):
-            raise PageTableError("map_page requires page-aligned addresses")
-        from repro.mem.pte import make_leaf
-        leaf_address = self._leaf_address(vaddr, create=True)
-        pte = make_leaf(paddr >> PAGE_SHIFT, readable=readable,
-                        writable=writable, executable=executable, user=user,
-                        key=key)
-        self.memory.write(leaf_address, 8, pte.pack())
+        self.map_pages(((vaddr, paddr),), readable=readable,
+                       writable=writable, executable=executable, user=user,
+                       key=key)
+
+    def map_pages(self, pages, *, readable=False, writable=False,
+                  executable=False, user=True, key: int = 0) -> None:
+        """Install 4 KiB leaf mappings for ``(vaddr, paddr)`` pairs that
+        share permissions and key, in order.
+
+        The leaf table is resolved from the root once per run of pages
+        in the same 2 MiB span, not once per page. Each pair is taken
+        from ``pages`` only after the previous page is mapped, so a
+        generator that allocates frames as it goes interleaves them
+        with the tables this allocates exactly as one ``map_page``
+        call per page would.
+        """
+        flags = make_leaf(0, readable=readable, writable=writable,
+                          executable=executable, user=user,
+                          key=key).pack()
+        write = self.memory.write
+        span = table = None
+        for vaddr, paddr in pages:
+            if vaddr & (PAGE_SIZE - 1) or paddr & (PAGE_SIZE - 1):
+                raise PageTableError(
+                    "map_page requires page-aligned addresses")
+            ppn = paddr >> PAGE_SHIFT
+            if ppn > PPN_MASK:
+                raise PageTableError(f"PPN {ppn:#x} out of range")
+            if vaddr >> LEAF_SPAN_SHIFT != span:
+                span = vaddr >> LEAF_SPAN_SHIFT
+                table = self._leaf_address(span << LEAF_SPAN_SHIFT,
+                                           create=True)
+            slot = (vaddr >> PAGE_SHIFT) & (PTES_PER_PAGE - 1)
+            write(table + slot * PTE_SIZE, 8, flags | ppn << PPN_SHIFT)
 
     def unmap_page(self, vaddr: int) -> bool:
         """Remove a leaf mapping; returns False if it wasn't mapped."""

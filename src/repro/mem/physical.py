@@ -68,7 +68,7 @@ class PhysicalMemory:
                                f"multiple of the page size")
         self.size = size
         self._frames: dict[int, bytearray] = {}
-        # Host-write guard (DESIGN.md §8). write/write_bytes/fill and
+        # Host-write guard (DESIGN.md §8). write/write_bytes/zero_frame and
         # restore_frames are the path of every writer outside the core:
         # the loader, syscalls, page-table edits, attack primitives and
         # fault injection. ``code_frames`` is the core's set of frames
@@ -196,9 +196,19 @@ class PhysicalMemory:
             address += chunk
             view = view[chunk:]
 
-    def fill(self, address: int, length: int, byte: int = 0) -> None:
-        """Fill a byte range with a constant (used for zeroed mappings)."""
-        self.write_bytes(address, bytes([byte]) * length)
+    def zero_frame(self, address: int) -> None:
+        """Make the page frame at ``address`` exist and read as zero (a
+        fresh mapping's frame): a host write of the whole frame that
+        builds no page of zeroes to copy from."""
+        if address & PAGE_MASK or not 0 <= address < self.size:
+            raise MemoryError_(f"no page frame at {address:#x}")
+        frame_index = address >> PAGE_SHIFT
+        self._host_write(frame_index)
+        frame = self._frames.get(frame_index)
+        if frame is None:
+            self._frames[frame_index] = bytearray(PAGE_SIZE)
+        else:
+            frame[:] = bytes(PAGE_SIZE)
 
     # -- snapshot support ----------------------------------------------------
 

@@ -28,7 +28,9 @@ from __future__ import annotations
 import hashlib
 import pickle
 import zlib
+from binascii import hexlify
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from repro.errors import ReplayError
@@ -77,22 +79,66 @@ def _restore_signal(data: "Optional[dict]"):
                       roload=data["roload"])
 
 
-def _canon(obj) -> str:
-    """Canonical, key-sorted textual form for hashing."""
-    if isinstance(obj, dict):
-        inner = ",".join(f"{_canon(k)}:{_canon(v)}"
-                         for k, v in sorted(obj.items(), key=lambda i:
-                                            _canon(i[0])))
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_canon(item) for item in obj) + "]"
-    if isinstance(obj, (bytes, bytearray)):
-        return "b" + bytes(obj).hex()
-    if isinstance(obj, bool) or obj is None:
-        return repr(obj)
-    if isinstance(obj, (int, float, str)):
-        return repr(obj)
-    raise ReplayError(f"non-canonical value in snapshot state: {obj!r}")
+# Pending canonical text is handed to SHA-256 once it holds this many
+# pieces, and before every byte string's hex: a state is never held as
+# one string.
+_FLUSH_PIECES = 4096
+
+
+def _write_canonical(obj, pieces: list, digest) -> None:
+    """Append ``obj``'s canonical text to ``pieces`` as UTF-8 bytes.
+
+    The canonical form: dicts as ``{k:v,...}`` sorted by the canonical
+    text of their keys (so ``10`` sorts before ``9``), lists and tuples
+    as ``[...]``, byte strings as ``b`` plus lowercase hex, everything
+    else as its ``repr``. With a ``digest``, the pending pieces are fed
+    to it before each byte string, whose hex then goes straight in;
+    with None (a dict key being rendered) everything stays in
+    ``pieces``.
+    """
+    if type(obj) is int:
+        pieces.append(b"%d" % obj)
+    elif isinstance(obj, (bytes, bytearray)):
+        pieces.append(b"b")
+        if digest is None:
+            pieces.append(hexlify(obj))
+        else:
+            digest.update(b"".join(pieces))
+            pieces.clear()
+            digest.update(hexlify(obj))
+    elif isinstance(obj, dict):
+        items = []
+        for key, value in obj.items():
+            if type(key) is int:
+                text = b"%d" % key
+            else:
+                key_pieces = []
+                _write_canonical(key, key_pieces, None)
+                text = b"".join(key_pieces)
+            items.append((text, value))
+        items.sort(key=itemgetter(0))
+        separator = b"{"
+        for text, value in items:
+            pieces.append(separator)
+            pieces.append(text)
+            pieces.append(b":")
+            _write_canonical(value, pieces, digest)
+            separator = b","
+        pieces.append(b"}" if items else b"{}")
+    elif isinstance(obj, (list, tuple)):
+        separator = b"["
+        for item in obj:
+            pieces.append(separator)
+            _write_canonical(item, pieces, digest)
+            separator = b","
+        pieces.append(b"]" if obj else b"[]")
+    elif obj is None or isinstance(obj, (int, float, str)):
+        pieces.append(repr(obj).encode())
+    else:
+        raise ReplayError(f"non-canonical value in snapshot state: {obj!r}")
+    if digest is not None and len(pieces) > _FLUSH_PIECES:
+        digest.update(b"".join(pieces))
+        pieces.clear()
 
 
 @dataclass
@@ -124,8 +170,11 @@ class Snapshot:
         """SHA-256 over the canonical architectural state (tier-dependent
         counters and invalidation telemetry excluded) — the determinism
         checker's comparison key."""
-        return hashlib.sha256(
-            _canon(_strip_volatile(self.state)).encode()).hexdigest()
+        digest = hashlib.sha256()
+        pieces: list = []
+        _write_canonical(_strip_volatile(self.state), pieces, digest)
+        digest.update(b"".join(pieces))
+        return digest.hexdigest()
 
     # -- on-disk format -----------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Tests for Sv39 page-table building and walking."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PageTableError
@@ -197,3 +197,59 @@ class TestWalkAgainstOracle:
             neighbour = va + PAGE_SIZE
             if neighbour not in oracle:
                 assert walker.walk(builder.root_ppn, neighbour) is None
+
+
+class TestMapPages:
+    """A run of pages mapped at once must leave exactly what one
+    ``map_page`` per page leaves: the same tables, allocated in the
+    same order, and the same PTE words."""
+
+    @staticmethod
+    def _build(bulk: bool, start: int, count: int, key: int):
+        mem = PhysicalMemory(64 << 20)
+        alloc = FrameAllocator(1 << 20, 32 << 20)
+        builder = PageTableBuilder(mem, alloc)
+
+        def pages():
+            for n in range(count):
+                yield start + n * PAGE_SIZE, alloc.alloc()
+
+        flags = dict(readable=True, writable=not key, key=key)
+        error = None
+        try:
+            if bulk:
+                builder.map_pages(pages(), **flags)
+            else:
+                for vaddr, paddr in pages():
+                    builder.map_page(vaddr, paddr, **flags)
+        except PageTableError as exc:   # a run into non-canonical space
+            error = str(exc)
+        frames = mem.frame_map
+        return error, alloc._next, [(i, bytes(frames[i])) for i in frames]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=(1 << 26) - 1),
+           st.integers(min_value=1, max_value=1100),
+           st.sampled_from([0, 5]))
+    @example(page=(1 << 26) - 3, count=5, key=0)
+    def test_run_equals_page_by_page(self, page, count, key):
+        start = page * PAGE_SIZE
+        assert self._build(True, start, count, key) == \
+            self._build(False, start, count, key)
+
+    def test_run_crossing_a_leaf_table(self, env):
+        mem, alloc, builder, walker = env
+        start = (2 << 20) - 2 * PAGE_SIZE
+        frames = [alloc.alloc() for _ in range(4)]
+        builder.map_pages(((start + n * PAGE_SIZE, frame)
+                           for n, frame in enumerate(frames)),
+                          readable=True)
+        for n, frame in enumerate(frames):
+            result = walker.walk(builder.root_ppn, start + n * PAGE_SIZE)
+            assert result.pte.ppn == frame >> 12
+
+    def test_unaligned_page_rejected(self, env):
+        _, _, builder, _ = env
+        with pytest.raises(PageTableError, match="page-aligned"):
+            builder.map_pages([(0x1000, 0x8000), (0x2004, 0x9000)],
+                              readable=True)

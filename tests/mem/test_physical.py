@@ -69,11 +69,6 @@ class TestBulkAccess:
         mem = PhysicalMemory(1 << 20)
         assert mem.read_bytes(0x5000, 64) == bytes(64)
 
-    def test_fill(self):
-        mem = PhysicalMemory(1 << 20)
-        mem.fill(0x2000, 32, 0xAB)
-        assert mem.read_bytes(0x2000, 32) == b"\xab" * 32
-
     def test_frame_accounting(self):
         mem = PhysicalMemory(1 << 20)
         assert mem.frame_count() == 0
@@ -89,3 +84,42 @@ class TestBulkAccess:
         mem = PhysicalMemory(1 << 20)
         mem.write_bytes(addr, data)
         assert mem.read_bytes(addr, len(data)) == data
+
+
+class TestZeroFrame:
+    def test_fresh_frame_exists_and_reads_zero(self):
+        mem = PhysicalMemory(1 << 20)
+        mem.zero_frame(3 * PAGE_SIZE)
+        assert mem.frame_count() == 1
+        assert mem.read_bytes(3 * PAGE_SIZE, PAGE_SIZE) == bytes(PAGE_SIZE)
+
+    def test_existing_frame_is_zeroed_in_place(self):
+        mem = PhysicalMemory(1 << 20)
+        mem.write_bytes(PAGE_SIZE, b"\xff" * PAGE_SIZE)
+        frame = mem.frame_map[1]
+        mem.zero_frame(PAGE_SIZE)
+        assert mem.frame_map[1] is frame
+        assert frame == bytes(PAGE_SIZE)
+
+    def test_is_a_host_write(self):
+        mem = PhysicalMemory(1 << 20)
+        mem.code_frames.add(2)
+        mem.written_frames = set()
+        mem.zero_frame(5 * PAGE_SIZE)
+        assert mem.written_frames == {5} and not mem.code_written
+        mem.zero_frame(2 * PAGE_SIZE)
+        assert mem.written_frames == {2, 5} and mem.code_written
+
+    def test_shared_copy_on_write_frame_becomes_private_zero(self):
+        mem = PhysicalMemory(1 << 20)
+        mem.restore_frames_cow({4: b"\x01" * PAGE_SIZE})
+        mem.zero_frame(4 * PAGE_SIZE)
+        assert mem.read_bytes(4 * PAGE_SIZE, PAGE_SIZE) == bytes(PAGE_SIZE)
+        assert mem.frame_map.shared[4] == b"\x01" * PAGE_SIZE
+
+    @pytest.mark.parametrize("address", [PAGE_SIZE + 8, -PAGE_SIZE,
+                                         1 << 20])
+    def test_rejects_addresses_that_are_not_frames(self, address):
+        mem = PhysicalMemory(1 << 20)
+        with pytest.raises(MemoryError_, match="no page frame"):
+            mem.zero_frame(address)

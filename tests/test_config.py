@@ -123,6 +123,22 @@ class TestOverrides:
         with config.env_knobs(REPRO_JIT_THRESHOLD=5):
             assert config.current().jit_threshold == 5
 
+    def test_a_core_reads_the_environment_once(self, monkeypatch):
+        from repro.cpu import Core
+        from repro.mem import MMU, PhysicalMemory
+        reads = []
+        from_env = config.Config.from_env.__func__
+        monkeypatch.setattr(config.Config, "from_env", classmethod(
+            lambda cls, env=None: reads.append(env) or from_env(cls, env)))
+        monkeypatch.setenv("REPRO_JIT_THRESHOLD", "7")
+        memory = PhysicalMemory(1 << 20)
+        core = Core(memory, MMU(memory))
+        assert len(reads) == 1
+        assert core.jit_threshold == 7
+        with config.overrides(region_threshold=9):
+            assert Core(memory, MMU(memory)).region_threshold == 9
+        assert len(reads) == 2   # the override's base, not the core
+
     def test_env_knobs_unknown_name(self):
         with pytest.raises(ConfigError):
             with config.env_knobs(warp_factor=9):
