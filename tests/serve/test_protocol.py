@@ -9,22 +9,24 @@ import json
 
 import pytest
 
+from repro import config
 from repro.errors import ServeError
 from repro.serve import protocol
 
 
 def _parse(**fields):
-    return protocol.parse_request(json.dumps(fields))
+    return protocol.parse_request(json.dumps(fields),
+                                  config.current().serve_slice)
 
 
 class TestParsing:
     def test_not_json(self):
         with pytest.raises(ServeError, match="not valid JSON"):
-            protocol.parse_request("{nope")
+            protocol.parse_request("{nope", 1)
 
     def test_not_an_object(self):
         with pytest.raises(ServeError, match="not a JSON object"):
-            protocol.parse_request("[1,2]")
+            protocol.parse_request("[1,2]", 1)
 
     def test_missing_op(self):
         with pytest.raises(ServeError, match="no 'op'"):
@@ -57,7 +59,6 @@ class TestSessionOps:
                 _parse(op="step", session=0, n=bad)
 
     def test_step_n_capped_by_slice_limit(self):
-        from repro import config
         too_big = config.current().serve_slice + 1
         with pytest.raises(ServeError, match="per-slice limit"):
             _parse(op="step", session=0, n=too_big)
