@@ -44,10 +44,11 @@ class Verdict(str, Enum):
         return self is not Verdict.ESCAPED
 
 
-# Canonical column order — the old inject.OUTCOMES tuple.
+# Canonical column order of the detection table.
 VERDICTS: "Tuple[str, ...]" = tuple(v.value for v in Verdict)
 
-# The PR 5 injection classes; the fuzzer extends these (see repro.fuzz).
+# roload-inject's injection classes; the fuzzer extends these (see
+# repro.fuzz).
 DEFAULT_KINDS: "Tuple[str, ...]" = ("pte-key", "pte-writable",
                                     "allowlist-ptr")
 
@@ -93,8 +94,7 @@ class RunResult:
     def from_dict(cls, data: dict) -> "RunResult":
         return cls(kind=data["kind"], trigger=data["trigger"],
                    target=data["target"],
-                   verdict=Verdict(data.get("outcome")
-                                   or data.get("verdict")),
+                   verdict=Verdict(data["outcome"]),
                    detail=data.get("detail", ""),
                    exit_code=data.get("exit_code"),
                    signal=data.get("signal"),

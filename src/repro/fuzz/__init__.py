@@ -1,15 +1,17 @@
 """Coverage-guided fuzzing + fault-injection campaigns (DESIGN.md §16).
 
-Scales the PR 5 injection harness (60 injections) by three orders of
-magnitude: mutated victim shapes x mutated injection schedules,
-executed as copy-on-write forks of warm snapshots across worker
-processes, guided by tier-stable coverage signatures from the obs
-layer, with crashes/escapes deduplicated by replay-verified divergence
-point and minimized through the record/replay journal.
+Scales ``roload-inject campaign`` (:func:`stratified_campaign`, 60
+fixed single-entry injections) by three orders of magnitude: mutated
+victim shapes x mutated injection schedules, executed as copy-on-write
+forks of warm snapshots across worker processes, guided by tier-stable
+coverage signatures from the obs layer, with crashes/escapes
+deduplicated by replay-verified divergence point and minimized through
+the record/replay journal.
 
 Public surface (also re-exported from :mod:`repro`):
 
-* :class:`Campaign` / :func:`run_comparison` — the drivers
+* :class:`Campaign` / :func:`run_comparison` /
+  :func:`stratified_campaign` — the drivers
 * :class:`Corpus`, :class:`FuzzInput`, :class:`ScheduleEntry`,
   :class:`VictimSpec` — the input model
 * :class:`Mutator` and friends — the mutation engine
@@ -19,7 +21,7 @@ Public surface (also re-exported from :mod:`repro`):
 
 from repro.fuzz.campaign import (Campaign, CampaignReportV1,
                                  SCHEMA_VERSION, comparison_record,
-                                 run_comparison)
+                                 run_comparison, stratified_campaign)
 from repro.fuzz.corpus import (Corpus, FRAC_SCALE, FUZZ_KINDS, FuzzInput,
                                ScheduleEntry)
 from repro.fuzz.coverage import CoverageMap, final_fingerprint, signature
@@ -35,7 +37,7 @@ from repro.fuzz.target import VictimSpec, build_image, build_victim
 __all__ = [
     "BOOT", "FRAC_SCALE", "FUZZ_KINDS", "SCHEMA_VERSION",
     "Campaign", "CampaignReportV1", "run_comparison",
-    "comparison_record",
+    "comparison_record", "stratified_campaign",
     "Corpus", "FuzzInput", "ScheduleEntry", "VictimSpec",
     "build_victim", "build_image",
     "Mutator", "SpecMutator", "TriggerMutator", "ScheduleMutator",

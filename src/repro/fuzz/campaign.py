@@ -10,6 +10,10 @@ journal, and reported as a :class:`~repro.fuzz.minimizer.Finding`;
 detected runs are grouped by the same key (no minimization — they are
 the expected outcome, the groups just show behavioral diversity).
 
+:func:`stratified_campaign` is the fixed-schedule campaign behind
+``roload-inject campaign``: no scheduler, no triage, one warm victim,
+and the §V detection table as its result.
+
 :func:`run_comparison` runs guided and random arms at equal budget from
 the same seed and reports both; :func:`comparison_record` folds them
 into one record whose ``ok`` also requires guided coverage to win —
@@ -24,19 +28,22 @@ from __future__ import annotations
 
 import multiprocessing
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro import config as _config
 from repro.errors import ReplayError
-from repro.eval_model import CampaignResult, RunResult, Verdict
-from repro.fuzz.corpus import FuzzInput
+from repro.eval_model import (CampaignResult, DEFAULT_KINDS, RunResult,
+                              Verdict)
+from repro.fuzz.corpus import FRAC_SCALE, FuzzInput, ScheduleEntry
 from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.executor import WarmVictimPool, _worker_execute
 from repro.fuzz.minimizer import (Finding, dedup_key, minimize,
                                   replay_verify)
 from repro.fuzz.scheduler import GuidedScheduler, RandomScheduler
+from repro.fuzz.target import unrolled_spec
 from repro.obs import OBS as _OBS
+from repro.replay.inject import KIND_VARIANTS
 
 SCHEMA_VERSION = 1
 
@@ -288,6 +295,62 @@ class Campaign:
                          f"divergence={run.divergence} "
                          f"x{len(members)} verified={verified}")
         return findings, detected_groups
+
+
+def stratified_campaign(*, reps: int = 8, points: int = 10,
+                        kinds: "Tuple[str, ...]" = DEFAULT_KINDS,
+                        profile: str = "processor+kernel",
+                        log=None) -> CampaignResult:
+    """``roload-inject campaign``: the §V detection table.
+
+    A fixed list of single-entry inputs over the ``reps``-round default
+    victim: ``points`` triggers stratified over the run, times every
+    variant of every kind in ``kinds`` (6 injections per point with the
+    default kinds), each one fork of the same warm snapshot.
+    """
+    for kind in kinds:
+        if kind not in KIND_VARIANTS:
+            raise ReplayError(f"unknown injection class {kind!r}; choose "
+                              f"from {', '.join(DEFAULT_KINDS)}")
+    spec = unrolled_spec(reps)
+    pool = WarmVictimPool(profile=profile)
+    baseline = pool.victim(spec).baseline
+    report = CampaignResult(baseline_exit=baseline.exit_code,
+                            total_instructions=baseline.total_instructions)
+    for i in range(1, points + 1):
+        frac = i * FRAC_SCALE // (points + 1)
+        for kind in kinds:
+            for variant in range(KIND_VARIANTS[kind]):
+                entry = ScheduleEntry(kind, frac, variant)
+                result = pool.execute(FuzzInput(spec, (entry,))).result
+                # The detection table keeps the injection-record shape.
+                record = replace(result, coverage=None, divergence=None)
+                report.records.append(record)
+                if _OBS.enabled:
+                    _OBS.events.emit(
+                        "inject.verdict", kind=kind,
+                        trigger=record.trigger, target=record.target,
+                        outcome=record.outcome)
+                    if _OBS.audit is not None:
+                        _OBS.audit.append(
+                            "inject.verdict", kind=kind,
+                            trigger=record.trigger, target=record.target,
+                            outcome=record.outcome,
+                            exit_code=record.exit_code,
+                            signal=record.signal)
+                if log is not None:
+                    log(f"[{len(report.records):>3}] {kind:<14} "
+                        f"@{record.trigger:<8} -> {record.outcome:<8} "
+                        f"{record.detail}")
+    if _OBS.enabled and _OBS.audit is not None:
+        # The campaign summary is the record auditors care about: the
+        # detection table's bottom line, sealed into the chain.
+        _OBS.audit.append("inject.campaign",
+                          injections=report.injections,
+                          escapes=len(report.escapes), ok=report.ok,
+                          baseline_exit=report.baseline_exit,
+                          total_instructions=report.total_instructions)
+    return report
 
 
 def run_comparison(*, executions: "Optional[int]" = None,

@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import ReplayError
+from repro.eval_model import DEFAULT_KINDS
 from repro.fuzz.target import VictimSpec
-from repro.replay.inject import KINDS
 
-# Injection classes the fuzzer schedules: the PR 5 trio plus the
-# fuzz-only wild-ptr (aims an allowlist pointer at unmapped memory, so
-# the non-ROLoad crash path is exercised at scale too).
-FUZZ_KINDS = KINDS + ("wild-ptr",)
+# Injection classes the fuzzer schedules: the roload-inject trio plus
+# the fuzz-only wild-ptr (aims an allowlist pointer at unmapped memory,
+# so the non-ROLoad crash path is exercised at scale too).
+FUZZ_KINDS = DEFAULT_KINDS + ("wild-ptr",)
 
 # Trigger-position resolution: frac in [0, FRAC_SCALE) maps linearly
 # onto the baseline run between boot and exit.

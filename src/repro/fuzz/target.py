@@ -1,15 +1,16 @@
 """Parameterized fuzz victims: the mutable half of a fuzz input.
 
-The PR 5 injection victim was one fixed shape (8 unrolled vcall+icall
-rounds). The fuzzer explores a family of shapes instead: every
-:class:`VictimSpec` describes a hardened program over the same attack
-surface — a keyed vtable (``obj``), a keyed GFPT slot (``fp_slot``), a
-hijack marker (``pwned``) and an attacker-controlled decoy buffer — but
-varies how many rounds run, how many keyed loads each round performs,
-how much plain arithmetic pads the rounds apart, and whether the rounds
-are unrolled straight-line code or a real counted loop (loops are what
-drive the tier-2/3/4 compilers, so loop specs exercise keyed loads
-*inside* compiled regions).
+Every injection in this repo runs against a :class:`VictimSpec` victim.
+Each spec describes a hardened program over the same attack surface —
+a keyed vtable (``obj``), a keyed GFPT slot (``fp_slot``), a hijack
+marker (``pwned``) and an attacker-controlled decoy buffer — but varies
+how many rounds run, how many keyed loads each round performs, how much
+plain arithmetic pads the rounds apart, and whether the rounds are
+unrolled straight-line code or a real counted loop (loops are what
+drive the tier-2/4 compilers, so loop specs exercise keyed loads
+*inside* compiled regions). ``roload-inject`` uses the default shape,
+``VictimSpec(reps=n)``: ``n`` unrolled vcall+icall rounds. The fuzzer
+mutates every field.
 
 Specs are value objects: bounded, normalizable, hashable — the corpus
 and the warm-snapshot pools key on them.
@@ -20,7 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Tuple
 
-from repro.replay.inject import BENIGN_ICALL, BENIGN_VCALL, GADGET_RETURN
+from repro.errors import ReplayError
+
+# What the victim's three functions return: the vtable target, the
+# GFPT target, and the gadget an escaped hijack reaches.
+BENIGN_VCALL = 13
+BENIGN_ICALL = 29
+GADGET_RETURN = 66
 
 # Inclusive bounds per spec field; mutation clamps into these.
 REPS_RANGE = (1, 40)
@@ -87,9 +94,20 @@ class VictimSpec:
         return replace(self, **changes).normalized()
 
 
+def unrolled_spec(reps: int) -> VictimSpec:
+    """``VictimSpec(reps=reps)``, refusing a ``reps`` that normalization
+    would change rather than running a different victim."""
+    spec = VictimSpec(reps=reps)
+    if spec.normalized() != spec:
+        bound = VictimSpec(reps=REPS_RANGE[1]).normalized().reps
+        raise ReplayError(f"reps {reps} is outside the unrolled victim's "
+                          f"bound: choose 1 to {bound}")
+    return spec
+
+
 def build_victim(spec: VictimSpec):
-    """The victim module for ``spec`` (same surface as the PR 5 victim:
-    keyed vtable + keyed GFPT + pwned marker + attacker_buf decoy)."""
+    """The victim module for ``spec``: keyed vtable + keyed GFPT +
+    pwned marker + attacker_buf decoy."""
     from repro.compiler import (GlobalVar, I64, IRBuilder, Module, Mv,
                                 VTable, func_type, static_object)
     spec = spec.normalized()
@@ -158,8 +176,7 @@ def build_victim(spec: VictimSpec):
 
 
 def build_image(spec: VictimSpec):
-    """The hardened executable (vcall protection + GFPT CFI), matching
-    the PR 5 hardening so verdicts are comparable across harnesses."""
+    """The hardened executable (vcall protection + GFPT CFI)."""
     from repro.compiler import compile_module
     from repro.defenses import TypeBasedCFI, VCallProtection
     return compile_module(build_victim(spec),

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
+from itertools import islice
 from typing import Iterable, List, Optional
 
 DEFAULT_CAPACITY = 65536
@@ -74,6 +75,12 @@ class EventStream:
         if cat is not None:
             out = [e for e in out if e["cat"] == cat]
         return out
+
+    def since(self, emitted: int) -> "List[dict]":
+        """The events emitted since :attr:`emitted` had the value
+        ``emitted``, as far as the ring still holds them."""
+        count = min(max(0, self.emitted - emitted), len(self._ring))
+        return list(islice(reversed(self._ring), count))[::-1]
 
     def clear(self) -> None:
         self._ring.clear()

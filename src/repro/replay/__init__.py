@@ -8,9 +8,13 @@ DESIGN.md §11. Three layers, each usable alone:
 * :mod:`repro.replay.journal` — record/replay of the nondeterministic
   boundary (getrandom entropy) plus divergence detection on every
   syscall result and signal-delivery point.
-* :mod:`repro.replay.check` / :mod:`repro.replay.inject` — the
-  determinism checker (cross-tier bit-identical replay) and the
-  fault-injection harness behind the ``roload-inject`` tool.
+* :mod:`repro.replay.check` — the determinism checker (cross-tier
+  bit-identical replay) behind ``roload-inject verify``.
+
+:mod:`repro.replay.inject` adds the fault-injection primitive and the
+§V verdict classifier; the fuzz executor (:mod:`repro.fuzz.executor`)
+is the one loop that runs them, for ``roload-inject campaign`` and
+``roload-fuzz`` alike.
 """
 
 from repro.replay.check import (
@@ -22,13 +26,7 @@ from repro.replay.check import (
     replay_tier,
     verify_replay,
 )
-from repro.replay.inject import (
-    apply_injection,
-    build_inject_image,
-    build_inject_victim,
-    classify_outcome,
-    run_campaign,
-)
+from repro.replay.inject import apply_injection, classify_outcome
 from repro.replay.journal import Journal
 from repro.replay.snapshot import (
     FORMAT_VERSION,
@@ -47,5 +45,4 @@ __all__ = [
     "Reference", "ReplayResult", "VerifyReport",
     "record_reference", "replay_tier", "verify_replay",
     "apply_injection", "classify_outcome",
-    "build_inject_victim", "build_inject_image", "run_campaign",
 ]

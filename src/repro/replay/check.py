@@ -53,40 +53,38 @@ class Reference:
 
 
 class ObsCapture:
-    """Fresh architectural-event capture around one run.
+    """Architectural-event capture around one run.
 
-    Cycles the process-wide OBS state: buffers are cleared on entry and
-    the prior enabled/disabled state is put back on exit, so a capture
-    nested in a user's observability session only costs them their
-    buffered events, never their configuration.
+    Enables observability for the run and reads back only the events
+    emitted inside it; the prior enabled/disabled state is put back on
+    exit. A capture nested in a user's observability session leaves
+    that session's buffered events and configuration in place.
 
-    Public since PR 10: the replay checker and the fuzz executor both
-    capture the tier-stable arch-event subsequence this way.
+    The replay checker and the fuzz executor both capture the
+    tier-stable arch-event subsequence this way.
     """
 
     def __enter__(self):
         self._was_enabled = _obs.OBS.enabled
         _obs.enable()
-        _obs.OBS.events.clear()
+        self._start = _obs.OBS.events.emitted
         return self
 
     def arch(self) -> "Tuple[tuple, ...]":
         return tuple(tuple(e) if isinstance(e, list) else e
-                     for e in arch_sequence(_obs.OBS.events.events()))
+                     for e in arch_sequence(
+                         _obs.OBS.events.since(self._start)))
 
     def raw_arch(self) -> "list[dict]":
         """The captured architectural events as raw dicts (full
         payloads with names) — the fuzz coverage extractor's input."""
-        return _obs.OBS.events.events(cat="arch")
+        return [e for e in _obs.OBS.events.since(self._start)
+                if e["cat"] == "arch"]
 
     def __exit__(self, *exc):
         if not self._was_enabled:
             _obs.disable()
         return False
-
-
-# Pre-PR 10 private name, kept for any straggling importers.
-_ObsWindow = ObsCapture
 
 
 def _digest(kernel, process, events: "Tuple[tuple, ...]") -> ReplayResult:

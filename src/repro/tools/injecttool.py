@@ -6,9 +6,10 @@
                            [--tiers slow,tier1,tier2,tier4]
                            [--snapshot-out S.snap] [--journal-out J.json]
 
-``campaign`` snapshots a hardened victim at stratified instruction
-counts, perturbs PTE key bits / page writability / allowlist pointers,
-replays each corruption to completion, and prints a §V-style detection
+``campaign`` forks a hardened victim from its warm snapshot once per
+injection, perturbs PTE key bits / page writability / allowlist
+pointers at stratified instruction counts, runs each corruption to
+completion through the fuzz executor, and prints a §V-style detection
 table. Exit 1 if any injection escapes detection.
 
 ``verify`` is the replay determinism gate: record a reference run with
@@ -41,7 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="stratified snapshot points (default 10; "
                                "6 injections per point)")
     campaign.add_argument("--reps", type=int, default=8,
-                          help="vcall+icall rounds in the unrolled victim")
+                          help="vcall+icall rounds in the unrolled victim "
+                               "(1 to 14)")
     campaign.add_argument("--kinds", default=None,
                           help="comma-separated injection classes "
                                "(default: all of pte-key, pte-writable, "
@@ -64,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="snapshot point, in retired instructions "
                              "(default 200)")
     verify.add_argument("--reps", type=int, default=8,
-                        help="vcall+icall rounds in the reference victim")
+                        help="vcall+icall rounds in the reference victim "
+                             "(1 to 14)")
     verify.add_argument("--profile", default="processor+kernel",
                         help="system profile (§V-B)")
     verify.add_argument("--tiers",
@@ -81,18 +84,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _campaign(args) -> int:
-    from repro.replay import run_campaign
+    from repro.eval_model import DEFAULT_KINDS
+    from repro.fuzz.campaign import stratified_campaign
     observing = obs_requested(args)
     if observing:
         enable_obs(args)
-    kinds = tuple(k for k in (args.kinds or "").split(",") if k) or None
+    kinds = tuple(k for k in (args.kinds or "").split(",") if k) \
+        or DEFAULT_KINDS
     log = None if args.quiet else \
         (lambda line: print(line, file=sys.stderr))
-    kwargs = {"reps": args.reps, "points": args.points,
-              "profile": args.profile, "log": log}
-    if kinds:
-        kwargs["kinds"] = kinds
-    report = run_campaign(**kwargs)
+    report = stratified_campaign(reps=args.reps, points=args.points,
+                                 kinds=kinds, profile=args.profile, log=log)
     print(report.format_table())
     print(f"\n{report.injections} injections over "
           f"{report.total_instructions} instructions "
@@ -112,10 +114,10 @@ def _campaign(args) -> int:
 
 
 def _verify(args) -> int:
-    from repro.replay import (build_inject_image, record_reference,
-                              verify_replay)
+    from repro.fuzz.target import build_image, unrolled_spec
+    from repro.replay import record_reference, verify_replay
     tiers = tuple(t for t in args.tiers.split(",") if t)
-    image = build_inject_image(args.reps)
+    image = build_image(unrolled_spec(args.reps))
     reference = record_reference(image, stop_after=args.stop_after,
                                  profile=args.profile)
     report = verify_replay(reference, tiers=tiers)

@@ -17,6 +17,18 @@ def test_ring_bounds_and_counts_drops():
     assert [event["index"] for event in stream] == [2, 3, 4]
 
 
+def test_since_reads_the_window_the_ring_still_holds():
+    stream = EventStream(capacity=3)
+    stream.emit("tick", index=0)
+    mark = stream.emitted
+    assert stream.since(mark) == []
+    for index in range(1, 5):
+        stream.emit("tick", index=index)
+    # Four emitted since the mark; the ring kept the last three.
+    assert [event["index"] for event in stream.since(mark)] == [2, 3, 4]
+    assert [event["index"] for event in stream.since(4)] == [4]
+
+
 def test_filters_by_prefix_and_category():
     stream = EventStream()
     stream.emit("jit.compile", pc=4096)

@@ -9,16 +9,17 @@ dropped and rebuilt.
 import pytest
 
 from repro.errors import ReplayError
+from repro.fuzz.target import VictimSpec, build_image
 from repro.kernel import Kernel
-from repro.replay import (FORMAT_VERSION, Snapshot, build_inject_image,
-                          restore, snapshot, state_hash)
+from repro.replay import (FORMAT_VERSION, Snapshot, restore, snapshot,
+                          state_hash)
 from repro.replay.snapshot import MAGIC
 from repro.soc import build_system
 
 
 @pytest.fixture(scope="module")
 def image():
-    return build_inject_image(4)
+    return build_image(VictimSpec(reps=4))
 
 
 def _run_to(image, stop_after, profile="processor+kernel"):

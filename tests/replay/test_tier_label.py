@@ -10,8 +10,9 @@ import pytest
 
 from repro import config
 from repro.cpu import Core, flatcore
+from repro.fuzz.target import VictimSpec, build_image
 from repro.mem import MMU, PhysicalMemory
-from repro.replay import build_inject_image, record_reference, replay_tier
+from repro.replay import record_reference, replay_tier
 from repro.tools import injecttool
 
 TIER_NAMES = ("slow", "tier1", "tier2", "tier4")
@@ -19,7 +20,7 @@ TIER_NAMES = ("slow", "tier1", "tier2", "tier4")
 
 @pytest.fixture(scope="module")
 def image():
-    return build_inject_image(2)
+    return build_image(VictimSpec(reps=2))
 
 
 @pytest.fixture()
