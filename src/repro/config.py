@@ -19,8 +19,11 @@ REPRO_FASTPATH          fast_path           1        tier-1 basic-block
 REPRO_JIT               jit                 1        tier 2: hot blocks lowered
                                                      to the flat core (needs
                                                      fast_path)
-REPRO_JIT_THRESHOLD     jit_threshold       16       block dispatches before
-                                                     tier-2 lowering
+REPRO_JIT_THRESHOLD     jit_threshold       1        block dispatches before
+                                                     tier-2 lowering (1 =
+                                                     first dispatch: short
+                                                     runs execute most
+                                                     blocks once or twice)
 REPRO_JIT_DEBUG         jit_debug           0        re-raise tier-2 block and
                                                      tier-4 region lowering
                                                      errors instead of pinning
@@ -164,7 +167,7 @@ class Config:
 
     fast_path: bool = True
     jit: bool = True
-    jit_threshold: int = 16
+    jit_threshold: int = 1
     jit_debug: bool = False
     tier4: bool = True
     region_threshold: int = 16
@@ -246,7 +249,7 @@ KNOBS: "tuple[Knob, ...]" = (
          _flag_to_env, "tier-1 basic-block interpreter (0 = slow seed)"),
     Knob("jit", "REPRO_JIT", _parse_flag_default_on, _flag_to_env,
          "tier 2: hot blocks lowered to the flat core (needs fast_path)"),
-    Knob("jit_threshold", "REPRO_JIT_THRESHOLD", _parse_positive_int(16),
+    Knob("jit_threshold", "REPRO_JIT_THRESHOLD", _parse_positive_int(1),
          str, "block dispatches before tier-2 lowering"),
     Knob("jit_debug", "REPRO_JIT_DEBUG", _parse_flag_default_off,
          _flag_to_env, "re-raise tier-2/tier-4 lowering errors"),

@@ -155,8 +155,11 @@ class Core:
         self._dstore_pages: "dict[int, int]" = {}
         self._dside_generation = -1
         # Tier 2 (DESIGN.md §9): blocks dispatched at least
-        # jit_threshold times are lowered to the flat core one block
-        # each (repro.cpu.flatcore.compile_block) and chained directly.
+        # jit_threshold times (by default once: a short run executes
+        # most blocks once or twice, and a lowered block serves its
+        # loads and stores natively) are lowered to the flat core one
+        # block each (repro.cpu.flatcore.compile_block) and chained
+        # directly; a pc is lowered at most once per cache lifetime.
         # Lowered units run on the native runner only: where it could
         # not be built, tiers 2 and 4 are off (DESIGN.md §13.1).
         self.jit_enabled = (knobs.jit if jit is None else jit) \
@@ -956,7 +959,9 @@ class Core:
             # the slow path's next fetch would (charging any TLB walk).
             self._current_pc = pc
             self._fetch_paddr(pc)
-        if self.jit_enabled:
+        # A pc that has a tier-2 unit gets here only when the budget is
+        # shorter than the unit to run: replay it, never lower it again.
+        if self.jit_enabled and pc not in self._jit_blocks:
             counts = self._jit_counts
             seen = counts.get(pc, 0) + 1
             if seen < self.jit_threshold:

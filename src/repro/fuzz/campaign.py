@@ -227,7 +227,7 @@ class Campaign:
         if not curve or curve[-1][0] != done:
             curve.append((done, len(coverage)))
 
-        findings, detected_groups = self._triage(executed)
+        findings, detected_groups = self._triage(executed, local)
         corpus_size = len(scheduler.corpus) \
             if isinstance(scheduler, GuidedScheduler) else 0
         report = CampaignReportV1(
@@ -259,10 +259,12 @@ class Campaign:
 
     # -- triage: dedup + minimize + verify -----------------------------------
 
-    def _triage(self, executed) \
+    def _triage(self, executed, pool: "Optional[WarmVictimPool]" = None) \
             -> "Tuple[List[Finding], Dict[tuple, int]]":
         """Group every run by its replay divergence key; minimize and
-        replay-verify one reproducer per crash/escape group."""
+        replay-verify one reproducer per crash/escape group, on the
+        campaign's tier and in ``pool`` (the campaign's own warm pool
+        when it ran in-process; None = a fresh one)."""
         crash_groups: "Dict[tuple, List[Tuple[FuzzInput, RunResult]]]" = {}
         detected_groups: "Dict[tuple, int]" = {}
         for inp, run in executed:
@@ -275,14 +277,16 @@ class Campaign:
         findings: "List[Finding]" = []
         if not crash_groups:
             return findings, detected_groups
-        triage_pool = WarmVictimPool(profile=self.profile)
+        if pool is None:
+            pool = WarmVictimPool(profile=self.profile)
         for key in sorted(crash_groups, key=repr):
             members = crash_groups[key]
             inp, run = members[0]
             shrunk_from = len(inp.schedule)
             try:
-                small, small_run = minimize(triage_pool, inp, run)
-                verified, verified_run = replay_verify(triage_pool, small)
+                small, small_run = minimize(pool, inp, run, tier=self.tier)
+                verified, verified_run = replay_verify(pool, small,
+                                                       tier=self.tier)
             except ReplayError:
                 small, small_run, verified = inp, run, False
             findings.append(Finding(

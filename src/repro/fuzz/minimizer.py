@@ -101,12 +101,14 @@ def _candidates(input: FuzzInput) -> "List[FuzzInput]":
 
 
 def minimize(executor, input: FuzzInput, reference: RunResult,
-             max_steps: int = 64) -> "Tuple[FuzzInput, RunResult]":
+             max_steps: int = 64, *, tier: "Optional[str]" = None) \
+        -> "Tuple[FuzzInput, RunResult]":
     """Greedy shrink of ``input`` preserving its dedup key.
 
-    ``executor`` is any object with ``execute(input) -> ExecutionOutcome``
-    (a :class:`repro.fuzz.executor.WarmVictimPool`). Each accepted step
-    restarts the candidate walk from the smaller input.
+    ``executor`` is any object with ``execute(input, tier=...) ->
+    ExecutionOutcome`` (a :class:`repro.fuzz.executor.WarmVictimPool`);
+    every candidate runs on ``tier`` (None = ambient config). Each
+    accepted step restarts the candidate walk from the smaller input.
     """
     key = dedup_key(input, reference)
     best, best_result = input, reference
@@ -119,7 +121,7 @@ def minimize(executor, input: FuzzInput, reference: RunResult,
             if steps > max_steps:
                 break
             try:
-                outcome = executor.execute(candidate)
+                outcome = executor.execute(candidate, tier=tier)
             except ReplayError:
                 continue
             if dedup_key(candidate, outcome.result) == key:
@@ -129,14 +131,15 @@ def minimize(executor, input: FuzzInput, reference: RunResult,
     return best, best_result
 
 
-def replay_verify(executor, input: FuzzInput) -> "Tuple[bool, RunResult]":
-    """Record one execution of ``input``, then re-execute it under the
-    recorded journal in replay mode. True iff the replay consumed the
-    journal exactly — the reproducer is deterministic."""
-    first = executor.execute(input)
+def replay_verify(executor, input: FuzzInput, *,
+                  tier: "Optional[str]" = None) -> "Tuple[bool, RunResult]":
+    """Record one execution of ``input`` on ``tier``, then re-execute it
+    under the recorded journal in replay mode. True iff the replay
+    consumed the journal exactly — the reproducer is deterministic."""
+    first = executor.execute(input, tier=tier)
     try:
         second = executor.execute(
-            input, replay_journal=first.journal.replay())
+            input, tier=tier, replay_journal=first.journal.replay())
     except ReplayError:
         return False, first.result
     ok = (second.replay_ok

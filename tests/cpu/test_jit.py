@@ -180,6 +180,25 @@ def test_block_leaving_early_is_charged_its_instret_delta(monkeypatch):
     assert sum(n for __, n in tier2) == residency["tier2_retired"]
 
 
+def test_short_budget_replays_never_lower_a_block_twice(monkeypatch):
+    """A budget shorter than a lowered block (a serve slice end, a fuzz
+    trigger) replays the tier-1 block; that replay must not lower the
+    block again and replace its unit."""
+    monkeypatch.setenv("REPRO_JIT_DEBUG", "1")
+    memory = PhysicalMemory(1 << 20)
+    core = Core(memory, MMU(memory), timing=TimingModel(), fast_path=True,
+                jit=True, jit_threshold=2, tier4=False)
+    assemble_at(core, [I("addi", rd=6, rs1=6, imm=1)] * 20 + [I("ebreak")])
+    first = None
+    for __ in range(40):
+        core.pc = CODE_BASE
+        core.step_block(5)
+        first = first or core._jit_blocks.get(CODE_BASE)
+    assert core.jit_compiled == 1
+    assert core._jit_blocks[CODE_BASE] is first
+    assert core.regs[6] == 200       # every short replay really ran
+
+
 def test_oversized_block_splits(monkeypatch):
     """A block longer than MAX_REGION_ENTRIES lowers as a prefix; the
     suffix is promoted organically as its own block. A page holds only

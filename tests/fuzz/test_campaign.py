@@ -69,6 +69,37 @@ class TestTriage:
         assert verified
         assert run.verdict is Verdict.DETECTED
 
+    def test_triage_runs_on_the_campaign_tier_and_warm_pool(
+            self, monkeypatch):
+        """Minimization and replay verification execute on the tier the
+        campaign was asked for, in the pool that already warmed the
+        crashed run's victim."""
+        inp = FuzzInput(spec=VictimSpec(reps=4, vcalls=2),
+                        schedule=(ScheduleEntry("wild-ptr", 2000),
+                                  ScheduleEntry("pte-key", 3000)))
+        warm = WarmVictimPool()
+        warm.victim(inp.spec)
+        tiers, warmed = [], []
+        execute, rewarm = WarmVictimPool.execute, WarmVictimPool._warm
+
+        def spy_execute(pool, input, **kwargs):
+            tiers.append(kwargs.get("tier"))
+            return execute(pool, input, **kwargs)
+
+        def spy_warm(pool, spec):
+            warmed.append(spec)
+            return rewarm(pool, spec)
+
+        monkeypatch.setattr(WarmVictimPool, "execute", spy_execute)
+        monkeypatch.setattr(WarmVictimPool, "_warm", spy_warm)
+        crashed = RunResult("wild-ptr+pte-key", 100, "vptr",
+                            Verdict.CRASHED, divergence=100)
+        campaign = Campaign(executions=1, workers=1, tier="tier1")
+        findings, __ = campaign._triage([(inp, crashed)], warm)
+        assert len(findings) == 1
+        assert tiers and set(tiers) == {"tier1"}
+        assert inp.spec.normalized() not in warmed
+
 
 class TestCampaign:
     def test_small_guided_campaign_is_ok(self, small_report):

@@ -21,7 +21,7 @@ class TestFromEnv:
         cfg = config.Config.from_env({})
         assert cfg == config.Config()
         assert cfg.fast_path and cfg.jit
-        assert cfg.jit_threshold == 16
+        assert cfg.jit_threshold == 1
         assert not cfg.obs and not cfg.jit_debug
         assert cfg.jobs == 1 and cfg.bench_scale == 0.1
 
@@ -51,7 +51,7 @@ class TestFromEnv:
     def test_invalid_ints_keep_defaults(self):
         cfg = config.Config.from_env({"REPRO_JIT_THRESHOLD": "banana",
                                       "REPRO_BENCH_SCALE": "soup"})
-        assert cfg.jit_threshold == 16
+        assert cfg.jit_threshold == 1
         assert cfg.bench_scale == 0.1
 
     def test_jobs_auto_and_invalid(self):
@@ -110,7 +110,7 @@ class TestOverrides:
             assert config.current().jit_threshold == 3
         finally:
             config.set_override(None)
-        assert config.current().jit_threshold == 16
+        assert config.current().jit_threshold == 1
 
     def test_env_knobs_sets_and_restores_environ(self, monkeypatch):
         monkeypatch.delenv("REPRO_JIT", raising=False)
