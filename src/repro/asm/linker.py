@@ -18,7 +18,7 @@ data segments — exactly the bounds VTint-style range checks test against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.errors import LinkError
@@ -41,14 +41,6 @@ class _PlacedSection:
     object_index: int
     section: Section
     vaddr: int = 0
-
-
-@dataclass
-class LinkedLayout:
-    """Intermediate result exposed for tests and the memory accounting."""
-
-    segments: "List[Segment]" = field(default_factory=list)
-    section_addresses: "Dict[tuple, int]" = field(default_factory=dict)
 
 
 class Linker:

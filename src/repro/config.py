@@ -13,27 +13,13 @@ Knob table (also printed by ``python -m repro.config``):
 ======================  ==================  =======  =========================
 environment variable    Config field        default  meaning
 ======================  ==================  =======  =========================
-REPRO_FASTPATH          fast_path           1        tier-1 basic-block
-                                                     interpreter (0 = slow
-                                                     per-instruction seed path)
-REPRO_JIT               jit                 1        tier 2: hot blocks lowered
-                                                     to the flat core (needs
-                                                     fast_path)
-REPRO_JIT_THRESHOLD     jit_threshold       1        block dispatches before
-                                                     tier-2 lowering (1 =
-                                                     first dispatch: short
-                                                     runs execute most
-                                                     blocks once or twice)
-REPRO_JIT_DEBUG         jit_debug           0        re-raise tier-2 block and
-                                                     tier-4 region lowering
-                                                     errors instead of pinning
-                                                     the pc
-REPRO_TIER4             tier4               1        tier-4 region tier: hot
-                                                     superblocks on the flat
-                                                     core (needs jit; 0 pins
-                                                     tier 2)
-REPRO_REGION_THRESHOLD  region_threshold    16       compiled-block arrivals
-                                                     before region compilation
+REPRO_TIER              tier                tier4    interpreter tier: slow
+                                                     (per-instruction seed
+                                                     path), tier1 (block
+                                                     replay), tier2 (blocks
+                                                     lowered to the flat
+                                                     core) or tier4 (tier 2
+                                                     plus hot regions)
 REPRO_OBS               obs                 0        observability layer on
                                                      at import
 REPRO_OBS_EVENTS        obs_events          65536    event-ring capacity
@@ -66,35 +52,32 @@ REPRO_SERVE_FRAMES      serve_frames        8192     default per-session
                                                      (fail closed)
 ======================  ==================  =======  =========================
 
-The four interpreter tiers (slow, tier1, tier2, tier4) are named
-configurations over the three execution switches (:data:`TIERS`);
-the CI test matrix pins the suite to each and the replay determinism
-checker restores the same snapshot under each. Tier 4 keeps its historical
-number: it is the only region tier since the generated-source tier 3
-was removed. Tiers 2 and 4 both run on the flat core: tier 2 lowers
-single blocks, tier 4 multi-block regions.
+The four interpreter tiers (:data:`TIERS`) are the values of
+``REPRO_TIER``; the CI test matrix pins the suite to each and the
+replay determinism checker restores the same snapshot under each. Tier
+4 keeps its historical number: it is the only region tier since the
+generated-source tier 3 was removed. Tiers 2 and 4 both run on the flat
+core: tier 2 lowers single blocks, tier 4 multi-block regions.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, Optional
 
 from repro.errors import ConfigError
 
 _FALSE_WORDS = ("0", "off", "no", "false")
 
-
-def _parse_flag_default_on(raw: str) -> bool:
-    """Historical REPRO_FASTPATH/REPRO_JIT semantics: anything that is
-    not an explicit 'off' word counts as on (including empty)."""
-    return raw.strip().lower() not in _FALSE_WORDS
+# The four interpreter tiers of DESIGN.md §9/§12/§13, slowest first: the
+# values of REPRO_TIER.
+TIERS = ("slow", "tier1", "tier2", "tier4")
 
 
 def _parse_flag_default_off(raw: str) -> bool:
-    """Historical REPRO_OBS/REPRO_JIT_DEBUG semantics: empty stays off."""
+    """Historical REPRO_OBS semantics: empty stays off."""
     return raw.strip().lower() not in ("",) + _FALSE_WORDS
 
 
@@ -165,12 +148,7 @@ class Config:
     ``dataclasses.replace``) and install them with :func:`overrides`.
     """
 
-    fast_path: bool = True
-    jit: bool = True
-    jit_threshold: int = 1
-    jit_debug: bool = False
-    tier4: bool = True
-    region_threshold: int = 16
+    tier: str = "tier4"     # one of TIERS
     obs: bool = False
     obs_events: int = 65536
     obs_sample: int = 0     # flight-recorder interval in retired
@@ -185,32 +163,24 @@ class Config:
     serve_instret: int = 10_000_000
     serve_frames: int = 8192
 
-    @property
-    def effective_jit(self) -> bool:
-        """Tier 2 requires tier 1: jit without fast_path is inert."""
-        return self.jit and self.fast_path
-
-    @property
-    def effective_tier4(self) -> bool:
-        """Tier 4 requires tier 2: regions are planned over compiled
-        blocks, so tier4 without jit (or fast_path) is inert."""
-        return self.tier4 and self.effective_jit
-
-    @property
-    def tier(self) -> str:
-        """The interpreter tier this configuration selects."""
-        if not self.fast_path:
-            return "slow"
-        if not self.jit:
-            return "tier1"
-        return "tier4" if self.tier4 else "tier2"
+    def __post_init__(self):
+        if self.tier not in TIERS:
+            raise ConfigError(f"unknown tier {self.tier!r} (one of: "
+                              f"{', '.join(TIERS)})")
 
     @classmethod
     def from_env(cls, env: "Optional[Dict[str, str]]" = None) -> "Config":
         """The single environment reader: one ``Config`` from ``env``
-        (default ``os.environ``); unset/invalid knobs keep defaults."""
+        (default ``os.environ``); unset/invalid knobs keep defaults, and
+        a ``REPRO_*`` variable that is no knob raises ``ConfigError``."""
         if env is None:
             env = os.environ
+        unknown = sorted(name for name in env if name.startswith("REPRO_")
+                         and name not in _KNOB_BY_NAME)
+        if unknown:
+            raise ConfigError(f"unknown config knob {', '.join(unknown)} "
+                              f"in the environment (one of: "
+                              f"{', '.join(k.env for k in KNOBS)})")
         values = {}
         for knob in KNOBS:
             raw = env.get(knob.env)
@@ -245,19 +215,8 @@ class Config:
 
 
 KNOBS: "tuple[Knob, ...]" = (
-    Knob("fast_path", "REPRO_FASTPATH", _parse_flag_default_on,
-         _flag_to_env, "tier-1 basic-block interpreter (0 = slow seed)"),
-    Knob("jit", "REPRO_JIT", _parse_flag_default_on, _flag_to_env,
-         "tier 2: hot blocks lowered to the flat core (needs fast_path)"),
-    Knob("jit_threshold", "REPRO_JIT_THRESHOLD", _parse_positive_int(1),
-         str, "block dispatches before tier-2 lowering"),
-    Knob("jit_debug", "REPRO_JIT_DEBUG", _parse_flag_default_off,
-         _flag_to_env, "re-raise tier-2/tier-4 lowering errors"),
-    Knob("tier4", "REPRO_TIER4", _parse_flag_default_on, _flag_to_env,
-         "tier-4 region tier on the flat core (needs jit; 0 = tier 2)"),
-    Knob("region_threshold", "REPRO_REGION_THRESHOLD",
-         _parse_positive_int(16), str,
-         "compiled-block arrivals before region compilation"),
+    Knob("tier", "REPRO_TIER", str.strip, str,
+         "interpreter tier: " + ", ".join(TIERS)),
     Knob("obs", "REPRO_OBS", _parse_flag_default_off, _flag_to_env,
          "observability layer on at import"),
     Knob("obs_events", "REPRO_OBS_EVENTS", _parse_positive_int(65536),
@@ -293,16 +252,6 @@ for _knob in KNOBS:
     _KNOB_BY_NAME[_knob.env] = _knob
     _KNOB_BY_NAME[_knob.env.lower()] = _knob
 
-# The four interpreter tiers of DESIGN.md §9/§12/§13 as Config field
-# overrides. Each entry pins every execution knob explicitly so a sweep
-# leg is immune to ambient REPRO_* settings.
-TIERS: "Dict[str, Dict[str, bool]]" = {
-    "slow": {"fast_path": False, "jit": False, "tier4": False},
-    "tier1": {"fast_path": True, "jit": False, "tier4": False},
-    "tier2": {"fast_path": True, "jit": True, "tier4": False},
-    "tier4": {"fast_path": True, "jit": True, "tier4": True},
-}
-
 # Programmatic override stack (innermost wins). Empty = read the
 # environment fresh on every current() call, so monkeypatched env vars
 # keep working exactly as before this module existed.
@@ -325,7 +274,7 @@ def set_override(config: "Optional[Config]") -> None:
 
 @contextmanager
 def overrides(**changes):
-    """Scoped override: ``with config.overrides(jit=False): ...``.
+    """Scoped override: ``with config.overrides(tier="tier1"): ...``.
 
     Field values start from :func:`current`, so nested overrides
     compose. Does not touch the process environment (worker processes
@@ -366,8 +315,8 @@ def env_knobs(**changes):
 def parse_kv(pairs: "Iterable[str]") -> "Dict[str, object]":
     """Parse ``--config KEY=VAL`` pairs into Config field values.
 
-    KEY may be a field name (``jit_threshold``) or the environment
-    spelling (``REPRO_JIT_THRESHOLD``), case-insensitive.
+    KEY may be a field name (``serve_slice``) or the environment
+    spelling (``REPRO_SERVE_SLICE``), case-insensitive.
     """
     out: "Dict[str, object]" = {}
     for pair in pairs:

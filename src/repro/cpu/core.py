@@ -28,7 +28,7 @@ from repro.isa.opcodes import (
     STORE_INFO as _STORE_INFO,
     MemOp,
 )
-from repro.cpu import flatcore as _flatcore
+from repro.cpu import flatcore as _flatcore, regions as _regions
 from repro.cpu.csr import CSRFile
 from repro.cpu.flatcore import (
     bind as _bind_unit,
@@ -87,12 +87,7 @@ class Core:
     def __init__(self, memory, mmu, *, icache: "Cache | None" = None,
                  dcache: "Cache | None" = None,
                  timing: "TimingModel | None" = None,
-                 roload_enabled: bool = True,
-                 fast_path: "bool | None" = None,
-                 jit: "bool | None" = None,
-                 jit_threshold: "int | None" = None,
-                 tier4: "bool | None" = None,
-                 region_threshold: "int | None" = None):
+                 roload_enabled: bool = True):
         self.memory = memory
         self.mmu = mmu
         self.icache = icache
@@ -118,12 +113,10 @@ class Core:
         self._fetch_cache_cap = itlb.capacity if itlb is not None else 32
         # Fast-path machinery (DESIGN.md "Simulation performance
         # architecture"). Purely an interpreter implementation detail:
-        # architectural results are bit-identical with fast_path=False
-        # (or REPRO_FASTPATH=0 in the environment). The execution knobs
-        # (repro.config) are read once, here; arguments override them.
-        knobs = _config.current()
-        self.fast_path_enabled = \
-            knobs.fast_path if fast_path is None else fast_path
+        # architectural results are bit-identical in every tier
+        # (REPRO_TIER, repro.config), which is read once, here.
+        tier = _config.current().tier
+        self.fast_path_enabled = tier != "slow"
         # Basic-block translation cache: start pc -> (entries, vpn, frame).
         self._blocks: "dict[int, tuple]" = {}
         self._block_generation = -1
@@ -154,34 +147,27 @@ class Core:
         self._dload_pages: "dict[int, int]" = {}
         self._dstore_pages: "dict[int, int]" = {}
         self._dside_generation = -1
-        # Tier 2 (DESIGN.md §9): blocks dispatched at least
-        # jit_threshold times (by default once: a short run executes
-        # most blocks once or twice, and a lowered block serves its
-        # loads and stores natively) are lowered to the flat core one
-        # block each (repro.cpu.flatcore.compile_block) and chained
-        # directly; a pc is lowered at most once per cache lifetime.
-        # Lowered units run on the native runner only: where it could
-        # not be built, tiers 2 and 4 are off (DESIGN.md §13.1).
-        self.jit_enabled = (knobs.jit if jit is None else jit) \
-            and self.fast_path_enabled and _flatcore._native is not None
-        self.jit_threshold = knobs.jit_threshold \
-            if jit_threshold is None else max(1, jit_threshold)
+        # Tier 2 (DESIGN.md §9): every block is lowered to the flat core
+        # on its first dispatch (a short run executes most blocks once
+        # or twice, and a lowered block serves its loads and stores
+        # natively), one block each (repro.cpu.flatcore.compile_block),
+        # and chained directly; a pc is lowered at most once per cache
+        # lifetime. Lowered units run on the native runner only: where
+        # it could not be built, tiers 2 and 4 are off (DESIGN.md §13.1).
+        self.jit_enabled = tier in ("tier2", "tier4") \
+            and _flatcore._native is not None
         self._jit_blocks: "dict[int, object]" = {}   # start pc -> JITBlock
-        self._jit_counts: "dict[int, int]" = {}      # dispatch counters
-        self._jit_nojit: "set[int]" = set()          # pcs pinned to tier 1
         self.jit_compiled = 0   # blocks compiled (cumulative)
         self.jit_flushes = 0    # times the compiled cache was dropped
         self.jit_compile_seconds = 0.0   # host time lowering tier-2 blocks
         # Tier-4 region tier (DESIGN.md §12-13): pcs arrived at
-        # region_threshold times through the compiled-block trampoline
+        # REGION_THRESHOLD times through the compiled-block trampoline
         # get a superblock planned around them (repro.cpu.regions) and
         # lowered to the flat representation (repro.cpu.flatcore); the
         # trampoline records block-successor edge counts
         # (JITBlock.edges) as the direction profile.
-        self.tier4_enabled = (knobs.tier4 if tier4 is None else tier4) \
-            and self.jit_enabled
-        self.region_threshold = knobs.region_threshold \
-            if region_threshold is None else max(1, region_threshold)
+        self.tier4_enabled = tier == "tier4" and self.jit_enabled
+        self.region_threshold = _regions.REGION_THRESHOLD
         self.region_blocks = REGION_BLOCKS
         self._regions: "dict[int, object]" = {}      # head pc -> Region
         self._region_counts: "dict[int, int]" = {}   # arrival counters
@@ -313,7 +299,7 @@ class Core:
 
     @property
     def tier(self) -> str:
-        """The top tier this core runs (a ``repro.config.TIERS`` name);
+        """The tier this core runs (one of ``repro.config.TIERS``);
         tier 1 where tiers 2 and 4 lack the native runner."""
         if not self.fast_path_enabled:
             return "slow"
@@ -650,8 +636,6 @@ class Core:
                 rec.edges.clear()
             self._jit_blocks.clear()
             self.jit_flushes += 1
-        self._jit_counts.clear()
-        self._jit_nojit.clear()
         # Regions are built FROM tier-2 blocks, so they can
         # never outlive them: the same flush drops regions, arrival
         # counters, and pins together.
@@ -962,27 +946,16 @@ class Core:
         # A pc that has a tier-2 unit gets here only when the budget is
         # shorter than the unit to run: replay it, never lower it again.
         if self.jit_enabled and pc not in self._jit_blocks:
-            counts = self._jit_counts
-            seen = counts.get(pc, 0) + 1
-            if seen < self.jit_threshold:
-                counts[pc] = seen
-            elif pc not in self._jit_nojit:
-                counts.pop(pc, None)
-                began = perf_counter()
-                rec = _compile_block(self, block, pc)
-                self.jit_compile_seconds += perf_counter() - began
-                if rec is None:
-                    self._jit_nojit.add(pc)
-                else:
-                    self._jit_blocks[pc] = rec
-                    self.jit_compiled += 1
-                    if _OBS.enabled:
-                        _OBS.events.emit("jit.compile", pc=pc,
-                                         instructions=rec.n,
-                                         compiled_total=self.jit_compiled)
-                    if limit >= rec.n:
-                        self._run_jit(rec, pc, limit, generation)
-                        return
+            began = perf_counter()
+            rec = self._jit_blocks[pc] = _compile_block(self, block, pc)
+            self.jit_compile_seconds += perf_counter() - began
+            self.jit_compiled += 1
+            if _OBS.enabled:
+                _OBS.events.emit("jit.compile", pc=pc, instructions=rec.n,
+                                 compiled_total=self.jit_compiled)
+            if limit >= rec.n:
+                self._run_jit(rec, pc, limit, generation)
+                return
         timing = self.timing
         stats = timing.stats
         cpi = timing.params.base_cpi
@@ -1144,7 +1117,7 @@ class Core:
         feeds the region profile: the block's ``edges`` counters record
         observed successors (the branch-direction profile) and the
         per-pc arrival counters trigger ``compile_region`` past
-        ``region_threshold``.
+        ``region_threshold`` (:data:`repro.cpu.regions.REGION_THRESHOLD`).
         """
         mmu = self.mmu
         stats = self.timing.stats

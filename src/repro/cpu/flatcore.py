@@ -78,7 +78,6 @@ from __future__ import annotations
 from array import array
 from typing import NamedTuple
 
-from repro import config as _config
 from repro.cpu import native
 from repro.cpu.regions import (
     DEFER,
@@ -297,12 +296,11 @@ def compile_block(core, block, start_pc):
     ``MAX_REGION_ENTRIES`` lowers only a prefix: control flow never
     leaves a straight line mid-block, so the prefix's fall-through pc
     is exact and the dispatch loop grows (and eventually lowers) the
-    suffix as an ordinary block of its own. Returns None when lowering
-    fails (the caller pins the pc to tier 1).
+    suffix as an ordinary block of its own.
     """
     entries = block[0][:MAX_REGION_ENTRIES]
     plan = _Plan(start_pc, (_Member(start_pc, entries, block[1]),), False)
-    return _try_lower(core, plan, False)
+    return bind(core, _lower(core, plan, False))
 
 
 def compile_region(core, head_pc, arrivals=0):
@@ -325,18 +323,7 @@ def compile_region(core, head_pc, arrivals=0):
     plan = _plan(core, head_pc)
     if plan is None:
         return None
-    return _try_lower(core, plan, True)
-
-
-def _try_lower(core, plan, region):
-    """:func:`_lower` and :func:`bind`, or None on failure (re-raised
-    under jit_debug)."""
-    try:
-        return bind(core, _lower(core, plan, region))
-    except Exception:
-        if _config.current().jit_debug:
-            raise
-        return None
+    return bind(core, _lower(core, plan, True))
 
 
 def _lower(core, plan, region):

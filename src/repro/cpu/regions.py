@@ -29,6 +29,11 @@ from repro.utils.bits import to_u64
 # side-exit bookkeeping stop paying for themselves.
 MAX_REGION_ENTRIES = 1024
 
+# Compiled-block arrivals at a pc (through the trampoline) before a
+# region is planned around it. Each core copies it into
+# ``region_threshold``, so a test can lower it on one core.
+REGION_THRESHOLD = 16
+
 # Conditional branches: the planner follows their profiled direction.
 _BRANCHES = frozenset({"beq", "bne", "blt", "bge", "bltu", "bgeu"})
 

@@ -124,18 +124,6 @@ class BenchmarkRun:
         return 100.0 * (value - base) / base
 
 
-def interpreter_config() -> dict:
-    """The interpreter-tier configuration the active
-    :class:`repro.config.Config` selects (DESIGN.md §9 knob matrix) —
-    what a fresh Core would use."""
-    cfg = _config.current()
-    return {
-        "fast_path": cfg.fast_path,
-        "jit": cfg.effective_jit,
-        "jit_threshold": cfg.jit_threshold,
-    }
-
-
 def resolve_jobs(jobs: "int | None" = None) -> int:
     """Worker-process count: explicit argument, else the REPRO_JOBS
     knob (via :func:`repro.config.current`), else serial. ``0``/``auto``

@@ -77,6 +77,7 @@ class CampaignReportV1:
     findings: "List[Finding]" = field(default_factory=list)
     detected_groups: "Dict[tuple, int]" = field(default_factory=dict)
     errors: int = 0
+    tier: "Optional[str]" = None   # the tier the executions ran at
 
     @property
     def unexplained_escapes(self) -> int:
@@ -103,7 +104,7 @@ class CampaignReportV1:
             "executions": self.executions,
             "workers": self.workers,
             "schedule_max": self.schedule_max,
-            "tier": _config.current().tier,
+            "tier": self.tier,
             "coverage": {
                 "unique_signatures": self.unique_signatures,
                 "corpus_size": self.corpus_size,
@@ -176,6 +177,7 @@ class Campaign:
         executed: "List[Tuple[FuzzInput, RunResult]]" = []
         curve: "List[Tuple[int, int]]" = []
         errors = 0
+        tier = None
         batch = max(8, self.workers * 8)
         stride = max(1, self.executions // self.curve_points)
         next_mark = stride
@@ -209,6 +211,7 @@ class Campaign:
                         scheduler.feedback(inp, None, False)
                         continue
                     run = RunResult.from_dict(out["result"])
+                    tier = out["tier"]
                     novel = coverage.add(out["signature"])
                     scheduler.feedback(inp, out["signature"], novel)
                     result.records.append(run)
@@ -236,7 +239,7 @@ class Campaign:
             result=result, unique_signatures=len(coverage),
             coverage_curve=curve, corpus_size=corpus_size,
             findings=findings, detected_groups=detected_groups,
-            errors=errors)
+            errors=errors, tier=tier)
         if _OBS.enabled and _OBS.audit is not None:
             _OBS.audit.append("fuzz.campaign", mode=self.mode,
                               seed=self.seed, executions=done,
@@ -255,7 +258,7 @@ class Campaign:
             return {"input": payload["input"], "error": str(exc)}
         return {"input": payload["input"],
                 "result": outcome.result.to_dict(),
-                "signature": outcome.signature}
+                "signature": outcome.signature, "tier": outcome.tier}
 
     # -- triage: dedup + minimize + verify -----------------------------------
 

@@ -74,6 +74,7 @@ class ExecutionOutcome:
     journal: Journal
     replay_ok: bool         # False iff a replay-mode journal diverged
     checks_at: "Tuple[int, ...]"
+    tier: str               # the tier that ran it (Core.tier)
 
 
 class WarmVictimPool:
@@ -161,7 +162,7 @@ class WarmVictimPool:
         schedule = sorted(input.schedule, key=lambda e: e.frac)
         triggers = self.triggers(input)
 
-        scope = _config.overrides(**_config.TIERS[tier]) if tier \
+        scope = _config.overrides(tier=tier) if tier \
             else nullcontext()
         with scope:
             kernel, process = restore(victim.snapshot, cow=True,
@@ -205,6 +206,7 @@ class WarmVictimPool:
                 kernel, process, seclog_before,
                 baseline_exit=baseline.exit_code)
             final_instret = kernel.system.core.instret
+            ran_tier = kernel.system.core.tier
 
         sig = signature(events, tuple(checks_at), fingerprint)
         divergence = journal_divergence(baseline.journal_entries,
@@ -221,7 +223,7 @@ class WarmVictimPool:
         return ExecutionOutcome(input=input, result=result,
                                 signature=sig, journal=journal,
                                 replay_ok=replay_ok,
-                                checks_at=tuple(checks_at))
+                                checks_at=tuple(checks_at), tier=ran_tier)
 
 
 # -- multiprocessing face ----------------------------------------------------
@@ -244,4 +246,4 @@ def _worker_execute(payload: dict) -> dict:
         return {"input": payload["input"], "error": str(exc)}
     return {"input": payload["input"],
             "result": outcome.result.to_dict(),
-            "signature": outcome.signature}
+            "signature": outcome.signature, "tier": outcome.tier}

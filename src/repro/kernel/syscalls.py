@@ -58,10 +58,6 @@ ENOSYS = 38
 _MASK64 = (1 << 64) - 1
 
 
-def _signed(value: int) -> int:
-    return value - (1 << 64) if value >= (1 << 63) else value
-
-
 class SyscallDispatcher:
     """Decodes and executes system calls for the kernel."""
 

@@ -8,7 +8,7 @@ the unit's start pc. The recording site is the same batch point that
 flushes the deferred counters, so the per-instruction hot paths stay
 untouched; a disabled attribution is one ``is not None`` test at those
 batch points. Tier 0 — a core on the per-instruction slow path
-(``REPRO_FASTPATH=0``) — is attributed by :class:`SlowPathTap`, a
+(``REPRO_TIER=slow``) — is attributed by :class:`SlowPathTap`, a
 retire hook installed only while observing: ``Core.step`` itself holds
 no observability reference (the overhead suite asserts on its source)
 and an unobserved slow run pays nothing.

@@ -129,19 +129,6 @@ def sealed_view(trail: AuditTrail) -> "List[dict]":
     return records + [seal]
 
 
-def load_audit(path) -> "List[dict]":
-    """Read a saved audit chain back; raises on unparseable lines (a
-    non-JSON line *is* a verification failure — use :func:`verify_file`
-    to get it reported as a problem instead)."""
-    records: "List[dict]" = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
 def verify_chain(records: "List[dict]") -> "List[str]":
     """Recompute and check the whole chain; returns problems (empty =
     intact). Every problem names the divergent record."""

@@ -138,7 +138,7 @@ def replay_tier(reference: Reference,
     """Restore the reference snapshot in a fresh machine and replay it to
     completion under ``tier`` (``None`` = the ambient config)."""
     from contextlib import nullcontext
-    scope = _config.overrides(**_config.TIERS[tier]) if tier \
+    scope = _config.overrides(tier=tier) if tier \
         else nullcontext()
     with scope:
         kernel, process = restore(reference.snapshot)
@@ -187,6 +187,6 @@ def verify_replay(reference: Reference,
     for tier in tiers:
         if tier not in _config.TIERS:
             raise ReplayError(f"unknown tier {tier!r}; choose from "
-                              f"{', '.join(sorted(_config.TIERS))}")
+                              f"{', '.join(_config.TIERS)}")
         report.runs.append(replay_tier(reference, tier))
     return report

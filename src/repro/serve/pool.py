@@ -153,8 +153,8 @@ class SnapshotPool:
         if tier is not None:
             if tier not in _config.TIERS:
                 raise ServeError(f"unknown tier {tier!r} (one of: "
-                                 f"{', '.join(sorted(_config.TIERS))})")
-            with _config.overrides(**_config.TIERS[tier]):
+                                 f"{', '.join(_config.TIERS)})")
+            with _config.overrides(tier=tier):
                 kernel, process = restore(
                     entry.snapshot, cow=True,
                     translations=entry.translations)

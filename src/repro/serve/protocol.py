@@ -124,7 +124,7 @@ def _validate_create(request: dict) -> None:
     tier = request.get("tier")
     if tier is not None and tier not in _config.TIERS:
         raise ServeError(f"unknown tier {tier!r} (one of: "
-                         f"{', '.join(sorted(_config.TIERS))})")
+                         f"{', '.join(_config.TIERS)})")
     caps = request.get("caps")
     if caps is not None and not isinstance(caps, dict):
         raise ServeError(f"'caps' must be an object, got {caps!r}")

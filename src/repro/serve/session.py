@@ -137,7 +137,7 @@ class Session:
         from contextlib import nullcontext
         if self.tier is None:
             return nullcontext()
-        return _config.overrides(**_config.TIERS[self.tier])
+        return _config.overrides(tier=self.tier)
 
     @property
     def alive(self) -> bool:

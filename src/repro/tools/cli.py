@@ -3,8 +3,8 @@
 Every tool gets the same spelling for the same concept:
 
 * ``--config KEY=VAL`` (repeatable) — set any :mod:`repro.config` knob
-  for this invocation, by field name (``jit=0``) or environment name
-  (``REPRO_JIT=0``). Applied through :func:`repro.config.env_knobs`, so
+  for this invocation, by field name (``tier=tier1``) or environment
+  name (``REPRO_TIER=tier1``). Applied through :func:`repro.config.env_knobs`, so
   worker processes forked by a sweep inherit the overrides exactly like
   environment variables — because they *are* environment variables for
   the duration of the run.
@@ -32,7 +32,8 @@ def add_config_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--config", action="append", default=[], metavar="KEY=VAL",
         help="override a REPRO_* knob for this invocation (repeatable); "
-             "KEY is a config field (jit=0) or env name (REPRO_JIT=0) — "
+             "KEY is a config field (tier=tier1) or env name "
+             "(REPRO_TIER=tier1) — "
              "see `python -m repro.config` for the knob table")
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import config
 from repro.cpu import Core, TimingModel
 from repro.isa import Instruction, encode, try_compress
 from repro.mem import MMU, PhysicalMemory
@@ -73,3 +74,15 @@ def patch_own_code_loop(core, passes=12):
     core.regs[18] = patched                     # s2
     core.regs[19] = encode(insns[5])            # s3: the same bytes
     core.pc = CODE_BASE
+
+
+def tier_core(memory, mmu=None, *, tier="tier4", region_threshold=None,
+              **kwargs):
+    """A core at interpreter ``tier`` (bare MMU unless ``mmu`` is
+    given). ``region_threshold`` lowers its region promotion threshold
+    so a short test loop reaches tier 4."""
+    with config.overrides(tier=tier):
+        core = Core(memory, MMU(memory) if mmu is None else mmu, **kwargs)
+    if region_threshold is not None:
+        core.region_threshold = region_threshold
+    return core

@@ -1,8 +1,9 @@
 """Tier 2: hot-block lowering, chaining, invalidation, faults.
 
 The compiled tier (single blocks lowered to the flat core,
-src/repro/cpu/flatcore.py) must be architecturally invisible. These tests pin down the machinery itself: blocks past the
-promotion threshold really compile, chain links form and are torn down
+src/repro/cpu/flatcore.py) must be architecturally invisible. These
+tests pin down the machinery itself: blocks really compile on their
+first dispatch, chain links form and are torn down
 on every invalidation edge (fence.i, MMU generation bumps, SMC), and a
 ROLoad fault raised from *inside* a hot compiled block is delivered
 bit-identically to the slow interpreter — including the case where the
@@ -12,21 +13,21 @@ faulting ld.ro itself was hot (the pointer walks off its key's page).
 import pytest
 
 from repro.asm import assemble, link
-from repro.cpu import Core, TimingModel
+from repro.config import TIERS
+from repro.cpu import TimingModel, regions
 from repro.cpu.regions import MAX_REGION_ENTRIES
 from repro.kernel import Kernel, ProcessState, SIGSEGV
-from repro.mem import MMU, PhysicalMemory
+from repro.mem import PhysicalMemory
 from repro.mem.tlb import TLB, TLBEntry
 from repro.soc import build_system
 
-from .conftest import CODE_BASE, I, assemble_at, patch_own_code_loop
+from .conftest import (CODE_BASE, I, assemble_at, patch_own_code_loop,
+                       tier_core)
 
 
-def jit_core(monkeypatch, jit=True, threshold=1):
-    monkeypatch.setenv("REPRO_JIT_DEBUG", "1")
-    memory = PhysicalMemory(1 << 20)
-    core = Core(memory, MMU(memory), timing=TimingModel(),
-                fast_path=True, jit=jit, jit_threshold=threshold)
+def jit_core(tier="tier4"):
+    core = tier_core(PhysicalMemory(1 << 20), tier=tier,
+                     timing=TimingModel())
     core.pc = CODE_BASE
     return core
 
@@ -49,32 +50,32 @@ def run_to_ebreak(core, budget=10_000):
     return core.run(budget, trap_handler=None)
 
 
-def test_hot_block_compiles_and_matches_tier1(monkeypatch):
+def test_hot_block_compiles_and_matches_tier1():
     outcomes = {}
-    for jit in (False, True):
-        core = jit_core(monkeypatch, jit=jit, threshold=2)
+    for tier in ("tier1", "tier4"):
+        core = jit_core(tier)
         countdown_loop(core, 10)
         run_to_ebreak(core)
-        outcomes[jit] = (core.regs[5], core.regs[6], core.regs[7],
-                        core.instret, core.cycles)
-        if jit:
+        outcomes[tier] = (core.regs[5], core.regs[6], core.regs[7],
+                          core.instret, core.cycles)
+        if tier == "tier4":
             assert core.jit_compiled >= 1
             assert core._jit_blocks
         else:
             assert core.jit_compiled == 0 and not core._jit_blocks
-    assert outcomes[True] == outcomes[False]
-    assert outcomes[True][1] == 10  # the loop body really ran 10 times
+    assert outcomes["tier4"] == outcomes["tier1"]
+    assert outcomes["tier4"][1] == 10  # the loop body really ran 10 times
 
 
-def test_jit_disabled_by_constructor(monkeypatch):
-    core = jit_core(monkeypatch, jit=False, threshold=1)
+def test_jit_disabled_by_constructor():
+    core = jit_core("tier1")
     countdown_loop(core, 10)
     run_to_ebreak(core)
     assert core.jit_compiled == 0 and not core._jit_blocks
 
 
-def test_hot_loop_chains_to_itself(monkeypatch):
-    core = jit_core(monkeypatch, threshold=2)
+def test_hot_loop_chains_to_itself():
+    core = jit_core()
     loop_pc = countdown_loop(core, 10)
     run_to_ebreak(core)
     rec = core._jit_blocks[loop_pc]
@@ -83,21 +84,23 @@ def test_hot_loop_chains_to_itself(monkeypatch):
     assert rec.links.get(loop_pc) is rec
 
 
-def test_fence_i_flushes_compiled_blocks_and_links(monkeypatch):
-    core = jit_core(monkeypatch, threshold=2)
-    countdown_loop(core, 10, tail=[I("fence.i"),
-                                   I("addi", rd=28, rs1=0, imm=7)])
+def test_fence_i_flushes_compiled_blocks_and_links():
+    core = jit_core()
+    loop_pc = countdown_loop(core, 10, tail=[I("fence.i"),
+                                             I("addi", rd=28, rs1=0, imm=7)])
     # By the time the run stops at ebreak the fence.i has executed.
     run_to_ebreak(core)
     assert core.regs[28] == 7
     assert core.jit_flushes >= 1
-    assert not core._jit_blocks  # the hot loop's compiled body is gone
+    # The hot loop's compiled body is gone (the block after the fence.i
+    # was lowered afresh on its first dispatch).
+    assert loop_pc not in core._jit_blocks
 
 
-def test_fence_i_clears_links_of_surviving_references(monkeypatch):
+def test_fence_i_clears_links_of_surviving_references():
     """Anyone still holding a JITBlock across a fence.i must see its
     chain links gone — a stale link would jump into dead code."""
-    core = jit_core(monkeypatch, threshold=2)
+    core = jit_core()
     loop_pc = countdown_loop(core, 10)
     run_to_ebreak(core)
     rec = core._jit_blocks[loop_pc]
@@ -108,8 +111,8 @@ def test_fence_i_clears_links_of_surviving_references(monkeypatch):
     assert core.jit_flushes >= 1
 
 
-def test_generation_bump_flushes_compiled_blocks(monkeypatch):
-    core = jit_core(monkeypatch, threshold=2)
+def test_generation_bump_flushes_compiled_blocks():
+    core = jit_core()
     loop_pc = countdown_loop(core, 10)
     run_to_ebreak(core)
     rec = core._jit_blocks[loop_pc]
@@ -122,7 +125,7 @@ def test_generation_bump_flushes_compiled_blocks(monkeypatch):
     assert core._jit_blocks.get(loop_pc) is not rec
 
 
-def test_smc_store_flushes_compiled_blocks(monkeypatch):
+def test_smc_store_flushes_compiled_blocks():
     """A store over compiled code must drop the stale translation and
     execute the patched instruction — same result as the slow tier."""
     def program(core):
@@ -140,15 +143,15 @@ def test_smc_store_flushes_compiled_blocks(monkeypatch):
                           encode(I("addi", rd=10, rs1=0, imm=9)))
 
     outcomes = {}
-    for jit in (False, True):
-        core = jit_core(monkeypatch, jit=jit, threshold=1)
+    for tier in ("tier1", "tier4"):
+        core = jit_core(tier)
         program(core)
         retired = run_to_ebreak(core)
-        outcomes[jit] = (core.regs[10], retired, core.cycles)
-        if jit:
+        outcomes[tier] = (core.regs[10], retired, core.cycles)
+        if tier == "tier4":
             assert core.jit_flushes >= 1
-    assert outcomes[True] == outcomes[False]
-    assert outcomes[True][0] == 9
+    assert outcomes["tier4"] == outcomes["tier1"]
+    assert outcomes["tier4"][0] == 9
 
 
 class _Attribution:
@@ -161,15 +164,13 @@ class _Attribution:
         self.records.append((tier, pc, retired))
 
 
-def test_block_leaving_early_is_charged_its_instret_delta(monkeypatch):
+def test_block_leaving_early_is_charged_its_instret_delta():
     """A tier-2 block that patches its own code leaves right after the
     store. The trampoline charges attribution (and the budget) with the
     instructions it retired — the instret delta across the call — not
     with the block's length."""
-    monkeypatch.setenv("REPRO_JIT_DEBUG", "1")
-    memory = PhysicalMemory(1 << 20)
-    core = Core(memory, MMU(memory), timing=TimingModel(), fast_path=True,
-                jit=True, jit_threshold=2, tier4=False)
+    core = tier_core(PhysicalMemory(1 << 20), tier="tier2",
+                     timing=TimingModel())
     patch_own_code_loop(core)
     core._attrib = attribution = _Attribution()
     run_to_ebreak(core)
@@ -180,14 +181,12 @@ def test_block_leaving_early_is_charged_its_instret_delta(monkeypatch):
     assert sum(n for __, n in tier2) == residency["tier2_retired"]
 
 
-def test_short_budget_replays_never_lower_a_block_twice(monkeypatch):
+def test_short_budget_replays_never_lower_a_block_twice():
     """A budget shorter than a lowered block (a serve slice end, a fuzz
     trigger) replays the tier-1 block; that replay must not lower the
     block again and replace its unit."""
-    monkeypatch.setenv("REPRO_JIT_DEBUG", "1")
-    memory = PhysicalMemory(1 << 20)
-    core = Core(memory, MMU(memory), timing=TimingModel(), fast_path=True,
-                jit=True, jit_threshold=2, tier4=False)
+    core = tier_core(PhysicalMemory(1 << 20), tier="tier2",
+                     timing=TimingModel())
     assemble_at(core, [I("addi", rd=6, rs1=6, imm=1)] * 20 + [I("ebreak")])
     first = None
     for __ in range(40):
@@ -199,25 +198,25 @@ def test_short_budget_replays_never_lower_a_block_twice(monkeypatch):
     assert core.regs[6] == 200       # every short replay really ran
 
 
-def test_oversized_block_splits(monkeypatch):
+def test_oversized_block_splits():
     """A block longer than MAX_REGION_ENTRIES lowers as a prefix; the
     suffix is promoted organically as its own block. A page holds only
     1,024 four-byte instructions, so the block is compressed."""
     n = MAX_REGION_ENTRIES + 40
     outcomes = {}
-    for jit in (False, True):
-        core = jit_core(monkeypatch, jit=jit, threshold=2)
+    for tier in ("tier1", "tier4"):
+        core = jit_core(tier)
         addr = assemble_at(core, [(I("addi", rd=6, rs1=6, imm=1), "c")] * n)
         assert addr <= CODE_BASE + 0x1000 - 4  # one page, jal included
         assemble_at(core, [I("jal", rd=0, imm=CODE_BASE - addr)], addr)
         with pytest.raises(Exception):
             core.run(6 * (n + 1))
-        outcomes[jit] = (core.regs[6], core.instret, core.cycles)
-        if jit:
+        outcomes[tier] = (core.regs[6], core.instret, core.cycles)
+        if tier == "tier4":
             assert core.jit_compiled >= 2  # prefix + promoted suffix
             sizes = sorted(rec.n for rec in core._jit_blocks.values())
             assert sizes[-1] == MAX_REGION_ENTRIES
-    assert outcomes[True] == outcomes[False]
+    assert outcomes["tier4"] == outcomes["tier1"]
 
 
 # -- ROLoad faults raised from inside a hot compiled block -------------------
@@ -269,24 +268,18 @@ HOT_WALK_WRITABLE = (
     "    .quad 2\n"
 )
 
-TIERS = {
-    "slow": ("0", "0", "0"),
-    "tier1": ("1", "0", "0"),
-    "tier2": ("1", "1", "0"),
-    "tier4": ("1", "1", "1"),
-}
-
 COMPARED = ("tier1", "tier2", "tier4")
 
 
+def pin_tier(monkeypatch, tier):
+    """Build the next kernel's core at ``tier``, with regions formed
+    after two arrivals so the short hot loops reach tier 4."""
+    monkeypatch.setenv("REPRO_TIER", tier)
+    monkeypatch.setattr(regions, "REGION_THRESHOLD", 2)
+
+
 def run_hot_fault(monkeypatch, source, tier):
-    fastpath, jit, tier4 = TIERS[tier]
-    monkeypatch.setenv("REPRO_FASTPATH", fastpath)
-    monkeypatch.setenv("REPRO_JIT", jit)
-    monkeypatch.setenv("REPRO_TIER4", tier4)
-    monkeypatch.setenv("REPRO_JIT_THRESHOLD", "2")
-    monkeypatch.setenv("REPRO_REGION_THRESHOLD", "2")
-    monkeypatch.setenv("REPRO_JIT_DEBUG", "1")
+    pin_tier(monkeypatch, tier)
     kernel = Kernel(build_system("processor+kernel", memory_size=64 << 20))
     process = kernel.create_process(link([assemble(source)]))
     kernel.run(process)
@@ -412,7 +405,7 @@ def test_audit_chain_identical_across_tiers(monkeypatch):
 
 @pytest.mark.parametrize("source", [HOT_WALK_KEY, HOT_WALK_WRITABLE],
                          ids=["key-mismatch", "writable-page"])
-@pytest.mark.parametrize("tier", list(TIERS))
+@pytest.mark.parametrize("tier", TIERS)
 def test_roload_monitor_complete_under_hot_fault(monkeypatch, source,
                                                  tier):
     """An attached ROLoadMonitor observes every *retired* ld.ro in every
@@ -420,12 +413,7 @@ def test_roload_monitor_complete_under_hot_fault(monkeypatch, source,
     deoptimizes, so the compiled tier cannot hide executions from it."""
     from repro.cpu.tracer import ROLoadMonitor
 
-    fastpath, jit, tier4 = TIERS[tier]
-    monkeypatch.setenv("REPRO_FASTPATH", fastpath)
-    monkeypatch.setenv("REPRO_JIT", jit)
-    monkeypatch.setenv("REPRO_TIER4", tier4)
-    monkeypatch.setenv("REPRO_JIT_THRESHOLD", "2")
-    monkeypatch.setenv("REPRO_REGION_THRESHOLD", "2")
+    pin_tier(monkeypatch, tier)
     kernel = Kernel(build_system("processor+kernel", memory_size=64 << 20))
     process = kernel.create_process(link([assemble(source)]))
     with ROLoadMonitor(kernel.system.core) as monitor:

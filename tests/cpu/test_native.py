@@ -47,9 +47,7 @@ print(json.dumps({"runner": flatcore.runner(),
                   "result": dataclasses.asdict(measurement)}))
 """
 
-TIER4 = {"REPRO_FASTPATH": "1", "REPRO_JIT": "1", "REPRO_TIER4": "1",
-         "REPRO_JIT_THRESHOLD": "2", "REPRO_REGION_THRESHOLD": "2",
-         "REPRO_JIT_DEBUG": "1"}
+TIER4 = {"REPRO_TIER": "tier4"}
 
 
 def compiler_works(tmp_path) -> bool:

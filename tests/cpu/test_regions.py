@@ -12,33 +12,24 @@ near-identical superblocks.
 """
 
 from repro.asm import assemble, link
-from repro.cpu import Core, TimingModel
+from repro.config import TIERS
+from repro.cpu import TimingModel, regions
 from repro.cpu.flatcore import compile_region
 from repro.cpu.regions import DEFER, Region
 from repro.kernel import Kernel, ProcessState
-from repro.mem import MMU, PhysicalMemory
+from repro.mem import PhysicalMemory
 from repro.soc import build_system
 
-from .conftest import CODE_BASE, I, assemble_at
-
-# tier name -> (fast_path, jit, tier4) for the Core constructor.
-TIERS = {
-    "slow": (False, False, False),
-    "tier1": (True, False, False),
-    "tier2": (True, True, False),
-    "tier4": (True, True, True),
-}
+from .conftest import CODE_BASE, I, assemble_at, tier_core
 
 COMPARED = ("tier1", "tier2", "tier4")
 
 
-def tier_core(monkeypatch, tier):
-    fast_path, jit, tier4 = TIERS[tier]
-    monkeypatch.setenv("REPRO_JIT_DEBUG", "1")
-    memory = PhysicalMemory(1 << 20)
-    core = Core(memory, MMU(memory), timing=TimingModel(),
-                fast_path=fast_path, jit=jit, jit_threshold=2,
-                tier4=tier4, region_threshold=2)
+def region_core(tier):
+    """A core at ``tier`` whose loops become regions after two
+    arrivals."""
+    core = tier_core(PhysicalMemory(1 << 20), tier=tier,
+                     region_threshold=2, timing=TimingModel())
     core.pc = CODE_BASE
     return core
 
@@ -57,10 +48,10 @@ def countdown_loop(core, iters, body=2):
 
 # -- formation ---------------------------------------------------------------
 
-def test_hot_loop_forms_region(monkeypatch):
+def test_hot_loop_forms_region():
     outcomes = {}
     for tier in TIERS:
-        core = tier_core(monkeypatch, tier)
+        core = region_core(tier)
         loop_pc = countdown_loop(core, 50)
         core.run(10_000, trap_handler=None)  # stops at ebreak
         outcomes[tier] = (core.regs[5], core.regs[6], core.regs[7],
@@ -78,8 +69,8 @@ def test_hot_loop_forms_region(monkeypatch):
     assert outcomes["slow"][1] == 50  # the body really ran 50 times
 
 
-def test_residency_attributes_region_instructions(monkeypatch):
-    core = tier_core(monkeypatch, "tier4")
+def test_residency_attributes_region_instructions():
+    core = region_core("tier4")
     countdown_loop(core, 50)
     core.run(10_000, trap_handler=None)
     residency = core.tier_residency()
@@ -90,10 +81,10 @@ def test_residency_attributes_region_instructions(monkeypatch):
     assert residency["regions_compiled"] == core.regions_compiled >= 1
 
 
-def test_residency_attributes_flat_region_instructions(monkeypatch):
+def test_residency_attributes_flat_region_instructions():
     """Every region is a flat region, counted once as regions_compiled;
     the legacy tier-3 attribute stays a constant 0."""
-    core = tier_core(monkeypatch, "tier4")
+    core = region_core("tier4")
     countdown_loop(core, 50)
     core.run(10_000, trap_handler=None)
     residency = core.tier_residency()
@@ -117,11 +108,11 @@ def test_region_covers_spans():
     assert not region.covers(0x2008)
 
 
-def test_alternate_entry_inside_live_region_defers(monkeypatch):
+def test_alternate_entry_inside_live_region_defers():
     """A head pc lying inside a live region's instruction range is an
     alternate entry split: lowering defers while lukewarm instead of
     building a near-identical superblock (or pinning the pc)."""
-    core = tier_core(monkeypatch, "tier4")
+    core = region_core("tier4")
     loop_pc = countdown_loop(core, 50)
     core.run(10_000, trap_handler=None)
     assert core._regions[loop_pc].covers(loop_pc + 4)
@@ -134,7 +125,7 @@ def test_alternate_entry_inside_live_region_defers(monkeypatch):
 
 # -- deoptimization: SMC store taken mid-region ------------------------------
 
-def test_smc_store_mid_region_deoptimizes_identically(monkeypatch):
+def test_smc_store_mid_region_deoptimizes_identically():
     """Twenty clean iterations make the loop a compiled region; then a
     side-exit block stores a patched encoding over the live region's
     body (no fence.i) and jumps back in. The patch must take effect on
@@ -166,7 +157,7 @@ def test_smc_store_mid_region_deoptimizes_identically(monkeypatch):
 
     outcomes = {}
     for tier in TIERS:
-        core = tier_core(monkeypatch, tier)
+        core = region_core(tier)
         program(core)
         core.run(10_000, trap_handler=None)
         outcomes[tier] = (core.regs[9], core.regs[10], core.instret,
@@ -222,13 +213,8 @@ loop2:                # hot loop 2: the same page, now keyed ld.ro
 
 
 def run_kernel_tier(monkeypatch, source, tier):
-    fast_path, jit, tier4 = TIERS[tier]
-    monkeypatch.setenv("REPRO_FASTPATH", "1" if fast_path else "0")
-    monkeypatch.setenv("REPRO_JIT", "1" if jit else "0")
-    monkeypatch.setenv("REPRO_TIER4", "1" if tier4 else "0")
-    monkeypatch.setenv("REPRO_JIT_THRESHOLD", "2")
-    monkeypatch.setenv("REPRO_REGION_THRESHOLD", "2")
-    monkeypatch.setenv("REPRO_JIT_DEBUG", "1")
+    monkeypatch.setenv("REPRO_TIER", tier)
+    monkeypatch.setattr(regions, "REGION_THRESHOLD", 2)
     kernel = Kernel(build_system("processor+kernel", memory_size=64 << 20))
     process = kernel.create_process(link([assemble(source)]))
     kernel.run(process)

@@ -3,9 +3,9 @@
 Tier 2 lowers one hot basic block as a one-member, non-loop plan on the
 flat core (src/repro/cpu/flatcore.py, ``compile_block``) — a plan shape
 the region planner never produces. Each program here makes one kind of
-block end hot with regions off (``tier4=False``, ``REPRO_JIT_DEBUG=1``
-so a lowering failure is an error), then checks the run against the
-slow interpreter bit for bit. The programs cover the exits the wider
+block end hot with regions off (``REPRO_TIER=tier2``; a lowering
+failure is an error), then checks the run against the slow interpreter
+bit for bit. The programs cover the exits the wider
 differential suites do not pin down one by one: a branch hot in both
 directions, ``jal``/``jalr`` call and return, an ``ecall`` and a CSR
 read (generic terminators that observe the counters), and page-boundary
@@ -203,11 +203,7 @@ CASES = {
 
 
 def _run(monkeypatch, source, tier2):
-    monkeypatch.setenv("REPRO_FASTPATH", "1" if tier2 else "0")
-    monkeypatch.setenv("REPRO_JIT", "1" if tier2 else "0")
-    monkeypatch.setenv("REPRO_TIER4", "0")
-    monkeypatch.setenv("REPRO_JIT_THRESHOLD", "2")
-    monkeypatch.setenv("REPRO_JIT_DEBUG", "1")
+    monkeypatch.setenv("REPRO_TIER", "tier2" if tier2 else "slow")
     kernel = Kernel(build_system("processor+kernel", memory_size=64 << 20))
     process = kernel.create_process(link([assemble(source)]))
     kernel.run(process)

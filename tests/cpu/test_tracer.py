@@ -140,16 +140,14 @@ class TestJITBlindSpot:
     every retired instruction reaches the hook, even ones that used to
     run inside hot tier-1/tier-2 compiled blocks (the blind spot)."""
 
-    def _hot_core(self, monkeypatch):
+    def _hot_core(self):
         from .test_jit import countdown_loop, jit_core
-        monkeypatch.setenv("REPRO_JIT", "1")
-        core = jit_core(monkeypatch, threshold=2)
+        core = jit_core()
         countdown_loop(core, 200)
         return core
 
-    def test_tracer_sees_every_instruction_when_attached_hot(
-            self, monkeypatch):
-        core = self._hot_core(monkeypatch)
+    def test_tracer_sees_every_instruction_when_attached_hot(self):
+        core = self._hot_core()
         # Heat the loop until tier-2 blocks are compiled and running
         # (the tight budget raises; the compiled state survives).
         with pytest.raises(Exception):
@@ -165,8 +163,8 @@ class TestJITBlindSpot:
         assert observed == core.instret - attach_instret
         assert observed > 0
 
-    def test_retiering_resumes_after_detach(self, monkeypatch):
-        core = self._hot_core(monkeypatch)
+    def test_retiering_resumes_after_detach(self):
+        core = self._hot_core()
         with Profiler(core):
             with pytest.raises(Exception):
                 core.run(50, trap_handler=None)

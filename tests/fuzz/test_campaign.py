@@ -124,6 +124,15 @@ class TestCampaign:
                                      "unexplained": 0}
         assert record["detection"]["rate"] >= MIN_DETECTION_RATE
 
+    def test_record_names_the_tier_that_ran(self, monkeypatch):
+        """Without the native runner a core configured for tier 4 runs
+        tier 1, and the record says so."""
+        from repro.cpu import flatcore
+        monkeypatch.setattr(flatcore, "_native", None)
+        record = Campaign(executions=2, workers=1, seed=5, schedule_max=1,
+                          tier="tier4").run().to_record()
+        assert record["tier"] == "tier1"
+
     def test_unknown_mode_rejected(self):
         from repro.errors import ReplayError
         with pytest.raises(ReplayError, match="unknown campaign mode"):

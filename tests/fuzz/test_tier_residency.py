@@ -1,4 +1,4 @@
-"""Tier residency of fuzz executions under the default tier-up policy.
+"""Tier residency of fuzz executions under the tier-up policy.
 
 A fuzz victim runs most of its blocks once or twice, so tier 2 must
 lower each block on its first dispatch: otherwise the Python tier 1
@@ -37,10 +37,7 @@ def test_an_execution_retires_at_most_a_tenth_at_tier1(monkeypatch, spec):
 
     monkeypatch.setattr(Kernel, "run", counting_run)
     entry = ScheduleEntry("pte-key", FRAC_SCALE // 2)
-    default = config.Config()
-    with config.overrides(**config.TIERS["tier4"],
-                          jit_threshold=default.jit_threshold,
-                          region_threshold=default.region_threshold):
+    with config.overrides(tier="tier4"):
         WarmVictimPool().execute(FuzzInput(spec, (entry,)))
     assert counts["retired"] > 0
     assert counts["tier1"] * 10 <= counts["retired"], counts

@@ -141,24 +141,31 @@ class TestConfigFlag:
     """The shared --config KEY=VAL surface (tools/cli.py)."""
 
     def test_runtool_accepts_field_and_env_spellings(self, good_image):
-        assert runtool.main([str(good_image), "--config", "fast_path=0",
-                             "--config", "REPRO_JIT=0"]) == 7
+        assert runtool.main([str(good_image), "--config", "tier=slow",
+                             "--config", "REPRO_TIER=tier1"]) == 7
 
     def test_overrides_do_not_leak_into_environ(self, good_image):
-        before = os.environ.get("REPRO_JIT")
-        runtool.main([str(good_image), "--config", "jit=0"])
-        assert os.environ.get("REPRO_JIT") == before
+        before = os.environ.get("REPRO_TIER")
+        runtool.main([str(good_image), "--config", "tier=tier1"])
+        assert os.environ.get("REPRO_TIER") == before
 
     def test_unknown_knob_is_a_usage_error(self, good_image, capsys):
         assert runtool.main([str(good_image), "--config", "warp=9"]) == 1
         assert "unknown config knob" in capsys.readouterr().err
 
+    def test_unknown_tier_is_a_usage_error(self, good_image, capsys):
+        before = os.environ.get("REPRO_TIER")
+        assert runtool.main([str(good_image), "--config", "tier=bogus"]) == 1
+        assert "slow, tier1, tier2, tier4" in capsys.readouterr().err
+        assert os.environ.get("REPRO_TIER") == before
+
     def test_missing_equals_is_a_usage_error(self, good_image, capsys):
-        assert runtool.main([str(good_image), "--config", "jit"]) == 1
+        assert runtool.main([str(good_image), "--config", "tier"]) == 1
         assert "KEY=VAL" in capsys.readouterr().err
 
     def test_audittool_has_the_flag(self, good_image):
-        assert audittool.main([str(good_image), "--config", "jit=0"]) == 0
+        assert audittool.main([str(good_image), "--config",
+                               "tier=tier1"]) == 0
 
 
 class TestInjectTool:
@@ -177,7 +184,7 @@ class TestInjectTool:
     def test_verify_honours_config_flag(self, capsys):
         code = injecttool.main(
             ["verify", "--stop-after", "150", "--tiers", "tier2",
-             "--config", "jit_threshold=4"])
+             "--config", "tier=tier1"])
         assert code == 0
 
     def test_campaign_smoke_with_table(self, tmp_path, capsys):

@@ -18,6 +18,7 @@ only, so every tier records it and chains the same head.
 import pytest
 
 from repro import obs
+from repro.cpu import regions
 from repro.kernel import ProcessState
 
 from .conftest import build_image
@@ -29,9 +30,7 @@ FAST_TIERS = TIERS[1:]
 
 @pytest.fixture(autouse=True)
 def _promote_early(monkeypatch):
-    monkeypatch.setenv("REPRO_JIT_THRESHOLD", "2")
-    monkeypatch.setenv("REPRO_REGION_THRESHOLD", "2")
-    monkeypatch.setenv("REPRO_JIT_DEBUG", "1")
+    monkeypatch.setattr(regions, "REGION_THRESHOLD", 2)
 
 
 def _run(source, tier, stdin=b""):

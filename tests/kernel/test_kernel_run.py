@@ -223,19 +223,20 @@ loop:
 
 @pytest.mark.parametrize("fork", [None, "copy", "cow"])
 @pytest.mark.parametrize("tier", ["tier2", "tier4"])
-def test_finished_machine_dies_without_a_collection(tier, fork):
+def test_finished_machine_dies_without_a_collection(tier, fork,
+                                                    monkeypatch):
     """A machine that ran lowered code and exited normally, forked from
     a snapshot or not, is freed by reference counting alone once it is
     dropped: its kernel releases the bound units, which hold the
     core."""
     from repro import config
-    from repro.cpu import flatcore, native
+    from repro.cpu import flatcore, native, regions
     from repro.replay import restore, snapshot
 
     if flatcore.runner() != "native":
         pytest.skip(f"no native flat-core runner: {native.failure}")
-    with config.overrides(**config.TIERS[tier], jit_threshold=2,
-                          region_threshold=2):
+    monkeypatch.setattr(regions, "REGION_THRESHOLD", 2)
+    with config.overrides(tier=tier):
         kernel = Kernel(build_system("processor+kernel",
                                      memory_size=64 << 20))
         process = kernel.create_process(build_image(HOT_LOOP))
@@ -257,6 +258,33 @@ def test_finished_machine_dies_without_a_collection(tier, fork):
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("unit", ["block", "region"])
+def test_a_lowering_failure_raises(unit, monkeypatch):
+    """Lowering fails only on a broken internal invariant, so the error
+    leaves Kernel.run: it does not quietly pin the pc to the tier
+    below."""
+    from repro import config
+    from repro.cpu import flatcore, native, regions
+
+    if flatcore.runner() != "native":
+        pytest.skip(f"no native flat-core runner: {native.failure}")
+    lower = flatcore._lower
+
+    def broken(core, plan, region):
+        if region == (unit == "region"):
+            raise ValueError(f"cannot lower this {unit}")
+        return lower(core, plan, region)
+
+    monkeypatch.setattr(flatcore, "_lower", broken)
+    monkeypatch.setattr(regions, "REGION_THRESHOLD", 2)
+    with config.overrides(tier="tier4"):
+        kernel = Kernel(build_system("processor+kernel",
+                                     memory_size=64 << 20))
+    process = kernel.create_process(build_image(HOT_LOOP))
+    with pytest.raises(ValueError, match=f"cannot lower this {unit}"):
+        kernel.run(process)
 
 
 class TestFaultDiscrimination:

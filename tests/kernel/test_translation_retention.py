@@ -8,9 +8,9 @@ host write into code, page tables or kernel frames since it was
 descheduled (DESIGN.md §8).
 
 Identity: a program run to exit in many small slices (some shorter than
-``jit_threshold`` dispatches) on every tier matches the slow tier sliced
-the same way in every counter, and a one-shot slow run in architectural
-state. The set_root at each slice walks the page tables again, so walk
+one block, so tier 1 replays the start of a block that already has a
+lowered unit) on every tier matches the slow tier sliced the same way in
+every counter, and a one-shot slow run in architectural state. The set_root at each slice walks the page tables again, so walk
 counts and cycles legitimately differ from a one-shot run.
 
 Guards: a host write into code, a page-table edit, another process and a
@@ -58,20 +58,13 @@ table: .quad 3
 """
 
 # Slice sizes cycled until exit; 1 and 3 are shorter than one block
-# dispatch, and a few slices together stay under jit_threshold.
+# dispatch.
 PLAN = (1, 3, 7, 20, 150)
 FAST_TIERS = ("tier1", "tier2", "tier4")
 
 
-@pytest.fixture(autouse=True)
-def _promote_early(monkeypatch):
-    monkeypatch.setenv("REPRO_JIT_THRESHOLD", "8")
-    monkeypatch.setenv("REPRO_REGION_THRESHOLD", "8")
-    monkeypatch.setenv("REPRO_JIT_DEBUG", "1")
-
-
 def _kernel(tier):
-    with config.overrides(**config.TIERS[tier]):
+    with config.overrides(tier=tier):
         return Kernel(build_system("processor+kernel",
                                    memory_size=64 << 20))
 
@@ -148,6 +141,8 @@ class TestIdentity:
             assert residency["tier2_retired"] > 0
         if tier == "tier4":
             assert residency["tier4_retired"] > 0
+            # The short slices replayed blocks that had lowered units.
+            assert residency["tier1_retired"] > 0
 
 
 def _guarded(tier, intervene, at=40):

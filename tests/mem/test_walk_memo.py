@@ -15,7 +15,7 @@ D-TLB from the memo itself, was built).
 
 import pytest
 
-from repro.cpu import Core, TimingModel, flatcore
+from repro.cpu import TimingModel, flatcore
 from repro.cpu.trap import Cause
 from repro.isa import Instruction, encode
 from repro.isa.opcodes import MemOp
@@ -27,6 +27,7 @@ from repro.mem import (
     PhysicalMemory,
 )
 from repro.mem.pte import make_leaf
+from tests.cpu.conftest import tier_core
 
 
 @pytest.fixture()
@@ -113,14 +114,6 @@ def test_leaf_clear_faults_and_drops_memo(setup):
 
 # -- every tier: the fast paths ride the same memo ---------------------------
 
-# tier name -> (fast_path, jit, tier4) for the Core constructor.
-TIERS = {
-    "slow": (False, False, False),
-    "tier1": (True, False, False),
-    "tier2": (True, True, False),
-    "tier4": (True, True, True),
-}
-
 CODE_VA = 0x1000
 DATA_VA = 0x10000
 FRAME_A = 48 << 20
@@ -158,7 +151,6 @@ def _program():
 
 
 def _tier_system(tier):
-    fast_path, jit, tier4 = TIERS[tier]
     mem = PhysicalMemory(64 << 20)
     builder = PageTableBuilder(mem, FrameAllocator(1 << 20, 32 << 20))
     builder.map_page(CODE_VA, CODE_VA, readable=True, executable=True)
@@ -171,9 +163,8 @@ def _tier_system(tier):
     for insn in _program():
         mem.write(addr, 4, encode(insn))
         addr += 4
-    core = Core(mem, mmu, timing=TimingModel(), fast_path=fast_path,
-                jit=jit, jit_threshold=2, tier4=tier4,
-                region_threshold=2)
+    core = tier_core(mem, mmu, tier=tier, region_threshold=2,
+                     timing=TimingModel())
     core.pc = CODE_VA
     core.regs[8] = DATA_VA
     return mem, builder, mmu, core
@@ -192,7 +183,7 @@ def _run_phase(core):
     core.pc = trap.pc + 4
 
 
-def test_memo_invalidation_identical_across_tiers(monkeypatch):
+def test_memo_invalidation_identical_across_tiers():
     """Phase 1 makes the load loop hot (a live region in tier 4);
     between phases the host rewrites the data page's leaf PTE — first
     mprotect-style through the builder, then directly in physical
@@ -200,7 +191,6 @@ def test_memo_invalidation_identical_across_tiers(monkeypatch):
     on the very next load, with bit-identical walk charges. A store leg
     runs a load/store loop hot on the writable page; after the mprotect
     its next store faults with the same tval and pc."""
-    monkeypatch.setenv("REPRO_JIT_DEBUG", "1")
     results = {}
     for tier in CONFIGS:
         mem, builder, mmu, core = _tier_system(tier)

@@ -64,8 +64,8 @@ def test_format_top_report():
     assert "hot+0x10" in lines[3]                        # offset form
 
 
-def test_tier2_blocks_attribute_to_their_start_pc(monkeypatch):
-    core = jit_core(monkeypatch, threshold=2)
+def test_tier2_blocks_attribute_to_their_start_pc():
+    core = jit_core()
     core._attrib = Attribution()
     loop_pc = countdown_loop(core, 50)
     run_to_ebreak(core)
@@ -83,8 +83,8 @@ def test_tier2_blocks_attribute_to_their_start_pc(monkeypatch):
     assert retired <= core.instret
 
 
-def test_tier1_blocks_attribute_when_jit_is_off(monkeypatch):
-    core = jit_core(monkeypatch, jit=False, threshold=2)
+def test_tier1_blocks_attribute_when_jit_is_off():
+    core = jit_core("tier1")
     core._attrib = Attribution()
     loop_pc = countdown_loop(core, 50)
     run_to_ebreak(core)
@@ -146,7 +146,7 @@ def test_slow_path_attributes_every_retire_to_tier0(monkeypatch):
     register_system installs credits each instruction to the pc reached
     by the last control transfer, so the loop label is the hottest head
     and the histogram accounts for every retired instruction."""
-    monkeypatch.setenv("REPRO_FASTPATH", "0")
+    monkeypatch.setenv("REPRO_TIER", "slow")
     obs.enable()
     system = build_system(memory_size=64 << 20)
     obs.register_system(system)

@@ -28,10 +28,10 @@ from repro.cpu import TimingModel, flatcore, native
 from repro.cpu.core import Core
 from repro.eval.measure import run_benchmarks
 from repro.kernel import Kernel
-from repro.mem import MMU, PhysicalMemory
+from repro.mem import PhysicalMemory
 from repro.soc import build_system
 
-from tests.cpu.conftest import CODE_BASE
+from tests.cpu.conftest import CODE_BASE, tier_core
 from tests.cpu.test_jit import countdown_loop, run_to_ebreak
 
 WORKLOAD = r"""
@@ -51,10 +51,8 @@ table: .quad 1
 """
 
 
-def _run(monkeypatch, tier2=True):
-    monkeypatch.setenv("REPRO_FASTPATH", "1" if tier2 else "0")
-    monkeypatch.setenv("REPRO_JIT", "1" if tier2 else "0")
-    monkeypatch.setenv("REPRO_JIT_THRESHOLD", "2")
+def _run(monkeypatch):
+    monkeypatch.setenv("REPRO_TIER", "tier4")
     kernel = Kernel(build_system(memory_size=64 << 20))
     process = kernel.create_process(link([assemble(WORKLOAD)]))
     kernel.run(process)
@@ -89,12 +87,9 @@ def test_slow_path_step_has_no_obs_reference():
     assert "OBS.events" not in inspect.getsource(Core.step)
 
 
-def _compiled_core(monkeypatch, tier4=True):
-    monkeypatch.setenv("REPRO_JIT_DEBUG", "1")
-    memory = PhysicalMemory(1 << 20)
-    core = Core(memory, MMU(memory), timing=TimingModel(),
-                fast_path=True, jit=True, jit_threshold=2,
-                tier4=tier4, region_threshold=2)
+def _compiled_core(tier="tier4"):
+    core = tier_core(PhysicalMemory(1 << 20), tier=tier,
+                     region_threshold=2, timing=TimingModel())
     core.pc = CODE_BASE
     return core
 
@@ -110,20 +105,20 @@ def _unit_names(fn):
     return dir(fn)
 
 
-def test_tier2_generated_source_has_no_obs_reference(monkeypatch):
+def test_tier2_generated_source_has_no_obs_reference():
     """Tier 2 generates no source any more: a hot block is lowered by the
     flat core and bound as one native unit. That unit is all the
     compiled tier runs, so if the word 'obs' ever shows up among its
     names, instrumentation leaked into the hot loop."""
     _require_native()
-    core = _compiled_core(monkeypatch, tier4=False)
+    core = _compiled_core("tier2")
     loop_pc = countdown_loop(core, 10)
     run_to_ebreak(core)
     block = core._jit_blocks[loop_pc]  # the loop really lowered
     assert not any("obs" in name.lower() for name in _unit_names(block.fn))
 
 
-def test_tier4_flat_core_has_no_obs_reference(monkeypatch):
+def test_tier4_flat_core_has_no_obs_reference():
     """The flat-core backend (module source AND a real lowered region's
     bound unit) carries no observability reference: tier-4 dispatch
     runs past the obs layer entirely."""
@@ -132,7 +127,7 @@ def test_tier4_flat_core_has_no_obs_reference(monkeypatch):
     assert "repro.obs" not in source
 
     _require_native()
-    core = _compiled_core(monkeypatch)
+    core = _compiled_core()
     countdown_loop(core, 50)
     run_to_ebreak(core)
     assert core.regions_compiled >= 1
@@ -188,7 +183,7 @@ def _sweep(tier):
 
     flatcore._bind = recording_bind
     try:
-        with config.env_knobs(**config.TIERS[tier]):
+        with config.env_knobs(tier=tier):
             runs = run_benchmarks(BENCHMARKS, VARIANTS, scale=SCALE,
                                   jobs=1)
     finally:
@@ -232,10 +227,9 @@ def test_tier2_sweep_with_obs_off_passes_the_bench_gate(monkeypatch):
     inside the 15% regression gate — the acceptance bar for shipping
     the observability layer at all."""
     monkeypatch.setenv("REPRO_OBS", "0")
-    # _sweep writes these; setting them via monkeypatch first makes
-    # sure the test restores whatever the environment had.
-    monkeypatch.setenv("REPRO_FASTPATH", "1")
-    monkeypatch.setenv("REPRO_JIT", "1")
+    # _sweep writes this; setting it via monkeypatch first makes sure
+    # the test restores whatever the environment had.
+    monkeypatch.setenv("REPRO_TIER", "tier2")
     obs.disable()
 
     def sweep():
@@ -253,9 +247,7 @@ def test_tier4_sweep_with_sampling_on_passes_the_bench_gate(monkeypatch):
     flight recorder sampling stays inside the 15% gate against an
     obs-off reference — observability on is cheap, off is free."""
     monkeypatch.setenv("REPRO_OBS", "0")
-    monkeypatch.setenv("REPRO_FASTPATH", "1")
-    monkeypatch.setenv("REPRO_JIT", "1")
-    monkeypatch.setenv("REPRO_TIER4", "1")
+    monkeypatch.setenv("REPRO_TIER", "tier4")
     obs.disable()
 
     def reference_sweep():

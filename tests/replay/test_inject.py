@@ -109,9 +109,9 @@ class TestCampaign:
 
 
 class TestPinnedTables:
-    @pytest.mark.parametrize("tier", ["slow", "tier1", "tier2", "tier4"])
+    @pytest.mark.parametrize("tier", config.TIERS)
     def test_default_records_on_every_tier(self, tier):
-        with config.overrides(**config.TIERS[tier]):
+        with config.overrides(tier=tier):
             report = stratified_campaign(points=10)
         assert report.total_instructions == 379
         assert rows(report) == DEFAULT_RECORDS

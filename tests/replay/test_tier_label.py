@@ -15,7 +15,7 @@ from repro.mem import MMU, PhysicalMemory
 from repro.replay import record_reference, replay_tier
 from repro.tools import injecttool
 
-TIER_NAMES = ("slow", "tier1", "tier2", "tier4")
+TIER_NAMES = config.TIERS
 
 
 @pytest.fixture(scope="module")
@@ -30,9 +30,8 @@ def no_runner(monkeypatch):
 
 def core_tier(tier: str) -> str:
     memory = PhysicalMemory(1 << 20)
-    switches = config.TIERS[tier]
-    return Core(memory, MMU(memory), fast_path=switches["fast_path"],
-                jit=switches["jit"], tier4=switches["tier4"]).tier
+    with config.overrides(tier=tier):
+        return Core(memory, MMU(memory)).tier
 
 
 def test_core_tier_without_the_runner(no_runner):
@@ -47,7 +46,7 @@ def test_core_tier_with_the_runner():
 
 
 def test_replays_without_the_runner_are_labelled_tier1(no_runner, image):
-    with config.overrides(**config.TIERS["tier4"]):
+    with config.overrides(tier="tier4"):
         reference = record_reference(image, stop_after=100)
     assert reference.result.tier == "tier1"
     runs = [replay_tier(reference, tier) for tier in TIER_NAMES]

@@ -11,6 +11,7 @@ import weakref
 import pytest
 
 from repro import config
+from repro.cpu import regions
 from repro.errors import ServeError
 from repro.serve.session import (CAPPED, DESTROYED, DETACHED, EXITED,
                                  RUNNING, Session, SessionCaps)
@@ -95,8 +96,7 @@ class TestSessionLifecycle:
         # Bound native units hold the core that holds them; dropping a
         # destroyed session must break that cycle so reference counting
         # alone frees them.
-        monkeypatch.setenv("REPRO_JIT_THRESHOLD", "2")
-        monkeypatch.setenv("REPRO_REGION_THRESHOLD", "2")
+        monkeypatch.setattr(regions, "REGION_THRESHOLD", 2)
         session = _fork_session(pool, warm_key, tier="tier4")
         for _ in range(8):
             session.step(1000)

@@ -23,6 +23,7 @@ import pytest
 
 from repro import config, obs
 from repro.asm import assemble, link
+from repro.cpu import regions
 from repro.cpu.core import Core, _HANDLERS
 from repro.cpu.translations import publish
 from repro.fuzz import executor
@@ -36,15 +37,12 @@ from repro.soc import build_system
 
 from .conftest import KEY
 
-TIERS = ("slow", "tier1", "tier2", "tier4")
 PLAN = (700, 1300, 2500, 900)
 
 
 @pytest.fixture(autouse=True)
 def _promote_early(monkeypatch):
-    monkeypatch.setenv("REPRO_JIT_THRESHOLD", "4")
-    monkeypatch.setenv("REPRO_REGION_THRESHOLD", "4")
-    monkeypatch.setenv("REPRO_JIT_DEBUG", "1")
+    monkeypatch.setattr(regions, "REGION_THRESHOLD", 4)
 
 
 @pytest.fixture()
@@ -64,7 +62,7 @@ def _session(pool, tier, sid=0):
 
 def _cold_session(pool, tier, sid=0):
     entry, _ = pool.warm(KEY)
-    with config.overrides(**config.TIERS[tier]):
+    with config.overrides(tier=tier):
         kernel, process = restore(entry.snapshot, cow=True)
     return Session(sid, kernel, process, SessionCaps.from_request(),
                    tier=tier, workload=KEY.workload)
@@ -92,7 +90,7 @@ class TestWarmForks:
     def test_warm_forks_match_cold_forks_on_every_tier(self, pool):
         shared = _publish_from(pool)
         assert shared is not None and shared.jit and shared.regions
-        for tier in TIERS:
+        for tier in config.TIERS:
             cold, cold_core = _stepped(_cold_session(pool, tier))
             warm_session = _session(pool, tier)
             adopted = warm_session.kernel.system.core._adopted
@@ -102,7 +100,6 @@ class TestWarmForks:
             if tier in ("tier2", "tier4"):
                 # Bound rather than lowered: the fork compiles less.
                 assert warm_core.jit_compiled < cold_core.jit_compiled
-                assert warm_core.tier1_retired < cold_core.tier1_retired
 
     @pytest.mark.parametrize("tier", ["slow", "tier1", "tier2"])
     def test_fork_adopts_only_units_of_its_tiers(self, pool, tier):
@@ -263,7 +260,7 @@ def entry():
 
 
 def _fork(entry, tier="tier4", stdin=b"N", between=None):
-    with config.overrides(**config.TIERS[tier]):
+    with config.overrides(tier=tier):
         kernel, process = restore(entry.snapshot, cow=True,
                                   translations=entry.translations)
     process.stdin = stdin
@@ -363,11 +360,11 @@ def test_fence_i_audit_head_is_the_same_cold_and_warm():
     entry = WarmSnapshot(snapshot(kernel), boot_seconds=0.0)
     heads = {}
     for warm in (False, True):
-        for tier in TIERS:
+        for tier in config.TIERS:
             obs.disable()
             obs.enable(audit=True)
             try:
-                with config.overrides(**config.TIERS[tier]):
+                with config.overrides(tier=tier):
                     kernel, process = restore(
                         entry.snapshot, cow=True,
                         translations=entry.translations)
@@ -405,7 +402,7 @@ class TestFuzzBaseline:
             spec=VictimSpec(reps=30, loop=True, vcalls=2, icalls=1,
                             arith=2),
             schedule=schedule)
-        with config.overrides(**config.TIERS["tier4"]):
+        with config.overrides(tier="tier4"):
             victim = pool.victim(fuzz_input.spec)   # the baseline donor
         shared = victim.translations
         assert shared is not None and shared.jit

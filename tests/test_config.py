@@ -1,9 +1,9 @@
 """The typed Config surface (repro.config) — DESIGN.md §11 satellite.
 
 Covers: env round-trips for every knob (including the historical
-empty-string flag semantics), the override stack, env_knobs restore,
-parse_kv error handling, and the tier property driving the replay
-checker.
+empty-string flag semantics), failing closed on an unknown tier or
+``REPRO_*`` variable, the override stack, env_knobs restore, parse_kv
+error handling, and the tier knob driving the replay checker.
 """
 
 import os
@@ -20,15 +20,14 @@ class TestFromEnv:
     def test_defaults_with_empty_env(self):
         cfg = config.Config.from_env({})
         assert cfg == config.Config()
-        assert cfg.fast_path and cfg.jit
-        assert cfg.jit_threshold == 1
-        assert not cfg.obs and not cfg.jit_debug
+        assert cfg.tier == "tier4"
+        assert not cfg.obs and not cfg.audit
         assert cfg.jobs == 1 and cfg.bench_scale == 0.1
 
     def test_every_knob_round_trips_through_to_env(self):
-        cfg = config.Config(fast_path=False, jit=False, jit_threshold=4,
-                            jit_debug=True, obs=True, obs_events=128,
-                            seclog_cap=32, jobs=3, bench_scale=0.5)
+        cfg = config.Config(tier="tier1", obs=True, obs_events=128,
+                            audit=True, seclog_cap=32, jobs=3,
+                            bench_scale=0.5)
         assert config.Config.from_env(cfg.to_env()) == cfg
 
     def test_default_config_round_trips(self):
@@ -36,22 +35,22 @@ class TestFromEnv:
         assert config.Config.from_env(cfg.to_env()) == cfg
 
     def test_historical_empty_string_flag_semantics(self):
-        # REPRO_FASTPATH= (empty) historically meant ON; REPRO_OBS=
-        # (empty) meant OFF. The typed layer must not change that.
-        cfg = config.Config.from_env({"REPRO_FASTPATH": "", "REPRO_JIT": "",
-                                      "REPRO_OBS": "", "REPRO_JIT_DEBUG": ""})
-        assert cfg.fast_path and cfg.jit
-        assert not cfg.obs and not cfg.jit_debug
+        # REPRO_OBS= (empty) historically meant OFF. The typed layer
+        # must not change that.
+        cfg = config.Config.from_env({"REPRO_OBS": "", "REPRO_AUDIT": ""})
+        assert not cfg.obs and not cfg.audit
 
     def test_false_words(self):
         for word in ("0", "off", "no", "false", "OFF", "No"):
-            cfg = config.Config.from_env({"REPRO_JIT": word})
-            assert not cfg.jit, word
+            cfg = config.Config.from_env({"REPRO_OBS": word})
+            assert not cfg.obs, word
+        for word in ("1", "on", "yes", "true"):
+            assert config.Config.from_env({"REPRO_OBS": word}).obs, word
 
     def test_invalid_ints_keep_defaults(self):
-        cfg = config.Config.from_env({"REPRO_JIT_THRESHOLD": "banana",
+        cfg = config.Config.from_env({"REPRO_SECLOG_CAP": "banana",
                                       "REPRO_BENCH_SCALE": "soup"})
-        assert cfg.jit_threshold == 1
+        assert cfg.seclog_cap == 4096
         assert cfg.bench_scale == 0.1
 
     def test_jobs_auto_and_invalid(self):
@@ -61,27 +60,61 @@ class TestFromEnv:
             config.Config.from_env({"REPRO_JOBS": "many"})
 
     def test_reads_process_environ_by_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JIT_THRESHOLD", "7")
-        assert config.current().jit_threshold == 7
+        monkeypatch.setenv("REPRO_TIER", "tier1")
+        assert config.current().tier == "tier1"
+
+
+class TestFailClosed:
+    def test_unknown_tier_is_rejected_everywhere(self, monkeypatch):
+        names = "slow, tier1, tier2, tier4"
+        with pytest.raises(ConfigError, match=names):
+            config.Config(tier="bogus")
+        with pytest.raises(ConfigError, match=names):
+            config.Config.from_env({"REPRO_TIER": "tier3"})
+        with pytest.raises(ConfigError, match=names):
+            with config.overrides(tier="bogus"):
+                pass
+        with pytest.raises(ConfigError, match=names):
+            with config.env_knobs(**config.parse_kv(["tier=bogus"])):
+                config.current()
+        monkeypatch.setenv("REPRO_TIER", "tier3")
+        with pytest.raises(ConfigError, match=names):
+            config.current()
+
+    @pytest.mark.parametrize("name", ["REPRO_TIER3", "REPRO_WARP"])
+    def test_unknown_repro_variable_is_rejected(self, monkeypatch, name):
+        with pytest.raises(ConfigError, match=name):
+            config.Config.from_env({name: "0"})
+        monkeypatch.setenv(name, "0")
+        with pytest.raises(ConfigError, match=name):
+            config.current()
+        with pytest.raises(ConfigError, match=name):
+            config.parse_kv([f"{name}=0"])
+
+    def test_other_variables_are_ignored(self):
+        cfg = config.Config.from_env({"PATH": "/bin", "REPRO": "x",
+                                      "XREPRO_TIER3": "0"})
+        assert cfg == config.Config()
 
 
 class TestTierProperty:
     def test_tiers_table_matches_tier_property(self):
-        for name, changes in config.TIERS.items():
-            assert config.Config(**changes).tier == name
-
-    def test_jit_without_fastpath_is_inert(self):
-        cfg = config.Config(fast_path=False, jit=True)
-        assert not cfg.effective_jit
-        assert cfg.tier == "slow"
+        assert config.TIERS == ("slow", "tier1", "tier2", "tier4")
+        for name in config.TIERS:
+            assert config.Config(tier=name).tier == name
+            assert config.Config.from_env({"REPRO_TIER": name}).tier \
+                == name
 
     def test_one_region_tier_knob(self):
-        """Four tiers, one region switch: REPRO_TIER4=0 pins tier 2,
-        tier 4 needs jit, and the removed tier-3 knob is rejected."""
-        assert tuple(config.TIERS) == ("slow", "tier1", "tier2", "tier4")
-        cfg = config.Config.from_env({"REPRO_TIER4": "0"})
-        assert cfg.tier == "tier2" and not cfg.effective_tier4
-        assert not config.Config(jit=False).effective_tier4
+        """Four tiers, one knob: REPRO_TIER=tier2 pins tier 2, tier 4 is
+        the default, and the removed tier-3 knob is rejected."""
+        from repro.cpu import Core, flatcore
+        from repro.mem import MMU, PhysicalMemory
+        memory = PhysicalMemory(1 << 20)
+        with config.overrides(tier="tier2"):
+            core = Core(memory, MMU(memory))
+        assert not core.tier4_enabled
+        assert core.jit_enabled == (flatcore.runner() == "native")
         assert config.Config().tier == "tier4"
         with pytest.raises(ConfigError, match="REPRO_TIER3"):
             config.parse_kv(["REPRO_TIER3=0"])
@@ -90,38 +123,38 @@ class TestTierProperty:
 class TestOverrides:
     def test_overrides_nest_and_restore(self):
         base = config.current()
-        with config.overrides(jit=False):
-            assert not config.current().jit
-            with config.overrides(fast_path=False):
+        with config.overrides(tier="tier1"):
+            assert config.current().tier == "tier1"
+            with config.overrides(obs=True):
                 inner = config.current()
-                assert not inner.fast_path and not inner.jit
-            assert not config.current().jit
-            assert config.current().fast_path == base.fast_path
+                assert inner.obs and inner.tier == "tier1"
+            assert config.current().tier == "tier1"
+            assert config.current().obs == base.obs
         assert config.current() == config.current()  # env-derived again
 
     def test_overrides_do_not_touch_environ(self):
-        before = os.environ.get("REPRO_JIT")
-        with config.overrides(jit=False):
-            assert os.environ.get("REPRO_JIT") == before
+        before = os.environ.get("REPRO_TIER")
+        with config.overrides(tier="tier1"):
+            assert os.environ.get("REPRO_TIER") == before
 
     def test_set_override_and_clear(self):
-        config.set_override(config.Config(jit_threshold=3))
+        config.set_override(config.Config(serve_slice=3))
         try:
-            assert config.current().jit_threshold == 3
+            assert config.current().serve_slice == 3
         finally:
             config.set_override(None)
-        assert config.current().jit_threshold == 1
+        assert config.current().serve_slice == 50_000
 
     def test_env_knobs_sets_and_restores_environ(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JIT", raising=False)
-        with config.env_knobs(jit=False):
-            assert os.environ["REPRO_JIT"] == "0"
-            assert not config.current().jit
-        assert "REPRO_JIT" not in os.environ
+        monkeypatch.delenv("REPRO_TIER", raising=False)
+        with config.env_knobs(tier="tier1"):
+            assert os.environ["REPRO_TIER"] == "tier1"
+            assert config.current().tier == "tier1"
+        assert "REPRO_TIER" not in os.environ
 
     def test_env_knobs_accepts_env_spelling(self):
-        with config.env_knobs(REPRO_JIT_THRESHOLD=5):
-            assert config.current().jit_threshold == 5
+        with config.env_knobs(REPRO_SERVE_SLICE=5):
+            assert config.current().serve_slice == 5
 
     def test_a_core_reads_the_environment_once(self, monkeypatch):
         from repro.cpu import Core
@@ -130,13 +163,13 @@ class TestOverrides:
         from_env = config.Config.from_env.__func__
         monkeypatch.setattr(config.Config, "from_env", classmethod(
             lambda cls, env=None: reads.append(env) or from_env(cls, env)))
-        monkeypatch.setenv("REPRO_JIT_THRESHOLD", "7")
+        monkeypatch.setenv("REPRO_TIER", "tier1")
         memory = PhysicalMemory(1 << 20)
         core = Core(memory, MMU(memory))
         assert len(reads) == 1
-        assert core.jit_threshold == 7
-        with config.overrides(region_threshold=9):
-            assert Core(memory, MMU(memory)).region_threshold == 9
+        assert core.tier == "tier1"
+        with config.overrides(tier="slow"):
+            assert Core(memory, MMU(memory)).tier == "slow"
         assert len(reads) == 2   # the override's base, not the core
 
     def test_env_knobs_unknown_name(self):
@@ -147,17 +180,17 @@ class TestOverrides:
 
 class TestParseKv:
     def test_field_and_env_names(self):
-        out = config.parse_kv(["jit=0", "REPRO_JIT_THRESHOLD=4",
+        out = config.parse_kv(["tier=tier1", "REPRO_SERVE_SLICE=4",
                                "repro_bench_scale=0.3"])
-        assert out == {"jit": False, "jit_threshold": 4,
+        assert out == {"tier": "tier1", "serve_slice": 4,
                        "bench_scale": 0.3}
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="KEY=VAL"):
-            config.parse_kv(["jit"])
+            config.parse_kv(["tier"])
 
     def test_unknown_key_lists_fields(self):
-        with pytest.raises(ConfigError, match="jit_threshold"):
+        with pytest.raises(ConfigError, match="serve_slice"):
             config.parse_kv(["warp=9"])
 
 

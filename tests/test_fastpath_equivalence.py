@@ -1,20 +1,22 @@
 """Differential proof that the interpreter fast paths change nothing.
 
 The simulator has four interpreter tiers (src/repro/cpu/core.py,
-src/repro/cpu/regions.py and src/repro/cpu/flatcore.py):
+src/repro/cpu/regions.py and src/repro/cpu/flatcore.py), the values of
+``REPRO_TIER`` (:data:`repro.config.TIERS`):
 
-  slow   REPRO_FASTPATH=0                 the seed decode-dispatch loop
-  tier1  REPRO_FASTPATH=1 REPRO_JIT=0     block replay + D-side page cache
-  tier2  ... REPRO_JIT=1 REPRO_TIER4=0    hot blocks lowered to the flat
-                                          core, one block each
-  tier4  ... REPRO_TIER4=1                hot loops planned as superblocks
-                                          and lowered to flat arrays
+  slow   the seed decode-dispatch loop
+  tier1  block replay + D-side page cache
+  tier2  every block lowered to the flat core on its first dispatch, one
+         block each
+  tier4  tier 2, plus hot loops planned as superblocks and lowered to
+         flat arrays
 
 All four are pure implementation details: every test here runs the same
 program under each tier and asserts the architectural results are
 bit-identical: cycles, retired instructions, memory, exit codes,
 cache/TLB miss rates, and fault delivery (including the ROLoad security
-log).
+log). The workloads run at the production region threshold; the short
+test programs lower it so they reach tier 4.
 
 Tiers 2 and 4 run their lowered units on the flat core's native runner,
 a C extension built at import. Where the host cannot build it those
@@ -28,7 +30,7 @@ import dataclasses
 import pytest
 
 from repro.asm import assemble, link
-from repro.cpu import Core, TimingModel, flatcore, native
+from repro.cpu import Core, TimingModel, flatcore, native, regions
 from repro.errors import SimulationError
 from repro.eval.measure import run_variant
 from repro.kernel import Kernel, ProcessState, SIGSEGV
@@ -37,14 +39,6 @@ from repro.soc import build_system
 from repro.workloads import build_workload, profile
 
 from tests.cpu.conftest import patch_own_code_loop
-
-# tier name -> (REPRO_FASTPATH, REPRO_JIT, REPRO_TIER4)
-TIERS = {
-    "slow": ("0", "0", "0"),
-    "tier1": ("1", "0", "0"),
-    "tier2": ("1", "1", "0"),
-    "tier4": ("1", "1", "1"),
-}
 
 COMPARED = ("tier1", "tier2", "tier4")
 
@@ -58,16 +52,10 @@ needs_native = pytest.mark.skipif(
 
 
 def set_tier(monkeypatch, tier):
-    fastpath, jit, tier4 = TIERS[tier]
-    monkeypatch.setenv("REPRO_FASTPATH", fastpath)
-    monkeypatch.setenv("REPRO_JIT", jit)
-    monkeypatch.setenv("REPRO_TIER4", tier4)
-    # Low promotion thresholds so the scaled-down workloads really do
-    # execute compiled blocks and regions, and debug mode so a compile
-    # failure is an error rather than a silent fallback to tier 1.
-    monkeypatch.setenv("REPRO_JIT_THRESHOLD", "2")
-    monkeypatch.setenv("REPRO_REGION_THRESHOLD", "2")
-    monkeypatch.setenv("REPRO_JIT_DEBUG", "1")
+    """Build the next core at ``tier``, with regions formed after two
+    arrivals so the short test programs really run them."""
+    monkeypatch.setenv("REPRO_TIER", tier)
+    monkeypatch.setattr(regions, "REGION_THRESHOLD", 2)
 
 
 WORKLOADS = [
@@ -79,7 +67,7 @@ WORKLOADS = [
 
 
 def measure(monkeypatch, name, variant, tier):
-    set_tier(monkeypatch, tier)
+    monkeypatch.setenv("REPRO_TIER", tier)
     program = build_workload(profile(name), scale=0.05)
     return run_variant(program, variant)
 
@@ -97,6 +85,13 @@ def test_workload_equivalence(monkeypatch, name, variant):
         assert fast.exit_code == slow.exit_code, tier
         assert fast.dtlb_miss_rate == slow.dtlb_miss_rate, tier
         assert fast.dcache_miss_rate == slow.dcache_miss_rate, tier
+        # Non-vacuity at the production thresholds: every workload
+        # lowers blocks, and a region on tier 4.
+        residency = fast.tier_residency
+        if tier != "tier1":
+            assert residency["jit_compiled"] > 0, tier
+        if tier == "tier4":
+            assert residency["regions_compiled"] > 0
 
 
 # A hot loop of ROLoad accesses (so the faulting site is replayed from a
