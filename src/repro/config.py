@@ -16,10 +16,10 @@ environment variable    Config field        default  meaning
 REPRO_TIER              tier                tier4    interpreter tier: slow
                                                      (per-instruction seed
                                                      path), tier1 (block
-                                                     replay), tier2 (blocks
+                                                     replay) or tier4
+                                                     (blocks and hot regions
                                                      lowered to the flat
-                                                     core) or tier4 (tier 2
-                                                     plus hot regions)
+                                                     core)
 REPRO_OBS               obs                 0        observability layer on
                                                      at import
 REPRO_OBS_EVENTS        obs_events          65536    event-ring capacity
@@ -52,12 +52,13 @@ REPRO_SERVE_FRAMES      serve_frames        8192     default per-session
                                                      (fail closed)
 ======================  ==================  =======  =========================
 
-The four interpreter tiers (:data:`TIERS`) are the values of
+The three interpreter tiers (:data:`TIERS`) are the values of
 ``REPRO_TIER``; the CI test matrix pins the suite to each and the
 replay determinism checker restores the same snapshot under each. Tier
-4 keeps its historical number: it is the only region tier since the
-generated-source tier 3 was removed. Tiers 2 and 4 both run on the flat
-core: tier 2 lowers single blocks, tier 4 multi-block regions.
+4 keeps its historical number: it runs on the flat core, every block
+lowered on its first dispatch as a single tier-2 block and hot loops as
+multi-block regions. There is no tier 3, and tier 2 is not selectable:
+its blocks are tier 4's first step.
 """
 
 from __future__ import annotations
@@ -71,9 +72,15 @@ from repro.errors import ConfigError
 
 _FALSE_WORDS = ("0", "off", "no", "false")
 
-# The four interpreter tiers of DESIGN.md §9/§12/§13, slowest first: the
+# The three interpreter tiers of DESIGN.md §9/§12/§13, slowest first: the
 # values of REPRO_TIER.
-TIERS = ("slow", "tier1", "tier2", "tier4")
+TIERS = ("slow", "tier1", "tier4")
+
+
+def check_tier(tier: str, error: type = ConfigError) -> None:
+    """Raise ``error`` unless ``tier`` is one of :data:`TIERS`."""
+    if tier not in TIERS:
+        raise error(f"unknown tier {tier!r} (one of: {', '.join(TIERS)})")
 
 
 def _parse_flag_default_off(raw: str) -> bool:
@@ -164,9 +171,7 @@ class Config:
     serve_frames: int = 8192
 
     def __post_init__(self):
-        if self.tier not in TIERS:
-            raise ConfigError(f"unknown tier {self.tier!r} (one of: "
-                              f"{', '.join(TIERS)})")
+        check_tier(self.tier)
 
     @classmethod
     def from_env(cls, env: "Optional[Dict[str, str]]" = None) -> "Config":

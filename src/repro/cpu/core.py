@@ -128,12 +128,8 @@ class Core:
         self._code_frames: "set[int]" = set()
         memory.code_frames = self._code_frames
         # Shared translations adopted from a warm snapshot
-        # (repro.cpu.translations), bound unit by unit on first dispatch;
-        # the tier-2 and region maps are None when this core's tiers do
-        # not run them.
+        # (repro.cpu.translations), bound unit by unit on first dispatch.
         self._adopted = None
-        self._adopted_jit = None
-        self._adopted_regions = None
         # Set by _flush_blocks so an in-flight replay stops at the end of
         # the current instruction: its remaining pre-decoded entries may
         # be stale (a store patched code later in the same block).
@@ -147,26 +143,25 @@ class Core:
         self._dload_pages: "dict[int, int]" = {}
         self._dstore_pages: "dict[int, int]" = {}
         self._dside_generation = -1
-        # Tier 2 (DESIGN.md §9): every block is lowered to the flat core
-        # on its first dispatch (a short run executes most blocks once
-        # or twice, and a lowered block serves its loads and stores
-        # natively), one block each (repro.cpu.flatcore.compile_block),
-        # and chained directly; a pc is lowered at most once per cache
-        # lifetime. Lowered units run on the native runner only: where
-        # it could not be built, tiers 2 and 4 are off (DESIGN.md §13.1).
-        self.jit_enabled = tier in ("tier2", "tier4") \
-            and _flatcore._native is not None
+        # Tier 4 (DESIGN.md §9, §12-13). Every block is lowered to the
+        # flat core on its first dispatch (a short run executes most
+        # blocks once or twice, and a lowered block serves its loads and
+        # stores natively), one block each
+        # (repro.cpu.flatcore.compile_block), and chained directly; a pc
+        # is lowered at most once per cache lifetime. These tier-2
+        # blocks are what regions are planned from. Lowered units run on
+        # the native runner only: where it could not be built, the core
+        # runs tier 1 (DESIGN.md §13.1).
+        self.jit_enabled = tier == "tier4" and _flatcore._native is not None
         self._jit_blocks: "dict[int, object]" = {}   # start pc -> JITBlock
         self.jit_compiled = 0   # blocks compiled (cumulative)
         self.jit_flushes = 0    # times the compiled cache was dropped
         self.jit_compile_seconds = 0.0   # host time lowering tier-2 blocks
-        # Tier-4 region tier (DESIGN.md §12-13): pcs arrived at
-        # REGION_THRESHOLD times through the compiled-block trampoline
-        # get a superblock planned around them (repro.cpu.regions) and
-        # lowered to the flat representation (repro.cpu.flatcore); the
-        # trampoline records block-successor edge counts
-        # (JITBlock.edges) as the direction profile.
-        self.tier4_enabled = tier == "tier4" and self.jit_enabled
+        # Regions: pcs arrived at REGION_THRESHOLD times through the
+        # compiled-block trampoline get a superblock planned around them
+        # (repro.cpu.regions) and lowered to the flat representation
+        # (repro.cpu.flatcore); the trampoline records block-successor
+        # edge counts (JITBlock.edges) as the direction profile.
         self.region_threshold = _regions.REGION_THRESHOLD
         self.region_blocks = REGION_BLOCKS
         self._regions: "dict[int, object]" = {}      # head pc -> Region
@@ -227,27 +222,32 @@ class Core:
         for rec in getattr(self, "_jit_blocks", {}).values():
             rec.links.clear()
 
+    def retired_by_tier(self) -> dict:
+        """Retired instructions per tier (``tier0`` to ``tier4``, no
+        tier 3); tier 2 is the remainder of ``instret``."""
+        tier0, tier1 = self.tier0_retired, self.tier1_retired
+        tier4 = self.tier4_retired
+        return {"tier0": tier0, "tier1": tier1,
+                "tier2": self.instret - tier0 - tier1 - tier4,
+                "tier4": tier4}
+
     def tier_residency(self) -> dict:
         """Retired-instruction attribution per interpreter tier."""
         total = self.instret
-        tier0, tier1 = self.tier0_retired, self.tier1_retired
-        tier4 = self.tier4_retired
-        tier2 = total - tier0 - tier1 - tier4
-        out = {"retired": total, "tier0_retired": tier0,
-               "tier1_retired": tier1, "tier2_retired": tier2,
-               "tier4_retired": tier4,
-               "jit_compiled": self.jit_compiled,
-               "jit_flushes": self.jit_flushes,
-               "jit_compile_seconds": round(self.jit_compile_seconds, 6),
-               "regions_compiled": self.regions_compiled,
-               "region_side_exits": self.region_side_exits,
-               "region_compile_seconds":
-                   round(self.region_compile_seconds, 6),
-               "flush_causes": dict(self.flush_causes)}
+        tiers = self.retired_by_tier()
+        out = {"retired": total}
+        out.update((f"{tier}_retired", count) for tier, count in tiers.items())
+        out.update(
+            jit_compiled=self.jit_compiled,
+            jit_flushes=self.jit_flushes,
+            jit_compile_seconds=round(self.jit_compile_seconds, 6),
+            regions_compiled=self.regions_compiled,
+            region_side_exits=self.region_side_exits,
+            region_compile_seconds=round(self.region_compile_seconds, 6),
+            flush_causes=dict(self.flush_causes))
         if total:
-            for tier, count in (("tier0", tier0), ("tier1", tier1),
-                                ("tier2", tier2), ("tier4", tier4)):
-                out[f"{tier}_frac"] = round(count / total, 6)
+            out.update((f"{tier}_frac", round(count / total, 6))
+                       for tier, count in tiers.items())
         return out
 
     def add_retire_hook(self, hook) -> None:
@@ -300,12 +300,10 @@ class Core:
     @property
     def tier(self) -> str:
         """The tier this core runs (one of ``repro.config.TIERS``);
-        tier 1 where tiers 2 and 4 lack the native runner."""
-        if not self.fast_path_enabled:
-            return "slow"
-        if not self.jit_enabled:
-            return "tier1"
-        return "tier4" if self.tier4_enabled else "tier2"
+        tier 1 where tier 4 lacks the native runner."""
+        if self.jit_enabled:
+            return "tier4"
+        return "tier1" if self.fast_path_enabled else "slow"
 
     # -- register helpers ----------------------------------------------------
 
@@ -588,9 +586,6 @@ class Core:
                 or translations.key != _lowering_key(self):
             return False
         self._adopted = translations
-        self._adopted_jit = translations.jit if self.jit_enabled else None
-        self._adopted_regions = translations.regions \
-            if self.tier4_enabled else None
         self._code_frames.update(translations.frames)
         self._block_generation = self.mmu.generation
         return True
@@ -629,7 +624,7 @@ class Core:
         self._blocks.clear()
         self._code_frames.clear()
         self.memory.code_written = False
-        self._adopted = self._adopted_jit = self._adopted_regions = None
+        self._adopted = None
         if dropped_jit:
             for rec in self._jit_blocks.values():
                 rec.links.clear()
@@ -852,8 +847,8 @@ class Core:
 
     def _bind_adopted(self, pc: int):
         """Bind the adopted tier-2 block and region at ``pc`` on its
-        first arrival, on the tiers this core runs; returns the unit to
-        dispatch (the region first), or None.
+        first arrival, if this core lowers; returns the unit to dispatch
+        (the region first), or None.
 
         Translates the fetch exactly as :meth:`_build_block` starts, and
         binds nothing unless the page still maps the frame the code was
@@ -865,23 +860,22 @@ class Core:
         """
         self._current_pc = pc
         frame = self._fetch_paddr(pc) & ~0xFFF
-        recipe = self._adopted.blocks.get(pc)
-        if recipe is None or recipe[2] != frame:
+        adopted = self._adopted
+        recipe = adopted.blocks.get(pc)
+        if recipe is None or recipe[2] != frame or not self.jit_enabled:
             return None
-        jit, regions = self._adopted_jit, self._adopted_regions
-        if jit and pc in jit:
+        lowered = adopted.jit.get(pc)
+        if lowered is not None:
             # The region planner reads tier-2 members' tier-1 blocks.
             self._cache_block(pc, recipe)
             if self._adopted is None:
                 return None     # the capacity flush dropped the rest
         unit = self._jit_blocks.get(pc)
-        if unit is None and jit:
-            lowered = jit.get(pc)
-            if lowered is not None:
-                unit = self._jit_blocks[pc] = _bind_unit(self, lowered)
+        if unit is None and lowered is not None:
+            unit = self._jit_blocks[pc] = _bind_unit(self, lowered)
         region = self._regions.get(pc)
-        if region is None and regions:
-            lowered = regions.get(pc)
+        if region is None:
+            lowered = adopted.regions.get(pc)
             if lowered is not None \
                     and self._pages_mapped(lowered.pages[1:]):
                 region = self._regions[pc] = _bind_unit(self, lowered)
@@ -1113,22 +1107,20 @@ class Core:
         early (a store into its own code). That count is charged to the
         budget, to the unit's tier and to attribution.
 
-        With tier 4 enabled, every block-to-successor transition also
-        feeds the region profile: the block's ``edges`` counters record
-        observed successors (the branch-direction profile) and the
-        per-pc arrival counters trigger ``compile_region`` past
-        ``region_threshold`` (:data:`repro.cpu.regions.REGION_THRESHOLD`).
+        Every block-to-successor transition also feeds the region
+        profile: the block's ``edges`` counters record observed
+        successors (the branch-direction profile) and the per-pc arrival
+        counters trigger ``compile_region`` past ``region_threshold``
+        (:data:`repro.cpu.regions.REGION_THRESHOLD`).
         """
         mmu = self.mmu
         stats = self.timing.stats
         fetch_pages = self._fetch_pages
         jit_blocks = self._jit_blocks
         regions = self._regions
-        profile = self.tier4_enabled
-        if profile:
-            counts = self._region_counts
-            nojit = self._region_nojit
-            threshold = self.region_threshold
+        counts = self._region_counts
+        nojit = self._region_nojit
+        threshold = self.region_threshold
         sampler = self._sampler
         attrib = self._attrib
         self._block_abort = False
@@ -1162,40 +1154,37 @@ class Core:
                     return
                 rec = nxt
                 continue
-            if profile:
-                edges = rec.edges
-                edges[pc] = edges.get(pc, 0) + 1
-                nxt = regions.get(pc)
-                if nxt is None and pc not in nojit:
-                    seen = counts.get(pc, 0) + 1
-                    if seen < threshold:
+            edges = rec.edges
+            edges[pc] = edges.get(pc, 0) + 1
+            nxt = regions.get(pc)
+            if nxt is None and pc not in nojit:
+                seen = counts.get(pc, 0) + 1
+                if seen < threshold:
+                    counts[pc] = seen
+                else:
+                    began = perf_counter()
+                    nxt = _compile_region(self, pc, seen)
+                    self.region_compile_seconds += perf_counter() - began
+                    if nxt is _REGION_DEFER:
                         counts[pc] = seen
+                        nxt = None
+                    elif nxt is None:
+                        counts.pop(pc, None)
+                        nojit.add(pc)
                     else:
-                        began = perf_counter()
-                        nxt = _compile_region(self, pc, seen)
-                        self.region_compile_seconds += \
-                            perf_counter() - began
-                        if nxt is _REGION_DEFER:
-                            counts[pc] = seen
-                            nxt = None
-                        elif nxt is None:
-                            counts.pop(pc, None)
-                            nojit.add(pc)
-                        else:
-                            counts.pop(pc, None)
-                            regions[pc] = nxt
-                            self.regions_compiled += 1
-                            if _OBS.enabled:
-                                _OBS.events.emit(
-                                    "region.compile", pc=pc,
-                                    blocks=len(nxt.pcs),
-                                    instructions=nxt.n, loop=nxt.loop,
-                                    compiled_total=self.regions_compiled)
-                if nxt is not None:
-                    if limit < nxt.n:
-                        return
-                    rec = nxt
-                    continue
+                        counts.pop(pc, None)
+                        regions[pc] = nxt
+                        self.regions_compiled += 1
+                        if _OBS.enabled:
+                            _OBS.events.emit(
+                                "region.compile", pc=pc, blocks=len(nxt.pcs),
+                                instructions=nxt.n, loop=nxt.loop,
+                                compiled_total=self.regions_compiled)
+            if nxt is not None:
+                if limit < nxt.n:
+                    return
+                rec = nxt
+                continue
             nxt = rec.links.get(pc)
             if nxt is None:
                 nxt = jit_blocks.get(pc)

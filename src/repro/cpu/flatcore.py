@@ -68,9 +68,10 @@ JX    warm-replay exit index at this site (static)
 PCA   architectural pc at this site (sync sites)
 ====  =====================================================
 
-Bit-identity is enforced by the four-way differential suite
-(tests/test_fastpath_equivalence.py): slow/tier1/tier2/tier4 all
-produce identical architectural state, counters included.
+Bit-identity is enforced by the differential suite
+(tests/test_fastpath_equivalence.py): slow, tier1 and tier4, and tier 4
+with regions held off (single tier-2 blocks only), all produce
+identical architectural state, counters included.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ _H63 = 0x8000000000000000
 DEFER_FACTOR = 8
 
 # The native runner module, or None where it could not be built: then
-# nothing is lowered, because repro.cpu.core turns tiers 2 and 4 off.
+# nothing is lowered, because repro.cpu.core turns tier 4 off.
 _native = native.load()
 if _native is not None:
     _native.setup(Trap, Cause.LOAD_PAGE_FAULT, Cause.STORE_PAGE_FAULT)

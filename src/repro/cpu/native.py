@@ -13,8 +13,8 @@ concurrent serve or fuzz workers starting from a cold cache are safe.
 
 Any failure — a big-endian host, no compiler, a failed compile, an
 unwritable cache directory, a failed load — makes :func:`load` return
-None. Then nothing is lowered: repro.cpu.core turns tiers 2 and 4 off
-and runs tiers 0 and 1 only, with the same results, only slower.
+None. Then nothing is lowered: repro.cpu.core turns tier 4 off and
+runs tiers 0 and 1 only, with the same results, only slower.
 There is deliberately no switch: which tiers run is a property of the
 host, never of the experiment.
 """
@@ -112,6 +112,6 @@ def load():
         if not target.exists():
             _build(target)
         return _import(target)
-    except Exception as exc:    # any failure: tiers 2 and 4 stay off
+    except Exception as exc:    # any failure: tier 4 stays off
         failure = f"{type(exc).__name__}: {exc}"
         return None

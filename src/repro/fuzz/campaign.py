@@ -150,6 +150,8 @@ class Campaign:
         if mode not in ("guided", "random"):
             raise ReplayError(f"unknown campaign mode {mode!r}; choose "
                               f"guided or random")
+        if tier is not None:
+            _config.check_tier(tier)
         self.executions = EXECUTIONS if executions is None else executions
         self.workers = cfg.resolve_jobs(workers)
         self.mode = mode

@@ -190,13 +190,7 @@ class Kernel:
     @staticmethod
     def _sample_tiers(core) -> None:
         """Emit a tier-residency counter sample (Chrome counter track)."""
-        _OBS.events.emit("counter.tiers",
-                         tier0=core.tier0_retired,
-                         tier1=core.tier1_retired,
-                         tier2=(core.instret - core.tier0_retired
-                                - core.tier1_retired
-                                - core.tier4_retired),
-                         tier4=core.tier4_retired)
+        _OBS.events.emit("counter.tiers", **core.retired_by_tier())
 
     def _handle_trap(self, process: Process, trap: Trap) -> None:
         core = self.system.core

@@ -64,13 +64,10 @@ class Sampler:
             "ts": perf_counter(),
             "instret": instret,
             "cycles": stats.cycles,
-            "tier0": core.tier0_retired,
-            "tier1": core.tier1_retired,
-            "tier4": core.tier4_retired,
+            **core.retired_by_tier(),
             "jit_compiled": core.jit_compiled,
             "regions_compiled": core.regions_compiled,
         }
-        row["tier2"] = instret - row["tier0"] - row["tier1"] - row["tier4"]
         mstats = getattr(mmu, "stats", None)
         if mstats is not None:
             row["walks"] = mstats.walks

@@ -179,14 +179,10 @@ class VerifyReport:
 
 
 def verify_replay(reference: Reference,
-                  tiers: "Tuple[str, ...]" = ("slow", "tier1", "tier2",
-                                              "tier4")) \
-        -> VerifyReport:
+                  tiers: "Tuple[str, ...]" = _config.TIERS) -> VerifyReport:
     """Replay the reference under every tier; all digests must match."""
-    report = VerifyReport(reference=reference.result)
     for tier in tiers:
-        if tier not in _config.TIERS:
-            raise ReplayError(f"unknown tier {tier!r}; choose from "
-                              f"{', '.join(_config.TIERS)}")
-        report.runs.append(replay_tier(reference, tier))
+        _config.check_tier(tier, ReplayError)
+    report = VerifyReport(reference=reference.result)
+    report.runs.extend(replay_tier(reference, tier) for tier in tiers)
     return report

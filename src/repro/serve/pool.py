@@ -151,9 +151,7 @@ class SnapshotPool:
         entry, _ = self.warm(key)
         began = perf_counter()
         if tier is not None:
-            if tier not in _config.TIERS:
-                raise ServeError(f"unknown tier {tier!r} (one of: "
-                                 f"{', '.join(_config.TIERS)})")
+            _config.check_tier(tier, ServeError)
             with _config.overrides(tier=tier):
                 kernel, process = restore(
                     entry.snapshot, cow=True,

@@ -122,9 +122,8 @@ def _validate_create(request: dict) -> None:
         if not isinstance(request.get(field), str):
             raise ServeError(f"create requires a {field!r} string")
     tier = request.get("tier")
-    if tier is not None and tier not in _config.TIERS:
-        raise ServeError(f"unknown tier {tier!r} (one of: "
-                         f"{', '.join(_config.TIERS)})")
+    if tier is not None:
+        _config.check_tier(tier, ServeError)
     caps = request.get("caps")
     if caps is not None and not isinstance(caps, dict):
         raise ServeError(f"'caps' must be an object, got {caps!r}")

@@ -224,8 +224,6 @@ class Session:
         stats = system.timing.stats
         memory = system.memory
         seclog = self.kernel.security_log
-        tier2 = (core.instret - core.tier0_retired - core.tier1_retired
-                 - core.tier4_retired)
         out = {
             "session": self.sid,
             "state": self.state,
@@ -244,13 +242,8 @@ class Session:
                 "frames": memory.frame_count(),
                 "private_frames": memory.private_frame_count(),
             },
-            "residency": {
-                "tier0": core.tier0_retired,
-                "tier1": core.tier1_retired,
-                "tier2": tier2,
-                "tier3": 0,     # no tier 3; still read by bench/suite.py
-                "tier4": core.tier4_retired,
-            },
+            # No tier 3; its key is still read by bench/suite.py.
+            "residency": dict(core.retired_by_tier(), tier3=0),
             "seclog": {"total": seclog.total, "dropped": seclog.dropped,
                        "capacity": seclog.capacity},
             "audit": {"head": self.audit.head,

@@ -3,7 +3,7 @@
     roload-inject campaign [--points N] [--reps K] [--kinds a,b,...]
                            [--profile P] [--table OUT.json]
     roload-inject verify   [--stop-after N] [--reps K] [--profile P]
-                           [--tiers slow,tier1,tier2,tier4]
+                           [--tiers slow,tier1,tier4]
                            [--snapshot-out S.snap] [--journal-out J.json]
 
 ``campaign`` forks a hardened victim from its warm snapshot once per
@@ -24,6 +24,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.config import TIERS
 from repro.errors import ReproError
 from repro.tools.cli import (add_config_flag, add_obs_flags, config_scope,
                              enable_obs, obs_requested, write_obs_outputs)
@@ -71,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--profile", default="processor+kernel",
                         help="system profile (§V-B)")
     verify.add_argument("--tiers",
-                        default="slow,tier1,tier2,tier4",
+                        default=",".join(TIERS),
                         help="comma-separated tiers to replay under")
     verify.add_argument("--snapshot-out", type=Path, default=None,
                         metavar="S.snap",

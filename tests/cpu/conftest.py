@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro import config
 from repro.cpu import Core, TimingModel
 from repro.isa import Instruction, encode, try_compress
 from repro.mem import MMU, PhysicalMemory
+
+from tests.conftest import BLOCKS_ONLY, at_tier
 
 CODE_BASE = 0x1000
 DATA_BASE = 0x8000
@@ -78,11 +79,12 @@ def patch_own_code_loop(core, passes=12):
 
 def tier_core(memory, mmu=None, *, tier="tier4", region_threshold=None,
               **kwargs):
-    """A core at interpreter ``tier`` (bare MMU unless ``mmu`` is
-    given). ``region_threshold`` lowers its region promotion threshold
-    so a short test loop reaches tier 4."""
-    with config.overrides(tier=tier):
+    """A core at interpreter leg ``tier`` (``tests.conftest.LEGS``; bare
+    MMU unless ``mmu`` is given). ``region_threshold`` lowers its region
+    promotion threshold so a short test loop reaches tier 4 (never on
+    the blocks-only leg)."""
+    with at_tier(tier):
         core = Core(memory, MMU(memory) if mmu is None else mmu, **kwargs)
-    if region_threshold is not None:
+    if region_threshold is not None and tier != BLOCKS_ONLY:
         core.region_threshold = region_threshold
     return core

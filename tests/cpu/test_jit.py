@@ -13,14 +13,15 @@ faulting ld.ro itself was hot (the pointer walks off its key's page).
 import pytest
 
 from repro.asm import assemble, link
-from repro.config import TIERS
-from repro.cpu import TimingModel, regions
+from repro.cpu import TimingModel
 from repro.cpu.regions import MAX_REGION_ENTRIES
 from repro.kernel import Kernel, ProcessState, SIGSEGV
 from repro.mem import PhysicalMemory
 from repro.mem.tlb import TLB, TLBEntry
 from repro.soc import build_system
 
+from tests.conftest import (LEGS, LOWERS, NO_REGIONS, lowers, needs_native,
+                            set_tier)
 from .conftest import (CODE_BASE, I, assemble_at, patch_own_code_loop,
                        tier_core)
 
@@ -58,7 +59,7 @@ def test_hot_block_compiles_and_matches_tier1():
         run_to_ebreak(core)
         outcomes[tier] = (core.regs[5], core.regs[6], core.regs[7],
                           core.instret, core.cycles)
-        if tier == "tier4":
+        if lowers(tier):
             assert core.jit_compiled >= 1
             assert core._jit_blocks
         else:
@@ -74,6 +75,7 @@ def test_jit_disabled_by_constructor():
     assert core.jit_compiled == 0 and not core._jit_blocks
 
 
+@needs_native
 def test_hot_loop_chains_to_itself():
     core = jit_core()
     loop_pc = countdown_loop(core, 10)
@@ -84,6 +86,7 @@ def test_hot_loop_chains_to_itself():
     assert rec.links.get(loop_pc) is rec
 
 
+@needs_native
 def test_fence_i_flushes_compiled_blocks_and_links():
     core = jit_core()
     loop_pc = countdown_loop(core, 10, tail=[I("fence.i"),
@@ -97,6 +100,7 @@ def test_fence_i_flushes_compiled_blocks_and_links():
     assert loop_pc not in core._jit_blocks
 
 
+@needs_native
 def test_fence_i_clears_links_of_surviving_references():
     """Anyone still holding a JITBlock across a fence.i must see its
     chain links gone — a stale link would jump into dead code."""
@@ -111,6 +115,7 @@ def test_fence_i_clears_links_of_surviving_references():
     assert core.jit_flushes >= 1
 
 
+@needs_native
 def test_generation_bump_flushes_compiled_blocks():
     core = jit_core()
     loop_pc = countdown_loop(core, 10)
@@ -148,7 +153,7 @@ def test_smc_store_flushes_compiled_blocks():
         program(core)
         retired = run_to_ebreak(core)
         outcomes[tier] = (core.regs[10], retired, core.cycles)
-        if tier == "tier4":
+        if lowers(tier):
             assert core.jit_flushes >= 1
     assert outcomes["tier4"] == outcomes["tier1"]
     assert outcomes["tier4"][0] == 9
@@ -164,12 +169,13 @@ class _Attribution:
         self.records.append((tier, pc, retired))
 
 
+@needs_native
 def test_block_leaving_early_is_charged_its_instret_delta():
     """A tier-2 block that patches its own code leaves right after the
     store. The trampoline charges attribution (and the budget) with the
     instructions it retired — the instret delta across the call — not
     with the block's length."""
-    core = tier_core(PhysicalMemory(1 << 20), tier="tier2",
+    core = tier_core(PhysicalMemory(1 << 20), region_threshold=NO_REGIONS,
                      timing=TimingModel())
     patch_own_code_loop(core)
     core._attrib = attribution = _Attribution()
@@ -181,11 +187,12 @@ def test_block_leaving_early_is_charged_its_instret_delta():
     assert sum(n for __, n in tier2) == residency["tier2_retired"]
 
 
+@needs_native
 def test_short_budget_replays_never_lower_a_block_twice():
     """A budget shorter than a lowered block (a serve slice end, a fuzz
     trigger) replays the tier-1 block; that replay must not lower the
     block again and replace its unit."""
-    core = tier_core(PhysicalMemory(1 << 20), tier="tier2",
+    core = tier_core(PhysicalMemory(1 << 20), region_threshold=NO_REGIONS,
                      timing=TimingModel())
     assemble_at(core, [I("addi", rd=6, rs1=6, imm=1)] * 20 + [I("ebreak")])
     first = None
@@ -212,7 +219,7 @@ def test_oversized_block_splits():
         with pytest.raises(Exception):
             core.run(6 * (n + 1))
         outcomes[tier] = (core.regs[6], core.instret, core.cycles)
-        if tier == "tier4":
+        if lowers(tier):
             assert core.jit_compiled >= 2  # prefix + promoted suffix
             sizes = sorted(rec.n for rec in core._jit_blocks.values())
             assert sizes[-1] == MAX_REGION_ENTRIES
@@ -268,14 +275,13 @@ HOT_WALK_WRITABLE = (
     "    .quad 2\n"
 )
 
-COMPARED = ("tier1", "tier2", "tier4")
+COMPARED = LEGS[1:]
 
 
 def pin_tier(monkeypatch, tier):
-    """Build the next kernel's core at ``tier``, with regions formed
+    """Build the next kernel's core at leg ``tier``, with regions formed
     after two arrivals so the short hot loops reach tier 4."""
-    monkeypatch.setenv("REPRO_TIER", tier)
-    monkeypatch.setattr(regions, "REGION_THRESHOLD", 2)
+    set_tier(monkeypatch, tier, region_threshold=2)
 
 
 def run_hot_fault(monkeypatch, source, tier):
@@ -293,20 +299,20 @@ def run_hot_fault(monkeypatch, source, tier):
 def test_roload_fault_inside_hot_compiled_block(monkeypatch, source,
                                                 reason, page_key):
     results = {}
-    for tier in TIERS:
+    for tier in LEGS:
         kernel, process = run_hot_fault(monkeypatch, source, tier)
         assert process.state is ProcessState.KILLED, tier
         assert process.signal.number == SIGSEGV, tier
         assert process.signal.roload, tier
         event = kernel.security_log[0]
         core = kernel.system.core
-        if tier in ("tier2", "tier4"):
+        if lowers(tier):
             # Non-vacuity: the faulting pc lies inside a block that was
             # compiled and still cached when the fault was delivered.
             assert core.jit_compiled >= 1
             assert any(rec.start_pc <= event.pc < rec.end_pc
                        for rec in core._jit_blocks.values())
-        if tier == "tier4":
+        if tier == "tier4" and LOWERS:
             # And the hot ld.ro loop really ran as a flat region,
             # raising from inside it.
             assert core.regions_compiled >= 1
@@ -333,14 +339,14 @@ def test_arch_event_stream_identical_across_tiers(monkeypatch, source,
                                                   reason):
     """The observability contract across tiers: the architectural event
     subsequence (faults, signals, MMU bumps — everything cat="arch") of
-    a run that faults inside a hot compiled block is bit-identical in
-    all four interpreter tiers."""
+    a run that faults inside a hot compiled block is bit-identical on
+    every interpreter leg."""
     from repro import obs
     from repro.obs import arch_sequence
 
     sequences = {}
     try:
-        for tier in TIERS:
+        for tier in LEGS:
             obs.disable()
             obs.enable()
             kernel, __ = run_hot_fault(monkeypatch, source, tier)
@@ -374,7 +380,7 @@ def test_audit_chain_identical_across_tiers(monkeypatch):
     chains = {}
     sequences = {}
     try:
-        for tier in TIERS:
+        for tier in LEGS:
             obs.disable()
             obs.enable(audit=True)
             kernel, __ = run_hot_fault(monkeypatch, HOT_WALK_KEY, tier)
@@ -405,7 +411,7 @@ def test_audit_chain_identical_across_tiers(monkeypatch):
 
 @pytest.mark.parametrize("source", [HOT_WALK_KEY, HOT_WALK_WRITABLE],
                          ids=["key-mismatch", "writable-page"])
-@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("tier", LEGS)
 def test_roload_monitor_complete_under_hot_fault(monkeypatch, source,
                                                  tier):
     """An attached ROLoadMonitor observes every *retired* ld.ro in every

@@ -1,6 +1,6 @@
 """The flat core's native runner: build, cache and fallback.
 
-Whether tiers 2 and 4 run is settled when repro.cpu.flatcore is
+Whether tier 4 runs is settled when repro.cpu.flatcore is
 imported, from whether the C extension built and loaded
 (repro.cpu.native); there is no knob. These tests hold the three
 properties this rests on:

@@ -1,4 +1,4 @@
-"""Region tier: formation, deoptimization, four-tier identity.
+"""Region tier: formation, deoptimization, identity on every leg.
 
 The region planner (src/repro/cpu/regions.py) selects hot tier-2 block
 chains as superblocks; the tier-4 flat core (src/repro/cpu/flatcore.py)
@@ -6,27 +6,27 @@ lowers each plan to pre-decoded array dispatch. Like the tiers below
 it, the region tier must be architecturally invisible: these tests pin
 formation (hot loops really become regions), the deoptimization edges
 (an SMC store and an MMU-generation bump taken *mid-region* continue
-bit-identically in all four tiers), and the overlap-suppression policy
+bit-identically on every interpreter leg), and the overlap-suppression policy
 that keeps alternate entry splits of a live region from lowering
 near-identical superblocks.
 """
 
 from repro.asm import assemble, link
-from repro.config import TIERS
-from repro.cpu import TimingModel, regions
+from repro.cpu import TimingModel
 from repro.cpu.flatcore import compile_region
 from repro.cpu.regions import DEFER, Region
 from repro.kernel import Kernel, ProcessState
 from repro.mem import PhysicalMemory
 from repro.soc import build_system
 
+from tests.conftest import LEGS, LOWERS, needs_native, set_tier
 from .conftest import CODE_BASE, I, assemble_at, tier_core
 
-COMPARED = ("tier1", "tier2", "tier4")
+COMPARED = LEGS[1:]
 
 
 def region_core(tier):
-    """A core at ``tier`` whose loops become regions after two
+    """A core at leg ``tier`` whose loops become regions after two
     arrivals."""
     core = tier_core(PhysicalMemory(1 << 20), tier=tier,
                      region_threshold=2, timing=TimingModel())
@@ -50,13 +50,13 @@ def countdown_loop(core, iters, body=2):
 
 def test_hot_loop_forms_region():
     outcomes = {}
-    for tier in TIERS:
+    for tier in LEGS:
         core = region_core(tier)
         loop_pc = countdown_loop(core, 50)
         core.run(10_000, trap_handler=None)  # stops at ebreak
         outcomes[tier] = (core.regs[5], core.regs[6], core.regs[7],
                          core.instret, core.cycles)
-        if tier == "tier4":
+        if tier == "tier4" and LOWERS:
             assert core.regions_compiled >= 1
             region = core._regions[loop_pc]
             assert region.loop
@@ -69,6 +69,7 @@ def test_hot_loop_forms_region():
     assert outcomes["slow"][1] == 50  # the body really ran 50 times
 
 
+@needs_native
 def test_residency_attributes_region_instructions():
     core = region_core("tier4")
     countdown_loop(core, 50)
@@ -81,6 +82,7 @@ def test_residency_attributes_region_instructions():
     assert residency["regions_compiled"] == core.regions_compiled >= 1
 
 
+@needs_native
 def test_residency_attributes_flat_region_instructions():
     """Every region is a flat region, counted once as regions_compiled;
     the legacy tier-3 attribute stays a constant 0."""
@@ -108,6 +110,7 @@ def test_region_covers_spans():
     assert not region.covers(0x2008)
 
 
+@needs_native
 def test_alternate_entry_inside_live_region_defers():
     """A head pc lying inside a live region's instruction range is an
     alternate entry split: lowering defers while lukewarm instead of
@@ -156,13 +159,13 @@ def test_smc_store_mid_region_deoptimizes_identically():
         assemble_at(core, insns)
 
     outcomes = {}
-    for tier in TIERS:
+    for tier in LEGS:
         core = region_core(tier)
         program(core)
         core.run(10_000, trap_handler=None)
         outcomes[tier] = (core.regs[9], core.regs[10], core.instret,
                          core.cycles)
-        if tier == "tier4":
+        if tier == "tier4" and LOWERS:
             # The region formed during the clean phase, before the SMC
             # store invalidated it.
             assert core.regions_compiled >= 1
@@ -213,8 +216,7 @@ loop2:                # hot loop 2: the same page, now keyed ld.ro
 
 
 def run_kernel_tier(monkeypatch, source, tier):
-    monkeypatch.setenv("REPRO_TIER", tier)
-    monkeypatch.setattr(regions, "REGION_THRESHOLD", 2)
+    set_tier(monkeypatch, tier, region_threshold=2)
     kernel = Kernel(build_system("processor+kernel", memory_size=64 << 20))
     process = kernel.create_process(link([assemble(source)]))
     kernel.run(process)
@@ -224,16 +226,16 @@ def run_kernel_tier(monkeypatch, source, tier):
 def test_mmu_generation_bump_mid_region_identical(monkeypatch):
     """mprotect between two hot loops bumps the MMU generation while
     tier 4 has live regions; execution must continue bit-identically
-    (same cycles, instructions, TLB behavior) in all four tiers."""
+    (same cycles, instructions, TLB behavior) on every leg."""
     results = {}
-    for tier in TIERS:
+    for tier in LEGS:
         kernel, process = run_kernel_tier(monkeypatch,
                                           MPROTECT_BETWEEN_LOOPS, tier)
         assert process.state is ProcessState.EXITED, tier
         assert process.exit_code == 0, tier
         core = kernel.system.core
         mmu = kernel.system.mmu
-        if tier == "tier4":
+        if tier == "tier4" and LOWERS:
             # Both hot loops became regions, before and after the bump.
             assert core.regions_compiled >= 2
             assert core.tier4_retired > 0

@@ -1,12 +1,14 @@
 """Tier 2 on the flat core: single-block lowering, one exit shape at a time.
 
-Tier 2 lowers one hot basic block as a one-member, non-loop plan on the
-flat core (src/repro/cpu/flatcore.py, ``compile_block``) — a plan shape
-the region planner never produces. Each program here makes one kind of
-block end hot with regions off (``REPRO_TIER=tier2``; a lowering
-failure is an error), then checks the run against the slow interpreter
-bit for bit. The programs cover the exits the wider
-differential suites do not pin down one by one: a branch hot in both
+Tier 4 first lowers each basic block as a one-member, non-loop plan on
+the flat core (src/repro/cpu/flatcore.py, ``compile_block``) — a plan
+shape the region planner never produces. Each program here makes one
+kind of block end hot with regions held off (the test-only blocks-only
+leg, ``tests.conftest.BLOCKS_ONLY``; a lowering failure is an error),
+then checks the run against the slow interpreter bit for bit (without
+the native runner the run is at tier 1 and only that comparison
+holds). The programs cover the exits the wider differential suites do
+not pin down one by one: a branch hot in both
 directions, ``jal``/``jalr`` call and return, an ``ecall`` and a CSR
 read (generic terminators that observe the counters), and page-boundary
 fall-through out of a block whose last entry is an ALU op, a load, a
@@ -27,6 +29,8 @@ from repro.cpu import flatcore
 from repro.cpu.core import _HANDLERS
 from repro.kernel import Kernel
 from repro.soc import build_system
+
+from tests.conftest import BLOCKS_ONLY, LOWERS, needs_native, set_tier
 
 
 def _page_tail(tail):
@@ -203,7 +207,7 @@ CASES = {
 
 
 def _run(monkeypatch, source, tier2):
-    monkeypatch.setenv("REPRO_TIER", "tier2" if tier2 else "slow")
+    set_tier(monkeypatch, BLOCKS_ONLY if tier2 else "slow")
     kernel = Kernel(build_system("processor+kernel", memory_size=64 << 20))
     process = kernel.create_process(link([assemble(source)]))
     kernel.run(process)
@@ -236,9 +240,13 @@ def test_single_block_exit_matches_slow_path(monkeypatch, case):
     slow, __ = _run(monkeypatch, source, tier2=False)
     fast, core = _run(monkeypatch, source, tier2=True)
     assert fast == slow
-    # Not vacuous: tier 2 alone ran the program (no regions), and a
-    # lowered block ending in the mnemonic under test exists.
-    assert not core.tier4_enabled and core.regions_compiled == 0
+    if case == "page-fall-roload-fault":
+        assert slow["security_log"][0][0] == "key_mismatch"
+    if not LOWERS:
+        return
+    # Not vacuous: tier 2 blocks alone ran the program (no regions), and
+    # a lowered block ending in the mnemonic under test exists.
+    assert core.regions_compiled == 0
     assert core.tier_residency()["tier2_retired"] > 0
     ends = {}
     for rec in core._jit_blocks.values():
@@ -247,10 +255,9 @@ def test_single_block_exit_matches_slow_path(monkeypatch, case):
     assert last in ends, sorted(ends)
     if at_page_end:
         assert ends[last].end_pc & 0xFFF == 0   # cut by the page boundary
-    if case == "page-fall-roload-fault":
-        assert slow["security_log"][0][0] == "key_mismatch"
 
 
+@needs_native
 def test_lowered_generic_sites_hold_only_module_level_handlers(monkeypatch):
     """A block entry's handler may be a closure over its core, but a
     lowered value is shared across cores (repro.cpu.translations): its

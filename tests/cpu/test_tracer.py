@@ -7,6 +7,8 @@ from repro.cpu.tracer import Profiler, ROLoadMonitor, Tracer
 from repro.kernel import Kernel
 from repro.soc import build_system
 
+from tests.conftest import LOWERS
+
 SOURCE = r"""
 .globl _start
 _start:
@@ -152,7 +154,9 @@ class TestJITBlindSpot:
         # (the tight budget raises; the compiled state survives).
         with pytest.raises(Exception):
             core.run(200, trap_handler=None)
-        assert core.jit_compiled >= 1 and core._jit_blocks
+        assert core._blocks
+        if LOWERS:
+            assert core.jit_compiled >= 1 and core._jit_blocks
         attach_instret = core.instret
         with Profiler(core) as profiler:
             # Attaching dropped the compiled state: no stale chain may
@@ -172,4 +176,6 @@ class TestJITBlindSpot:
         compiled_before = core.jit_compiled
         core.run(10_000, trap_handler=None)
         # The loop got hot again and recompiled after the detach flush.
-        assert core.jit_compiled > compiled_before
+        assert core._blocks
+        if LOWERS:
+            assert core.jit_compiled > compiled_before

@@ -138,6 +138,16 @@ class TestCampaign:
         with pytest.raises(ReplayError, match="unknown campaign mode"):
             Campaign(executions=1, mode="psychic")
 
+    def test_unknown_tier_rejected(self, capsys):
+        """A campaign refuses a tier outside TIERS before it runs
+        anything, and roload-fuzz reports it as an error."""
+        from repro.errors import ConfigError
+        with pytest.raises(ConfigError, match="unknown tier 'tier2'"):
+            Campaign(executions=1, tier="tier2")
+        assert fuzz_main(["campaign", "--executions", "1", "--workers",
+                          "1", "--quiet", "--tier", "tier2"]) == 1
+        assert "unknown tier 'tier2'" in capsys.readouterr().err
+
     def test_worker_fanout_matches_serial(self):
         """The multiprocessing path must classify identically to the
         serial path (same seed, same budget)."""

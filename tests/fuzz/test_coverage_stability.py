@@ -1,12 +1,12 @@
 """Coverage signatures are tier-stable: the fork-determinism contract
 extended to the fuzzer's feedback.
 
-The same input — a loop victim long enough to push the tier-2 and
-tier-4 compilers past their thresholds, plus a multi-entry injection schedule
-— must hash to the same signature and the same divergence point on
-every interpreter tier. Without this, a corpus built on one tier would
-be garbage on another, and "new coverage" could mean "different
-simulator backend" instead of "different behavior"."""
+The same input — a loop victim long enough to lower its blocks and
+push the region compiler past its threshold, plus a multi-entry
+injection schedule — must hash to the same signature and the same
+divergence point on every interpreter leg. Without this, a corpus
+built on one tier would be garbage on another, and "new coverage" could
+mean "different simulator backend" instead of "different behavior"."""
 
 import pytest
 
@@ -15,7 +15,12 @@ from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.executor import WarmVictimPool
 from repro.fuzz.target import VictimSpec
 
-TIERS = ("slow", "tier1", "tier2", "tier4")
+from tests.conftest import LEGS as TIERS, at_tier
+
+
+def _execute(pool, fuzz_input, tier):
+    with at_tier(tier):
+        return pool.execute(fuzz_input)
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +30,7 @@ def pool():
 
 @pytest.fixture(scope="module")
 def deep_input():
-    # A loop victim hot enough to compile on tiers 2-4, injected twice:
+    # A loop victim hot enough to form regions, injected twice:
     # a PTE key flip mid-run and a wild pointer later.
     return FuzzInput(
         spec=VictimSpec(reps=30, loop=True, vcalls=2, icalls=1,
@@ -35,8 +40,7 @@ def deep_input():
 
 
 def test_signature_identical_across_tiers(pool, deep_input):
-    outcomes = {tier: pool.execute(deep_input, tier=tier)
-                for tier in TIERS}
+    outcomes = {tier: _execute(pool, deep_input, tier) for tier in TIERS}
     signatures = {tier: o.signature for tier, o in outcomes.items()}
     assert len(set(signatures.values())) == 1, signatures
     divergences = {tier: o.result.divergence
@@ -51,7 +55,7 @@ def test_signature_identical_across_tiers(pool, deep_input):
 def test_baseline_signature_identical_across_tiers(pool):
     baseline = FuzzInput(spec=VictimSpec(reps=25, loop=True, vcalls=1,
                                          icalls=2))
-    signatures = {tier: pool.execute(baseline, tier=tier).signature
+    signatures = {tier: _execute(pool, baseline, tier).signature
                   for tier in TIERS}
     assert len(set(signatures.values())) == 1, signatures
 

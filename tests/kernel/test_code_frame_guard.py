@@ -21,10 +21,10 @@ from repro import obs
 from repro.cpu import regions
 from repro.kernel import ProcessState
 
+from tests.conftest import LEGS as TIERS
 from .conftest import build_image
 from .test_translation_retention import _counters, _kernel
 
-TIERS = ("slow", "tier1", "tier2", "tier4")
 FAST_TIERS = TIERS[1:]
 
 

@@ -9,6 +9,7 @@ from repro.errors import SimulationError
 from repro.kernel import Kernel, ProcessState, SIGILL, SIGSEGV, run_program
 from repro.soc import build_system
 
+from tests.conftest import BLOCKS_ONLY, needs_native, set_tier
 from .conftest import build_image
 
 HELLO = r"""
@@ -221,36 +222,30 @@ loop:
 """
 
 
+@needs_native
 @pytest.mark.parametrize("fork", [None, "copy", "cow"])
-@pytest.mark.parametrize("tier", ["tier2", "tier4"])
+@pytest.mark.parametrize("tier", [BLOCKS_ONLY, "tier4"])
 def test_finished_machine_dies_without_a_collection(tier, fork,
                                                     monkeypatch):
     """A machine that ran lowered code and exited normally, forked from
     a snapshot or not, is freed by reference counting alone once it is
     dropped: its kernel releases the bound units, which hold the
     core."""
-    from repro import config
-    from repro.cpu import flatcore, native, regions
     from repro.replay import restore, snapshot
 
-    if flatcore.runner() != "native":
-        pytest.skip(f"no native flat-core runner: {native.failure}")
-    monkeypatch.setattr(regions, "REGION_THRESHOLD", 2)
-    with config.overrides(tier=tier):
-        kernel = Kernel(build_system("processor+kernel",
-                                     memory_size=64 << 20))
-        process = kernel.create_process(build_image(HOT_LOOP))
-        kernels = [kernel]
-        if fork:
-            kernel.run(process, stop_after=300)
-            kernel, process = restore(snapshot(kernel), cow=fork == "cow")
-            kernels.append(kernel)
-        kernel.run(process)
+    set_tier(monkeypatch, tier, region_threshold=2)
+    kernel = Kernel(build_system("processor+kernel", memory_size=64 << 20))
+    process = kernel.create_process(build_image(HOT_LOOP))
+    kernels = [kernel]
+    if fork:
+        kernel.run(process, stop_after=300)
+        kernel, process = restore(snapshot(kernel), cow=fork == "cow")
+        kernels.append(kernel)
+    kernel.run(process)
     assert process.exit_code == 0
     cores = [k.system.core for k in kernels]
     assert all(core.jit_compiled for core in cores)     # non-vacuity
-    if tier == "tier4":
-        assert cores[-1].regions_compiled
+    assert bool(cores[-1].regions_compiled) == (tier == "tier4")
     refs = [weakref.ref(x) for x in kernels + cores]
     gc.disable()
     try:

@@ -8,14 +8,14 @@ defeat it: an mprotect-style permission rewrite (followed by the usual
 generation bump) and a direct leaf-PTE rewrite in physical memory. In
 both cases the next translation must observe the new PTE, and the
 architectural walk counters must be exactly what a memo-less MMU would
-have charged — on the bare MMU and through every interpreter tier
-(tiers 2 and 4 where the flat core's native runner, which refills the
+have charged — on the bare MMU and through every interpreter leg (the
+lowering legs where the flat core's native runner, which refills the
 D-TLB from the memo itself, was built).
 """
 
 import pytest
 
-from repro.cpu import TimingModel, flatcore
+from repro.cpu import TimingModel
 from repro.cpu.trap import Cause
 from repro.isa import Instruction, encode
 from repro.isa.opcodes import MemOp
@@ -27,6 +27,7 @@ from repro.mem import (
     PhysicalMemory,
 )
 from repro.mem.pte import make_leaf
+from tests.conftest import LEGS, LOWERS
 from tests.cpu.conftest import tier_core
 
 
@@ -119,10 +120,9 @@ DATA_VA = 0x10000
 FRAME_A = 48 << 20
 FRAME_B = (48 << 20) + 0x1000
 
-# The tiers this host runs: tiers 2 and 4 only where the native runner
-# was built.
-CONFIGS = ("slow", "tier1") + (
-    ("tier2", "tier4") if flatcore.runner() == "native" else ())
+# The legs this host runs: the lowering legs only where the native
+# runner was built.
+CONFIGS = LEGS if LOWERS else ("slow", "tier1")
 
 # Three identical hot load loops separated by ebreaks, so the host can
 # mutate the page tables between phases while regions are live, then a

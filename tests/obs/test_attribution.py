@@ -19,6 +19,8 @@ from repro.obs.attribution import (
 )
 from repro.soc import build_system
 
+from tests.conftest import needs_native
+
 from tests.cpu.test_jit import countdown_loop, jit_core, run_to_ebreak
 
 import pytest
@@ -64,6 +66,7 @@ def test_format_top_report():
     assert "hot+0x10" in lines[3]                        # offset form
 
 
+@needs_native
 def test_tier2_blocks_attribute_to_their_start_pc():
     core = jit_core()
     core._attrib = Attribution()

@@ -10,10 +10,11 @@ Three layers of proof:
   hot-path cost anywhere is one ``enabled`` attribute test at cold
   sites, plus one ``is not None`` test at the batch observation
   points);
-* end-to-end — a tier-2 mini-sweep with REPRO_OBS=0 stays within 15%
-  of the throughput of an identical sweep, and a tier-4 sweep with the
-  flight recorder ON stays within 15% of an obs-off reference. Every
-  unit both sweeps lower runs on the native runner.
+* end-to-end — a mini-sweep on tier-2 blocks alone with REPRO_OBS=0
+  stays within 15% of the throughput of an identical sweep, and a
+  tier-4 sweep with the flight recorder ON stays within 15% of an
+  obs-off reference. Every unit both sweeps lower runs on the native
+  runner.
 """
 
 import dataclasses
@@ -31,6 +32,7 @@ from repro.kernel import Kernel
 from repro.mem import PhysicalMemory
 from repro.soc import build_system
 
+from tests.conftest import BLOCKS_ONLY, set_tier
 from tests.cpu.conftest import CODE_BASE, tier_core
 from tests.cpu.test_jit import countdown_loop, run_to_ebreak
 
@@ -111,7 +113,7 @@ def test_tier2_generated_source_has_no_obs_reference():
     compiled tier runs, so if the word 'obs' ever shows up among its
     names, instrumentation leaked into the hot loop."""
     _require_native()
-    core = _compiled_core("tier2")
+    core = _compiled_core(BLOCKS_ONLY)
     loop_pc = countdown_loop(core, 10)
     run_to_ebreak(core)
     block = core._jit_blocks[loop_pc]  # the loop really lowered
@@ -223,17 +225,18 @@ def _assert_within_tolerance(what, reference, current):
 
 
 def test_tier2_sweep_with_obs_off_passes_the_bench_gate(monkeypatch):
-    """End to end: two identical REPRO_OBS=0 tier-2 mini-sweeps stay
-    inside the 15% regression gate — the acceptance bar for shipping
-    the observability layer at all."""
+    """End to end: two identical REPRO_OBS=0 mini-sweeps on tier-2
+    blocks alone (the blocks-only leg) stay inside the 15% regression
+    gate — the acceptance bar for shipping the observability layer at
+    all."""
     monkeypatch.setenv("REPRO_OBS", "0")
-    # _sweep writes this; setting it via monkeypatch first makes sure
-    # the test restores whatever the environment had.
-    monkeypatch.setenv("REPRO_TIER", "tier2")
+    # _sweep writes REPRO_TIER; setting it via monkeypatch first makes
+    # sure the test restores whatever the environment had.
+    set_tier(monkeypatch, BLOCKS_ONLY)
     obs.disable()
 
     def sweep():
-        return _sweep("tier2")
+        return _sweep("tier4")
 
     reference, current = _best_of_paired_sweeps(sweep, sweep)
     _assert_within_tolerance("obs-off tier-2", reference, current)

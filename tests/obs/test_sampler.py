@@ -10,6 +10,7 @@ import json
 
 from repro import obs
 from repro.asm import assemble, link
+from repro.cpu import Core
 from repro.kernel import Kernel
 from repro.obs import Sampler, chrome_trace, validate_trace
 from repro.soc import build_system
@@ -39,6 +40,9 @@ class _StubCore:
         self.tier4_retired = 0
         self.jit_compiled = 0
         self.regions_compiled = 0
+
+    instret = Core.instret
+    retired_by_tier = Core.retired_by_tier
 
 
 def test_interval_must_be_positive():

@@ -11,12 +11,13 @@ import json
 
 import pytest
 
-from repro import config
 from repro.errors import ReproError
 from repro.eval_model import DEFAULT_KINDS, VERDICTS, CampaignResult
 from repro.fuzz.campaign import stratified_campaign
 from repro.fuzz.target import VictimSpec, build_image
 from repro.replay.inject import classify_outcome
+
+from tests.conftest import LEGS, at_tier
 
 # The detection table's records as the snapshot-per-trigger harness
 # produced them before the campaign moved onto the fuzz executor, as
@@ -109,9 +110,9 @@ class TestCampaign:
 
 
 class TestPinnedTables:
-    @pytest.mark.parametrize("tier", config.TIERS)
+    @pytest.mark.parametrize("tier", LEGS)
     def test_default_records_on_every_tier(self, tier):
-        with config.overrides(tier=tier):
+        with at_tier(tier):
             report = stratified_campaign(points=10)
         assert report.total_instructions == 379
         assert rows(report) == DEFAULT_RECORDS

@@ -13,6 +13,8 @@ from repro.replay import Journal, record_reference, replay_tier
 from repro.soc import build_system
 from repro.tools import asmtool
 
+from tests.conftest import LEGS, at_tier
+
 GETRANDOM_SOURCE = r"""
 .globl _start
 _start:
@@ -126,8 +128,9 @@ class TestGetrandomReplay:
         reference = record_reference(entropy_image, stop_after=50)
         assert any(e["kind"] == "entropy"
                    for e in reference.journal.entries)
-        for tier in ("slow", "tier1", "tier2"):
-            run = replay_tier(reference, tier)
+        for tier in LEGS:
+            with at_tier(tier):
+                run = replay_tier(reference)
             assert run.matches(reference.result), tier
             assert run.exit_code == reference.result.exit_code
 

@@ -16,6 +16,8 @@ from repro.replay import (FORMAT_VERSION, Snapshot, restore, snapshot,
 from repro.replay.snapshot import MAGIC
 from repro.soc import build_system
 
+from tests.conftest import BLOCKS_ONLY, at_tier
+
 
 @pytest.fixture(scope="module")
 def image():
@@ -112,10 +114,12 @@ class TestDifferential:
 
 class TestCrossTier:
     def test_replay_bit_identical_across_tiers(self, image):
-        from repro.replay import record_reference, verify_replay
+        from repro.replay import record_reference, replay_tier, verify_replay
         reference = record_reference(image, stop_after=150)
-        report = verify_replay(reference,
-                               tiers=("slow", "tier1", "tier2"))
+        report = verify_replay(reference)
+        with at_tier(BLOCKS_ONLY):
+            report.runs.append(replay_tier(reference))
+        assert len(report.runs) == 4
         assert report.ok, report.describe()
         hashes = {run.state_hash for run in report.runs}
         hashes.add(report.reference.state_hash)
@@ -127,5 +131,6 @@ class TestCrossTier:
     def test_unknown_tier_rejected(self, image):
         from repro.replay import record_reference, verify_replay
         reference = record_reference(image, stop_after=150)
-        with pytest.raises(ReplayError, match="unknown tier"):
-            verify_replay(reference, tiers=("tier9",))
+        for tier in ("tier9", "tier2"):
+            with pytest.raises(ReplayError, match=f"unknown tier '{tier}'"):
+                verify_replay(reference, tiers=("slow", tier))

@@ -1,9 +1,8 @@
 """Replay results name the tier that ran, not the tier that was asked for.
 
-Tiers 2 and 4 run only on the flat core's native runner; where it could
-not be built, a core configured for them runs tier 1. The determinism
-checker must then report two tier-1 runs, not a tier-2 and a tier-4
-run that never happened.
+Tier 4 runs only on the flat core's native runner; where it could not
+be built, a core configured for it runs tier 1. The determinism checker
+must then report a tier-1 run, not a tier-4 run that never happened.
 """
 
 import pytest
@@ -35,8 +34,7 @@ def core_tier(tier: str) -> str:
 
 
 def test_core_tier_without_the_runner(no_runner):
-    assert [core_tier(t) for t in TIER_NAMES] == \
-        ["slow", "tier1", "tier1", "tier1"]
+    assert [core_tier(t) for t in TIER_NAMES] == ["slow", "tier1", "tier1"]
 
 
 @pytest.mark.skipif(flatcore.runner() != "native",
@@ -50,14 +48,14 @@ def test_replays_without_the_runner_are_labelled_tier1(no_runner, image):
         reference = record_reference(image, stop_after=100)
     assert reference.result.tier == "tier1"
     runs = [replay_tier(reference, tier) for tier in TIER_NAMES]
-    assert [run.tier for run in runs] == ["slow", "tier1", "tier1", "tier1"]
+    assert [run.tier for run in runs] == ["slow", "tier1", "tier1"]
     assert all(run.matches(reference.result) for run in runs)
 
 
 def test_verify_without_the_runner_names_the_tiers_that_ran(no_runner,
                                                              capsys):
     code = injecttool.main(["verify", "--stop-after", "100", "--reps", "2",
-                            "--tiers", "slow,tier2,tier4"])
+                            "--tiers", "slow,tier1,tier4"])
     out = capsys.readouterr().out
     assert code == 0
     assert [line.split(":")[0].split()[-1] for line in out.splitlines()

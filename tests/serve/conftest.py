@@ -9,6 +9,8 @@ import pytest
 
 from repro.serve.pool import PoolKey, SnapshotPool
 
+from tests.conftest import BLOCKS_ONLY, at_tier
+
 # Small enough to boot fast, big enough to survive thousands of step
 # instructions past the boot point before exiting.
 KEY = PoolKey(profile="processor+kernel", workload="429.mcf",
@@ -24,3 +26,16 @@ def pool():
 def warm_key(pool):
     pool.warm(KEY)
     return KEY
+
+
+def fork(pool, key, tier):
+    """``pool.fork(key, tier=tier)`` at interpreter leg ``tier``
+    (``tests.conftest.LEGS``). A pool refuses the test-only blocks-only
+    leg, so that leg forks at the ambient tier inside ``at_tier``.
+    Returns the kernel, the process and the tier for the session."""
+    if tier == BLOCKS_ONLY:
+        with at_tier(tier):
+            kernel, process, _ = pool.fork(key)
+        return kernel, process, "tier4"
+    kernel, process, _ = pool.fork(key, tier=tier)
+    return kernel, process, tier

@@ -13,9 +13,12 @@ import pytest
 
 from repro.serve.session import Session, SessionCaps
 
+from tests.conftest import BLOCKS_ONLY
+from .conftest import fork
+
 
 def _drive(pool, key, tier, slices, sid=0):
-    kernel, process, _ = pool.fork(key, tier=tier)
+    kernel, process, tier = fork(pool, key, tier)
     session = Session(sid, kernel, process, SessionCaps.from_request(),
                       tier=tier, workload=key.workload)
     for n in slices:
@@ -24,7 +27,7 @@ def _drive(pool, key, tier, slices, sid=0):
 
 
 class TestForkDeterminism:
-    @pytest.mark.parametrize("other_tier", ["slow", "tier2", "tier4"])
+    @pytest.mark.parametrize("other_tier", ["slow", BLOCKS_ONLY, "tier4"])
     def test_same_hash_cycles_and_chain_across_tiers(self, pool,
                                                      warm_key,
                                                      other_tier):

@@ -95,8 +95,9 @@ class TestCreateValidation:
             _parse(**{**self.BASE, "variant": "extreme"})
 
     def test_unknown_tier_denied(self):
-        with pytest.raises(ServeError, match="unknown tier"):
-            _parse(**{**self.BASE, "tier": "tier9"})
+        for tier in ("tier9", "tier2"):
+            with pytest.raises(ServeError, match=f"unknown tier '{tier}'"):
+                _parse(**{**self.BASE, "tier": tier})
 
     def test_bad_scale_denied(self):
         with pytest.raises(ServeError, match="scale"):

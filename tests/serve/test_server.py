@@ -117,7 +117,7 @@ class TestServerEndToEnd:
         _drive(_with_server(scenario))
 
     def test_sessions_across_all_tiers_agree_after_interleaved_slices(self):
-        """16 sessions cycle over the slow path and the three fast
+        """16 sessions cycle over the slow path and the two fast
         tiers, split across two workers, and are stepped round-robin in
         twelve 500-instruction slices, so every slice after the first
         resumes a session the worker descheduled for another one.
@@ -125,7 +125,7 @@ class TestServerEndToEnd:
         across all of them, and every destroyed session's sealed audit
         chain verifies."""
         from repro.obs.audit import verify_chain
-        tiers = ("slow", "tier1", "tier2", "tier4")
+        tiers = config.TIERS
 
         async def scenario(request):
             reply = await request(op="warm", **BASE)

@@ -16,6 +16,8 @@ from repro.errors import ServeError
 from repro.serve.session import (CAPPED, DESTROYED, DETACHED, EXITED,
                                  RUNNING, Session, SessionCaps)
 
+from tests.conftest import needs_native
+
 
 def _fork_session(pool, key, caps=None, tier=None, sid=0):
     kernel, process, _ = pool.fork(key, tier=tier)
@@ -91,6 +93,7 @@ class TestSessionLifecycle:
         assert verify_chain(out["audit"]) == []
         assert out["audit"][-1]["type"] == "audit.seal"
 
+    @needs_native
     def test_destroy_releases_lowered_code_without_a_gc(
             self, pool, warm_key, monkeypatch):
         # Bound native units hold the core that holds them; dropping a

@@ -66,20 +66,23 @@ class TestFromEnv:
 
 class TestFailClosed:
     def test_unknown_tier_is_rejected_everywhere(self, monkeypatch):
-        names = "slow, tier1, tier2, tier4"
-        with pytest.raises(ConfigError, match=names):
-            config.Config(tier="bogus")
-        with pytest.raises(ConfigError, match=names):
-            config.Config.from_env({"REPRO_TIER": "tier3"})
-        with pytest.raises(ConfigError, match=names):
-            with config.overrides(tier="bogus"):
-                pass
-        with pytest.raises(ConfigError, match=names):
-            with config.env_knobs(**config.parse_kv(["tier=bogus"])):
+        """Every way in refuses a name outside TIERS, tier2 included:
+        tier 4 lowers its blocks first, but no setting stops there."""
+        names = r"\(one of: slow, tier1, tier4\)"
+        for tier in ("bogus", "tier3", "tier2"):
+            with pytest.raises(ConfigError, match=names):
+                config.Config(tier=tier)
+            with pytest.raises(ConfigError, match=names):
+                config.Config.from_env({"REPRO_TIER": tier})
+            with pytest.raises(ConfigError, match=names):
+                with config.overrides(tier=tier):
+                    pass
+            with pytest.raises(ConfigError, match=names):
+                with config.env_knobs(**config.parse_kv([f"tier={tier}"])):
+                    config.current()
+            monkeypatch.setenv("REPRO_TIER", tier)
+            with pytest.raises(ConfigError, match=names):
                 config.current()
-        monkeypatch.setenv("REPRO_TIER", "tier3")
-        with pytest.raises(ConfigError, match=names):
-            config.current()
 
     @pytest.mark.parametrize("name", ["REPRO_TIER3", "REPRO_WARP"])
     def test_unknown_repro_variable_is_rejected(self, monkeypatch, name):
@@ -99,22 +102,23 @@ class TestFailClosed:
 
 class TestTierProperty:
     def test_tiers_table_matches_tier_property(self):
-        assert config.TIERS == ("slow", "tier1", "tier2", "tier4")
+        assert config.TIERS == ("slow", "tier1", "tier4")
         for name in config.TIERS:
             assert config.Config(tier=name).tier == name
             assert config.Config.from_env({"REPRO_TIER": name}).tier \
                 == name
 
     def test_one_region_tier_knob(self):
-        """Four tiers, one knob: REPRO_TIER=tier2 pins tier 2, tier 4 is
-        the default, and the removed tier-3 knob is rejected."""
+        """Three tiers, one knob: tier 4, the default, is the one tier
+        that lowers (every block, then hot regions), and the removed
+        tier-3 knob is rejected."""
         from repro.cpu import Core, flatcore
         from repro.mem import MMU, PhysicalMemory
         memory = PhysicalMemory(1 << 20)
-        with config.overrides(tier="tier2"):
+        with config.overrides(tier="tier4"):
             core = Core(memory, MMU(memory))
-        assert not core.tier4_enabled
         assert core.jit_enabled == (flatcore.runner() == "native")
+        assert core.tier == ("tier4" if core.jit_enabled else "tier1")
         assert config.Config().tier == "tier4"
         with pytest.raises(ConfigError, match="REPRO_TIER3"):
             config.parse_kv(["REPRO_TIER3=0"])

@@ -1,28 +1,29 @@
 """Differential proof that the interpreter fast paths change nothing.
 
-The simulator has four interpreter tiers (src/repro/cpu/core.py,
+The simulator has three interpreter tiers (src/repro/cpu/core.py,
 src/repro/cpu/regions.py and src/repro/cpu/flatcore.py), the values of
-``REPRO_TIER`` (:data:`repro.config.TIERS`):
+``REPRO_TIER`` (:data:`repro.config.TIERS`), and the suite compares a
+fourth, test-only leg (``tests.conftest.LEGS``):
 
   slow   the seed decode-dispatch loop
   tier1  block replay + D-side page cache
-  tier2  every block lowered to the flat core on its first dispatch, one
-         block each
-  tier4  tier 2, plus hot loops planned as superblocks and lowered to
-         flat arrays
+  tier2  test-only: tier 4 with its region threshold out of reach, every
+         block lowered to the flat core on its first dispatch, one block
+         each
+  tier4  every block lowered, plus hot loops planned as superblocks and
+         lowered to flat arrays
 
-All four are pure implementation details: every test here runs the same
-program under each tier and asserts the architectural results are
+All are pure implementation details: every test here runs the same
+program under each leg and asserts the architectural results are
 bit-identical: cycles, retired instructions, memory, exit codes,
 cache/TLB miss rates, and fault delivery (including the ROLoad security
 log). The workloads run at the production region threshold; the short
 test programs lower it so they reach tier 4.
 
-Tiers 2 and 4 run their lowered units on the flat core's native runner,
-a C extension built at import. Where the host cannot build it those
-tiers are off, so their configurations are left out of :data:`CONFIGS`
-and the tests that need them skip with :data:`repro.cpu.native.failure`
-as the reason.
+Lowered units run on the flat core's native runner, a C extension built
+at import. Where the host cannot build it a tier-4 core runs tier 1, so
+the lowering legs are left out of :data:`CONFIGS` and the tests that
+need them skip with :data:`repro.cpu.native.failure` as the reason.
 """
 
 import dataclasses
@@ -30,7 +31,7 @@ import dataclasses
 import pytest
 
 from repro.asm import assemble, link
-from repro.cpu import Core, TimingModel, flatcore, native, regions
+from repro.cpu import Core, TimingModel, flatcore
 from repro.errors import SimulationError
 from repro.eval.measure import run_variant
 from repro.kernel import Kernel, ProcessState, SIGSEGV
@@ -38,24 +39,21 @@ from repro.mem import MMU, PhysicalMemory
 from repro.soc import build_system
 from repro.workloads import build_workload, profile
 
+from tests.conftest import LEGS, LOWERS, lowers, needs_native
+from tests.conftest import set_tier as set_leg
 from tests.cpu.conftest import patch_own_code_loop
 
-COMPARED = ("tier1", "tier2", "tier4")
+COMPARED = LEGS[1:]
 
-# Every compared tier this host runs: tiers 2 and 4 only where the
+# Every compared leg this host runs: the lowering legs only where the
 # native runner was built.
-CONFIGS = COMPARED if flatcore.runner() == "native" else ("tier1",)
-
-needs_native = pytest.mark.skipif(
-    flatcore.runner() != "native",
-    reason=f"no native flat-core runner: {native.failure}")
+CONFIGS = COMPARED if LOWERS else ("tier1",)
 
 
 def set_tier(monkeypatch, tier):
-    """Build the next core at ``tier``, with regions formed after two
-    arrivals so the short test programs really run them."""
-    monkeypatch.setenv("REPRO_TIER", tier)
-    monkeypatch.setattr(regions, "REGION_THRESHOLD", 2)
+    """Build the next core at leg ``tier``, with regions formed after
+    two arrivals so the short test programs really run them."""
+    set_leg(monkeypatch, tier, region_threshold=2)
 
 
 WORKLOADS = [
@@ -67,7 +65,7 @@ WORKLOADS = [
 
 
 def measure(monkeypatch, name, variant, tier):
-    monkeypatch.setenv("REPRO_TIER", tier)
+    set_leg(monkeypatch, tier)
     program = build_workload(profile(name), scale=0.05)
     return run_variant(program, variant)
 
@@ -86,12 +84,11 @@ def test_workload_equivalence(monkeypatch, name, variant):
         assert fast.dtlb_miss_rate == slow.dtlb_miss_rate, tier
         assert fast.dcache_miss_rate == slow.dcache_miss_rate, tier
         # Non-vacuity at the production thresholds: every workload
-        # lowers blocks, and a region on tier 4.
+        # lowers blocks, and a region on tier 4 only.
         residency = fast.tier_residency
-        if tier != "tier1":
+        if lowers(tier):
             assert residency["jit_compiled"] > 0, tier
-        if tier == "tier4":
-            assert residency["regions_compiled"] > 0
+            assert (residency["regions_compiled"] > 0) == (tier == "tier4")
 
 
 # A hot loop of ROLoad accesses (so the faulting site is replayed from a
@@ -134,7 +131,7 @@ def test_roload_key_mismatch_through_fast_path(monkeypatch):
         if tier != "slow":
             # Guard against vacuity: the block cache really engaged.
             assert core._blocks
-        if tier in ("tier2", "tier4"):
+        if lowers(tier):
             assert core.jit_compiled > 0 and core._jit_blocks
         if tier == "tier4":
             # Guard against vacuity: the hot ld.ro loop really did run
@@ -216,7 +213,7 @@ def test_budget_exhaustion_identical(monkeypatch):
         with pytest.raises(SimulationError):
             core.run(100)
         assert core.instret == 100, f"tier={tier} retired {core.instret}"
-        if tier in ("tier2", "tier4"):
+        if lowers(tier):
             assert core.jit_compiled > 0  # the loop really was compiled
 
 
@@ -438,7 +435,7 @@ def test_smc_abort_resumes_at_same_pc(monkeypatch):
             while True:
                 core.step_block(1000)
         finals[tier] = (list(core.regs), core.pc, core.instret, core.cycles)
-        if tier in ("tier2", "tier4"):
+        if lowers(tier):
             assert core.jit_flushes >= 1, tier  # it did abort
     slow = finals["slow"]
     for tier in CONFIGS:
