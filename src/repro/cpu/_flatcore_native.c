@@ -18,7 +18,6 @@
  *     check), the eager ``Core.load``/``Core.store`` paths that
  *     ``refill`` cannot serve (a real page walk, a fault, MMIO, a store
  *     into a code frame or a missing frame) and ``Core._flush_blocks``;
- *   - the page memo fills ``Core._jload_fill``/``_jstore_fill``;
  *   - the simulated caches and the D-TLB themselves: lookups read the
  *     live OrderedDicts, misses insert and evict through them, and the
  *     deferred LRU moves are replayed with ``move_to_end``.
@@ -31,6 +30,11 @@
  *     written since the last sync (``dirty``) are stored back before
  *     every callout, exit and raise, and ``R`` is reloaded after every
  *     callout that can write registers;
+ *   - page memos: ``Core._jload_memo``/``_jstore_memo`` map a vpn to
+ *     (frame, ok_kernel, ok_user, ppn) and are the D-TLB's shadows, so
+ *     an entry is valid exactly while its D-TLB entry is resident and
+ *     unreplaced, whatever the MMU generation: a hit replays a D-TLB
+ *     hit. A miss goes to ``refill``, which inserts what it serves;
  *   - page views: each load/store site caches its last page (frame
  *     bytearray plus a raw pointer into it); an entry is valid only in
  *     the epoch it was filled in, and the unit's epoch is bumped on
@@ -66,10 +70,9 @@ static PyObject *Trap, *LoadFault, *StoreFault;
 static PyObject *s_instructions, *s_cycles, *s_branch_penalty_cycles,
     *s_muldiv_cycles, *s_dcache_misses, *s_icache_misses, *s_hits,
     *s_misses, *s_translations, *s_pc, *s_current_pc, *s_side_exits,
-    *s_block_abort, *s_flush_blocks, *s_dside_generation, *s_generation,
-    *s_user_mode, *s_regs, *s_move_to_end, *s_popitem, *s_tval,
-    *s_read_ro, *s_fast_path_enabled, *s_bare, *s_walk_memo_root,
-    *s_root_ppn, *s_frames, *s_written_frames, *s_shadows, *s_walks,
+    *s_block_abort, *s_flush_blocks, *s_user_mode, *s_regs,
+    *s_move_to_end, *s_popitem, *s_tval, *s_read_ro, *s_fast_path_enabled,
+    *s_bare, *s_walk_memo_root, *s_root_ppn, *s_frames, *s_written_frames, *s_shadows, *s_walks,
     *s_dtlb_walk_cycles, *s_get, *s_pop, *s_ppn, *s_readable,
     *s_writable, *s_user, *s_base, *s_size;
 
@@ -94,16 +97,15 @@ typedef struct {
        reaches it through the weak reference ``wcore``, so a core and
        the units it caches form no reference cycle. */
     PyObject *core;
-    /* bound objects; ``load``, ``store``, ``jlf`` and ``jsf`` are the
-       core class's functions, called with the core first */
+    /* bound objects; ``load`` and ``store`` are the core class's
+       functions, called with the core first */
     PyObject *wcore, *packed, *gh, *irt, *ilines, *mmu, *stats, *load,
         *store, *icache, *isets, *dcache, *dsets, *dtlb, *tent, *mmu_stats,
-        *dload, *jload, *jlf, *dstore, *jstore, *jsf, *memory, *wmemo,
-        *mmio, *fpages, *cframes;
+        *jload, *jstore, *memory, *wmemo, *mmio, *fpages, *cframes;
     const uint64_t *S;
     Py_ssize_t nsite;
     int64_t NT, BPT, MUT, PQT, CPI, PEN, TBP, JP, IWAYS, DWAYS, TWA,
-        TCAP, DCAP;
+        TCAP;
     uint64_t HEAD, IMK, DMK, MSZ;
     int DSH, dside, ICH, use_dc, WARM;
     uint64_t epoch;
@@ -517,53 +519,38 @@ dtouch(Unit *u, uint64_t ln, int64_t *ch)
     return cache_miss(u, u->dcache, wy, ln, u->DWAYS, s_dcache_misses);
 }
 
-/* -- page memo fills: _lfl / _sfl ----------------------------------------
-   Returns 1 (site i now caches page vp), 0 (no memo: eager fallback),
-   2 (permission lost: the caller raises the page fault) or -1. */
+/* -- page memo lookup ----------------------------------------------------
+   A hit in the core's page memo (``Core._jload_memo``/``_jstore_memo``)
+   is a resident D-TLB entry: make its page site i's view. Returns 1
+   (site i now caches page vp), 0 (no memo: ``refill`` or the eager
+   callout serves the access), 2 (the current mode may not access the
+   page: the caller raises the page fault) or -1. */
 static int
 fill(Unit *u, Py_ssize_t i, uint64_t vp, int um, int store)
 {
-    PyObject *memo_map = store ? u->jstore : u->jload;
     PyObject *key = PyLong_FromUnsignedLongLong(vp);
     if (key == NULL)
         return -1;
-    PyObject *mo = PyDict_GetItemWithError(memo_map, key);
-    if (mo != NULL)
-        Py_INCREF(mo);
-    else if (PyErr_Occurred()
-             || (mo = PyObject_CallFunctionObjArgs(
-                     store ? u->jsf : u->jlf, u->core, key, NULL)) == NULL) {
-        Py_DECREF(key);
+    PyObject *mo = PyDict_GetItemWithError(store ? u->jstore : u->jload,
+                                           key);
+    Py_DECREF(key);
+    if (mo == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    if (!PyTuple_CheckExact(mo) || PyTuple_GET_SIZE(mo) != 4) {
+        PyErr_SetString(PyExc_TypeError, "page memo is not a 4-tuple");
         return -1;
     }
-    if (mo == Py_None) {
-        Py_DECREF(mo);
-        Py_DECREF(key);
-        return 0;
-    }
-    if (!PyTuple_Check(mo) || PyTuple_GET_SIZE(mo) != 4) {
-        PyErr_SetString(PyExc_TypeError, "page memo is not a 4-tuple");
-        goto fail;
-    }
     int ok = PyObject_IsTrue(PyTuple_GET_ITEM(mo, um ? 1 : 2));
-    if (ok < 0)
-        goto fail;
-    if (!ok) {
-        if (PyObject_DelItem(store ? u->dstore : u->dload, key) < 0
-                || PyObject_DelItem(memo_map, key) < 0)
-            goto fail;
-        Py_DECREF(mo);
-        Py_DECREF(key);
-        return 2;
-    }
+    if (ok <= 0)
+        return ok < 0 ? -1 : 2;
     PyObject *fb = PyTuple_GET_ITEM(mo, 0);
     if (!PyByteArray_CheckExact(fb) || PyByteArray_GET_SIZE(fb) != 4096) {
         PyErr_SetString(PyExc_TypeError, "frame is not a 4 KiB bytearray");
-        goto fail;
+        return -1;
     }
     uint64_t pp = PyLong_AsUnsignedLongLong(PyTuple_GET_ITEM(mo, 3));
     if (pp == M64 && PyErr_Occurred())
-        goto fail;
+        return -1;
     Site *s = &u->sc[i];
     Py_INCREF(fb);
     Py_XSETREF(s->fb, fb);
@@ -572,13 +559,7 @@ fill(Unit *u, Py_ssize_t i, uint64_t vp, int um, int store)
     s->vp = vp;
     s->pp = pp;
     s->ep = u->epoch;
-    Py_DECREF(mo);
-    Py_DECREF(key);
     return 1;
-fail:
-    Py_DECREF(mo);
-    Py_DECREF(key);
-    return -1;
 }
 
 static void
@@ -666,12 +647,11 @@ frame_get(PyObject *frames, uint64_t idx, PyObject **out)
     return 1;
 }
 
-/* Serve a plain READ/WRITE access no page view holds, in place of the
-   eager ``Core.load``/``Core.store`` callout, when that callout would
-   (A) replay ``MMU._walk_memo`` on a D-TLB miss, (B) find the page in
-   the D-TLB but not in the D-side page cache, or, for a load, (C) find
-   it in both: ``Core.load``'s inline path, which the page views leave
-   to the callout when the page's frame was never materialized.
+/* Serve a plain READ/WRITE access that no page view and no page memo
+   holds, in place of the eager ``Core.load``/``Core.store`` callout,
+   when that callout would (A) replay ``MMU._walk_memo`` on a D-TLB miss
+   or (B) hit the D-TLB: a page memoized in the other direction only,
+   touched by ``ld.ro`` or with no frame.
 
    Phase 1 checks every precondition and changes nothing (the frame
    ``get`` calls may materialize a copy-on-write frame, which the
@@ -680,22 +660,19 @@ frame_get(PyObject *frames, uint64_t idx, PyObject **out)
    translation, TLB and walk counters, the TLB insert with its eviction
    and shadow purges, walk cycles, the D-cache access, the frame read
    (zeros when there is no frame, as ``PhysicalMemory.read`` gives) or
-   write, the D-side page cache insert with its capacity clear. When
-   the frame exists it then memoizes the page and makes it site ``s``'s
-   view in the new epoch ``ep``, as the next ``_jload_fill`` or
-   ``_jstore_fill`` would. Returns 2 when served with that view, 1 when
+   write. When the frame exists it then memoizes the page, as the
+   callout's ``Core._memoize`` would, and makes it site ``s``'s view in
+   the new epoch ``ep``. Returns 2 when served with that view, 1 when
    served without one, 0 when the callout must run (it then does
    everything once), -1 on error. ``ld.ro`` and AMOs never come here. */
 static int
 refill(Unit *u, Site *s, uint64_t ep, uint64_t va, int width, int store,
        int sgn, int um, uint64_t *val, int64_t *ch)
 {
-    PyObject *pages = store ? u->dstore : u->dload;
-    PyObject *jmemo = store ? u->jstore : u->jload;
     PyObject *key = NULL, *entry = NULL, *pte = NULL, *frames = NULL,
-        *fb = NULL, *ppo = NULL, *cached = NULL;
+        *fb = NULL, *ppo = NULL;
     uint64_t vpn = va >> 12, off = va & 0xFFF, ppn, paddr;
-    int64_t gen, dgen, acc = 0;
+    int64_t acc = 0;
     int r = -1, t, tlb_hit, user, ok;
 
     /* -- phase 1: checks ---------------------------------------------- */
@@ -705,24 +682,12 @@ refill(Unit *u, Site *s, uint64_t ep, uint64_t va, int width, int store,
         return t;
     if ((t = attr_true(u->mmu, s_bare)) != 0)
         return t < 0 ? -1 : 0;
-    if (attr_i64(u->mmu, s_generation, &gen) < 0
-            || attr_i64(u->core, s_dside_generation, &dgen) < 0)
-        return -1;
-    if (gen != dgen)
-        return 0;
     if ((key = PyLong_FromUnsignedLongLong(vpn)) == NULL)
         return -1;
-    cached = PyDict_GetItemWithError(pages, key);
-    if (cached == NULL && PyErr_Occurred())
-        goto out;
-    Py_XINCREF(cached);
     entry = PyDict_GetItemWithError(u->tent, key);
     tlb_hit = entry != NULL;
-    if (tlb_hit) {                                      /* B or C */
+    if (tlb_hit)                                        /* B */
         Py_INCREF(entry);
-        if (cached && store)
-            goto fallback;
-    }
     else {                                              /* A */
         int64_t root, memo_root, pa;
         if (PyErr_Occurred()
@@ -783,14 +748,6 @@ refill(Unit *u, Site *s, uint64_t ep, uint64_t va, int width, int store,
     ppn = PyLong_AsUnsignedLongLong(ppo);
     if (ppn == M64 && PyErr_Occurred())
         goto out;
-    if (cached && tlb_hit) {
-        /* C: the inline path needs the cached frame to be the entry's */
-        if ((t = PyObject_RichCompareBool(cached, ppo, Py_EQ)) <= 0) {
-            if (t < 0)
-                goto out;
-            goto fallback;
-        }
-    }
     paddr = (ppn << 12) | off;
     if (ppn >= (1ULL << 52) || paddr + (uint64_t)width > u->MSZ)
         goto fallback;
@@ -835,10 +792,6 @@ refill(Unit *u, Site *s, uint64_t ep, uint64_t va, int width, int store,
             goto out;
     }
     else {
-        if (cached && (PyDict_DelItem(pages, key) < 0
-                       || discard(jmemo, key) < 0))
-            goto out;
-        Py_CLEAR(cached);
         if (add_attr(u->mmu_stats, s_translations, 1) < 0
                 || add_attr(u->dtlb, s_misses, 1) < 0
                 || add_attr(u->mmu_stats, s_walks, 1) < 0)
@@ -905,22 +858,13 @@ refill(Unit *u, Site *s, uint64_t ep, uint64_t va, int width, int store,
         *val = v;
     }
     r = 1;
-    if (cached)
-        goto out;       /* C: the inline path inserts nothing */
-    if (PyDict_Size(pages) >= u->DCAP) {
-        PyDict_Clear(pages);
-        PyDict_Clear(jmemo);
-    }
-    if (PyDict_SetItem(pages, key, ppo) < 0)
-        goto error;
     if (fb == NULL)
-        goto out;       /* _jload_fill keeps frameless pages uncached */
-    /* What _jload_fill/_jstore_fill would memoize for this page now. */
+        goto out;       /* a frameless page stays unmemoized */
     PyObject *mo = PyTuple_Pack(4, fb, Py_True, user ? Py_True : Py_False,
                                 ppo);
     if (mo == NULL)
         goto error;
-    t = PyDict_SetItem(jmemo, key, mo);
+    t = PyDict_SetItem(store ? u->jstore : u->jload, key, mo);
     Py_DECREF(mo);
     if (t < 0)
         goto error;
@@ -940,7 +884,6 @@ fallback:
     r = 0;
 out:
     Py_XDECREF(key);
-    Py_XDECREF(cached);
     Py_XDECREF(entry);
     Py_XDECREF(pte);
     Py_XDECREF(frames);
@@ -997,9 +940,10 @@ out:
         CHECK(scode = contains_u64(u->cframes, spp)); } while (0)
 
 /* Find the page view of a load/store at ``va``: the shared guard, else
-   this site's entry from the current epoch, else a memo fill (which
-   may lose permission: the caller's page fault). Leaves ``have`` 1
-   when a view is set up, 0 for the eager fallback. */
+   this site's entry from the current epoch, else the page memo (whose
+   entry may deny the current mode: the caller's page fault). Leaves
+   ``have`` 1 when a view is set up, 0 for the refill or the eager
+   fallback. */
 #define FIND_VIEW(guard, mask, align_ok, VIEW, is_store, cause) do { \
         have = 1; \
         if ((va & (mask)) != (guard)) { \
@@ -1008,7 +952,7 @@ out:
                 VIEW(s_); \
             else { \
                 have = 0; \
-                if ((align_ok) && dok) { \
+                if (align_ok) { \
                     uint64_t vp_ = va >> 12; \
                     int r_ = fill(u, i, vp_, um, (is_store)); \
                     CHECK(r_); \
@@ -1109,12 +1053,11 @@ run(Unit *u, int64_t b)
     Py_ssize_t i = 0;
     int64_t fc = 0, bc = 0, mc = 0, pf = 0, ip = 0;
     int64_t dh = 0, ch = 0, ti = 0, tcy = 0, tb2 = 0, tmd = 0, tic = 0;
-    int warm = 0, dok = 0, um = 1, babort = 0, scode = 0;
+    int warm = 0, um = 1, babort = 0, scode = 0;
     uint64_t lvb = NONE64, svb = NONE64, ldp = NONE64, lln = NONE64;
     uint64_t lvp = NONE64, svp = NONE64, lpb = 0, spb = 0, spp = 0, of = 0;
     unsigned char *lptr = NULL, *sptr = NULL;
     uint64_t ep = ++u->epoch;
-    int64_t gen = 0;
     uint64_t next = 0;
     PyObject *result = NULL;
 
@@ -1126,14 +1069,10 @@ run(Unit *u, int64_t b)
         return NULL;
     }
     if (u->dside) {
-        int64_t dgen;
-        if (attr_i64(u->mmu, s_generation, &gen) < 0
-                || attr_i64(u->core, s_dside_generation, &dgen) < 0
-                || (um = attr_true(u->mmu, s_user_mode)) < 0) {
+        if ((um = attr_true(u->mmu, s_user_mode)) < 0) {
             Py_DECREF(regs);
             return NULL;
         }
-        dok = dgen == gen;
         um = !um;
     }
 
@@ -1341,11 +1280,6 @@ run(Unit *u, int64_t b)
                 }
                 next = u->HEAD;
                 goto done;
-            }
-            if (!dok) {
-                int64_t dgen;
-                CHECK(attr_i64(u->core, s_dside_generation, &dgen));
-                dok = dgen == gen;
             }
             /* A pure-C loop still answers signals (SIGINT, SIGTERM). */
             CHECK(PyErr_CheckSignals());
@@ -1563,8 +1497,8 @@ unit_clear_sites(Unit *u)
 
 #define UNIT_OBJECTS(X) X(wcore) X(packed) X(gh) X(irt) X(ilines) X(mmu) \
     X(stats) X(load) X(store) X(icache) X(isets) X(dcache) X(dsets) \
-    X(dtlb) X(tent) X(mmu_stats) X(dload) X(jload) X(jlf) X(dstore) \
-    X(jstore) X(jsf) X(memory) X(wmemo) X(mmio) X(fpages) X(cframes)
+    X(dtlb) X(tent) X(mmu_stats) X(jload) X(jstore) X(memory) X(wmemo) \
+    X(mmio) X(fpages) X(cframes)
 
 static int
 unit_traverse(Unit *u, visitproc visit, void *arg)
@@ -1625,34 +1559,32 @@ lookup_attr(PyObject *obj, const char *name)
 
 /* bind(core, packed, gh, irt, ilines, n, head_pc, loop, dside, bpt, mut,
         pqt, params, mmu, stats, load, store, icache, dcache, dtlb,
-        dload, jload, jlf, dstore, jstore, jsf, memory, walk_memo, mmio,
-        fpages, cframes)
+        jload, jstore, memory, walk_memo, mmio, fpages, cframes)
 
    ``icache`` may be None (no I-cache); ``dcache`` and ``dtlb`` through
    ``mmio`` are all None without a flat D-side; ``params`` is the core's
-   TimingParams. ``load``, ``store``, ``jlf`` and ``jsf`` are functions
-   of the core's class, not bound methods, and the unit keeps only a
-   weak reference to ``core``. */
+   TimingParams. ``load`` and ``store`` are functions of the core's
+   class, not bound methods, and the unit keeps only a weak reference
+   to ``core``. */
 static PyObject *
-bind(PyObject *mod, PyObject *args)
+bind(PyObject *Py_UNUSED(mod), PyObject *args)
 {
     PyObject *core, *packed, *gh, *irt, *ilines, *params, *mmu, *stats,
-        *load, *store, *icache, *dcache, *dtlb, *dload, *jload, *jlf,
-        *dstore, *jstore, *jsf, *memory, *wmemo, *mmio, *fpages, *cframes;
+        *load, *store, *icache, *dcache, *dtlb, *jload, *jstore, *memory,
+        *wmemo, *mmio, *fpages, *cframes;
     long long nt, bpt, mut, pqt;
     unsigned long long head;
     int loop, dside;
-    if (!PyArg_ParseTuple(args, "OO!O!O!O!LKppLLLOOOOOOOOOOOOOOOOOOO:bind",
+    if (!PyArg_ParseTuple(args, "OO!O!O!O!LKppLLLOOOOOOOOOOOOOOO:bind",
                           &core, &PyBytes_Type, &packed, &PyTuple_Type, &gh,
                           &PyTuple_Type, &irt, &PyTuple_Type, &ilines, &nt,
                           &head, &loop, &dside, &bpt, &mut, &pqt, &params,
                           &mmu, &stats, &load, &store, &icache, &dcache,
-                          &dtlb, &dload, &jload, &jlf, &dstore, &jstore,
-                          &jsf, &memory, &wmemo, &mmio, &fpages, &cframes))
+                          &dtlb, &jload, &jstore, &memory, &wmemo, &mmio,
+                          &fpages, &cframes))
         return NULL;
     if (wmemo != Py_None
-            && !(PyDict_CheckExact(wmemo) && PyDict_CheckExact(dload)
-                 && PyDict_CheckExact(jload) && PyDict_CheckExact(dstore)
+            && !(PyDict_CheckExact(wmemo) && PyDict_CheckExact(jload)
                  && PyDict_CheckExact(jstore) && PyList_CheckExact(mmio))) {
         PyErr_SetString(PyExc_TypeError, "D-side state of the wrong type");
         return NULL;
@@ -1689,8 +1621,8 @@ bind(PyObject *mod, PyObject *args)
 #define KEEP(f) Py_INCREF(f); u->f = f;
     KEEP(packed) KEEP(gh) KEEP(irt) KEEP(ilines) KEEP(mmu)
     KEEP(stats) KEEP(load) KEEP(store) KEEP(icache) KEEP(dcache) KEEP(dtlb)
-    KEEP(dload) KEEP(jload) KEEP(jlf) KEEP(dstore) KEEP(jstore) KEEP(jsf)
-    KEEP(memory) KEEP(wmemo) KEEP(mmio) KEEP(fpages) KEEP(cframes)
+    KEEP(jload) KEEP(jstore) KEEP(memory) KEEP(wmemo) KEEP(mmio)
+    KEEP(fpages) KEEP(cframes)
 #undef KEEP
     PyObject_GC_Track(u);
     if ((u->wcore = PyWeakref_NewRef(core, NULL)) == NULL)
@@ -1702,12 +1634,11 @@ bind(PyObject *mod, PyObject *args)
             || attr_i64s(params, "jump_penalty", &u->JP) < 0
             || attr_i64s(params, "tlb_walk_access", &u->TWA) < 0)
         goto fail;
-    u->TCAP = u->DCAP = 0;
+    u->TCAP = 0;
     u->MSZ = 0;
     if (wmemo != Py_None) {
         int64_t msz;
         if (attr_i64s(dtlb, "capacity", &u->TCAP) < 0
-                || attr_i64s(core, "_dside_cap", &u->DCAP) < 0
                 || attr_i64s(memory, "size", &msz) < 0)
             goto fail;
         u->MSZ = (uint64_t)msz;
@@ -1763,7 +1694,7 @@ fail:
 }
 
 static PyObject *
-setup(PyObject *mod, PyObject *args)
+setup(PyObject *Py_UNUSED(mod), PyObject *args)
 {
     PyObject *trap, *lpf, *spf;
     if (!PyArg_ParseTuple(args, "OOO:setup", &trap, &lpf, &spf))
@@ -1788,7 +1719,7 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_flatcore_native",
     "Native runner of the flat core (see repro.cpu.flatcore).", -1,
-    methods,
+    methods, NULL, NULL, NULL, NULL,
 };
 
 PyMODINIT_FUNC
@@ -1805,8 +1736,7 @@ PyInit__flatcore_native(void)
         {&s_side_exits, "region_side_exits"},
         {&s_block_abort, "_block_abort"},
         {&s_flush_blocks, "_flush_blocks"},
-        {&s_dside_generation, "_dside_generation"},
-        {&s_generation, "generation"}, {&s_user_mode, "user_mode"},
+        {&s_user_mode, "user_mode"},
         {&s_regs, "regs"}, {&s_move_to_end, "move_to_end"},
         {&s_popitem, "popitem"}, {&s_tval, "tval"},
         {&s_read_ro, "read_ro"},

@@ -134,15 +134,21 @@ class Core:
         # the current instruction: its remaining pre-decoded entries may
         # be stale (a store patched code later in the same block).
         self._block_abort = False
-        # D-side fast path: vpn -> frame base for pages proven plain
-        # (non-MMIO) this MMU generation; permissions are re-checked
-        # against the live D-TLB entry on every hit. A zero cap disables
-        # it (MMU backends without a D-TLB, e.g. the keyed PMP).
+        # D-side page memos, one per direction: vpn -> (frame,
+        # ok_kernel, ok_user, ppn), filled when an eager READ/WRITE
+        # succeeds on a plain-RAM (non-MMIO) page whose frame exists.
+        # An entry is valid exactly while the D-TLB entry it was derived
+        # from stays resident and unreplaced: the memos are the D-TLB's
+        # shadows, which TLB.insert/flush/flush_page purge, so a memo
+        # hit replays a D-TLB hit. The tier-1 inline paths below and
+        # the native runner read them. Without a D-TLB (the keyed PMP)
+        # nothing fills them.
         dtlb = getattr(mmu, "dtlb", None)
-        self._dside_cap = dtlb.capacity if dtlb is not None else 0
-        self._dload_pages: "dict[int, int]" = {}
-        self._dstore_pages: "dict[int, int]" = {}
-        self._dside_generation = -1
+        self._dtlb = dtlb
+        self._jload_memo: "dict[int, tuple]" = {}
+        self._jstore_memo: "dict[int, tuple]" = {}
+        if dtlb is not None:
+            dtlb.shadows = (self._jload_memo, self._jstore_memo)
         # Tier 4 (DESIGN.md §9, §12-13). Every block is lowered to the
         # flat core on its first dispatch (a short run executes most
         # blocks once or twice, and a lowered block serves its loads and
@@ -185,17 +191,6 @@ class Core:
         # delta across each region call (regions bump stats directly);
         # tier 2 stays the derived remainder.
         self.tier4_retired = 0
-        # Flat-core merged page memos: vpn -> (frame, ok_kernel, ok_user,
-        # ppn), collapsing the D-side page lookup + D-TLB revalidation +
-        # frame fetch into one dict hit. An entry is valid only while
-        # (a) the vpn stays in the matching _d*_pages map — every del/
-        # clear below purges the memo too — and (b) the D-TLB entry it
-        # was derived from is still resident and unreplaced, enforced by
-        # registering the memos as TLB shadows (see TLB.insert/flush).
-        self._jload_memo: "dict[int, tuple]" = {}
-        self._jstore_memo: "dict[int, tuple]" = {}
-        if dtlb is not None:
-            dtlb.shadows = (self._jload_memo, self._jstore_memo)
         # Optional per-retired-instruction callback: (pc, insn) -> None.
         # Used by repro.cpu.tracer; None costs one attribute test/step.
         # Prefer add_retire_hook/remove_retire_hook, which compose
@@ -319,8 +314,6 @@ class Core:
     def add_mmio(self, region: MMIORegion) -> None:
         self.mmio.append(region)
         # Pages memoised as plain RAM may now overlap a device window.
-        self._dload_pages.clear()
-        self._dstore_pages.clear()
         self._jload_memo.clear()
         self._jstore_memo.clear()
 
@@ -344,74 +337,44 @@ class Core:
         if vaddr & (width - 1):
             raise Trap(Cause.MISALIGNED_LOAD, self._current_pc, tval=vaddr)
         if memop == MemOp.READ and self.fast_path_enabled:
-            mmu = self.mmu
-            if self._dside_generation == mmu.generation:
-                vpn = vaddr >> 12
-                ppn = self._dload_pages.get(vpn)
-                if ppn is not None:
-                    # Inlined TLB.probe_hit: count the hit and refresh LRU
-                    # when resident; record nothing on a miss (the full
-                    # translate path below then counts it exactly once).
-                    dtlb = mmu.dtlb
-                    entries = dtlb._entries
-                    entry = entries.get(vpn)
-                    if entry is not None:
-                        entries.move_to_end(vpn)
-                        dtlb.hits += 1
-                        if entry.ppn == ppn:
-                            mmu.stats.translations += 1
-                            if entry.readable and (not mmu.user_mode
-                                                   or entry.user):
-                                off = vaddr & 0xFFF
-                                paddr = (ppn << 12) | off
-                                dcache = self.dcache
-                                if dcache is not None:
-                                    # Inlined Cache.access + timing.dcache.
-                                    line = paddr >> dcache._line_shift
-                                    ways = dcache._sets[
-                                        line & (dcache.num_sets - 1)]
-                                    if line in ways:
-                                        ways.move_to_end(line)
-                                        dcache.hits += 1
-                                    else:
-                                        dcache.misses += 1
-                                        ways[line] = True
-                                        if len(ways) > dcache.ways:
-                                            ways.popitem(last=False)
-                                        stats = self.timing.stats
-                                        stats.dcache_misses += 1
-                                        stats.cycles += \
-                                            self.timing.params \
-                                                .cache_miss_penalty
-                                # Inlined PhysicalMemory.read: the page was
-                                # proven in range when this entry was
-                                # filled, and alignment keeps off+width
-                                # inside it.
-                                fb = self.memory._frames.get(ppn)
-                                value = 0 if fb is None else int.from_bytes(
-                                    fb[off:off + width], "little")
-                                if signed:
-                                    bits = width << 3
-                                    if value >> (bits - 1):
-                                        value = (value - (1 << bits)) \
-                                            & MASK64
-                                return value
-                            # Permission lost while the entry stayed
-                            # cached: the same outcome MMU._check would
-                            # produce.
-                            del self._dload_pages[vpn]
-                            self._jload_memo.pop(vpn, None)
-                            raise Trap(Cause.LOAD_PAGE_FAULT,
-                                       self._current_pc, tval=vaddr)
-                    # Evicted from the D-TLB (or remapped): retranslate.
-                    del self._dload_pages[vpn]
-                    self._jload_memo.pop(vpn, None)
-            else:
-                self._dload_pages.clear()
-                self._dstore_pages.clear()
-                self._jload_memo.clear()
-                self._jstore_memo.clear()
-                self._dside_generation = mmu.generation
+            vpn = vaddr >> 12
+            memo = self._jload_memo.get(vpn)
+            if memo is not None:
+                # A D-TLB hit on the memo's resident entry: TLB.lookup's
+                # LRU move and counts, then MMU._check's outcome.
+                mmu = self.mmu
+                dtlb = self._dtlb
+                dtlb._entries.move_to_end(vpn)
+                dtlb.hits += 1
+                mmu.stats.translations += 1
+                if not memo[2 if mmu.user_mode else 1]:
+                    raise Trap(Cause.LOAD_PAGE_FAULT, self._current_pc,
+                               tval=vaddr)
+                off = vaddr & 0xFFF
+                dcache = self.dcache
+                if dcache is not None:
+                    # Inlined Cache.access + timing.dcache.
+                    line = ((memo[3] << 12) | off) >> dcache._line_shift
+                    ways = dcache._sets[line & (dcache.num_sets - 1)]
+                    if line in ways:
+                        ways.move_to_end(line)
+                        dcache.hits += 1
+                    else:
+                        dcache.misses += 1
+                        ways[line] = True
+                        if len(ways) > dcache.ways:
+                            ways.popitem(last=False)
+                        stats = self.timing.stats
+                        stats.dcache_misses += 1
+                        stats.cycles += self.timing.params.cache_miss_penalty
+                # Inlined PhysicalMemory.read: alignment keeps off+width
+                # inside the memo's frame.
+                value = int.from_bytes(memo[0][off:off + width], "little")
+                if signed:
+                    bits = width << 3
+                    if value >> (bits - 1):
+                        value = (value - (1 << bits)) & MASK64
+                return value
         tr = self._translate(vaddr, memop, key)
         if tr.walk_accesses:
             self.timing.tlb_walk(tr.walk_accesses, instruction_side=False)
@@ -422,12 +385,8 @@ class Core:
             if self.dcache is not None:
                 self.timing.dcache(self.dcache.access(tr.paddr))
             value = self.memory.read(tr.paddr, width)
-            if (region is None and memop == MemOp.READ and self._dside_cap
-                    and self.fast_path_enabled and not self.mmu.bare):
-                if len(self._dload_pages) >= self._dside_cap:
-                    self._dload_pages.clear()
-                    self._jload_memo.clear()
-                self._dload_pages[vaddr >> 12] = tr.paddr >> 12
+            if region is None and memop == MemOp.READ:
+                self._memoize(self._jload_memo, vaddr, tr.paddr)
         if signed:
             return to_u64(sext(value, width * 8))
         return value
@@ -437,69 +396,43 @@ class Core:
         if vaddr & (width - 1):
             raise Trap(Cause.MISALIGNED_STORE, self._current_pc, tval=vaddr)
         if memop == MemOp.WRITE and self.fast_path_enabled:
-            mmu = self.mmu
-            if self._dside_generation == mmu.generation:
-                vpn = vaddr >> 12
-                ppn = self._dstore_pages.get(vpn)
-                if ppn is not None:
-                    # Inlined TLB.probe_hit (see load()).
-                    dtlb = mmu.dtlb
-                    entries = dtlb._entries
-                    entry = entries.get(vpn)
-                    if entry is not None:
-                        entries.move_to_end(vpn)
-                        dtlb.hits += 1
-                        if entry.ppn == ppn:
-                            mmu.stats.translations += 1
-                            if entry.writable and (not mmu.user_mode
-                                                   or entry.user):
-                                off = vaddr & 0xFFF
-                                paddr = (ppn << 12) | off
-                                if self._code_frames \
-                                        and ppn in self._code_frames:
-                                    self._flush_blocks()
-                                dcache = self.dcache
-                                if dcache is not None:
-                                    # Inlined Cache.access + timing.dcache.
-                                    line = paddr >> dcache._line_shift
-                                    ways = dcache._sets[
-                                        line & (dcache.num_sets - 1)]
-                                    if line in ways:
-                                        ways.move_to_end(line)
-                                        dcache.hits += 1
-                                    else:
-                                        dcache.misses += 1
-                                        ways[line] = True
-                                        if len(ways) > dcache.ways:
-                                            ways.popitem(last=False)
-                                        stats = self.timing.stats
-                                        stats.dcache_misses += 1
-                                        stats.cycles += \
-                                            self.timing.params \
-                                                .cache_miss_penalty
-                                # Inlined PhysicalMemory.write (page in
-                                # range, access alignment-contained).
-                                frames = self.memory._frames
-                                fb = frames.get(ppn)
-                                if fb is None:
-                                    fb = bytearray(4096)
-                                    frames[ppn] = fb
-                                fb[off:off + width] = \
-                                    (value & ((1 << (width << 3)) - 1)) \
-                                    .to_bytes(width, "little")
-                                return
-                            del self._dstore_pages[vpn]
-                            self._jstore_memo.pop(vpn, None)
-                            raise Trap(Cause.STORE_PAGE_FAULT,
-                                       self._current_pc, tval=vaddr)
-                    del self._dstore_pages[vpn]
-                    self._jstore_memo.pop(vpn, None)
-            else:
-                self._dload_pages.clear()
-                self._dstore_pages.clear()
-                self._jload_memo.clear()
-                self._jstore_memo.clear()
-                self._dside_generation = mmu.generation
+            vpn = vaddr >> 12
+            memo = self._jstore_memo.get(vpn)
+            if memo is not None:
+                # A D-TLB hit on the memo's resident entry (see load()).
+                mmu = self.mmu
+                dtlb = self._dtlb
+                dtlb._entries.move_to_end(vpn)
+                dtlb.hits += 1
+                mmu.stats.translations += 1
+                if not memo[2 if mmu.user_mode else 1]:
+                    raise Trap(Cause.STORE_PAGE_FAULT, self._current_pc,
+                               tval=vaddr)
+                off = vaddr & 0xFFF
+                ppn = memo[3]
+                if self._code_frames and ppn in self._code_frames:
+                    self._flush_blocks()
+                dcache = self.dcache
+                if dcache is not None:
+                    # Inlined Cache.access + timing.dcache.
+                    line = ((ppn << 12) | off) >> dcache._line_shift
+                    ways = dcache._sets[line & (dcache.num_sets - 1)]
+                    if line in ways:
+                        ways.move_to_end(line)
+                        dcache.hits += 1
+                    else:
+                        dcache.misses += 1
+                        ways[line] = True
+                        if len(ways) > dcache.ways:
+                            ways.popitem(last=False)
+                        stats = self.timing.stats
+                        stats.dcache_misses += 1
+                        stats.cycles += self.timing.params.cache_miss_penalty
+                # Inlined PhysicalMemory.write (alignment-contained).
+                memo[0][off:off + width] = \
+                    (value & ((1 << (width << 3)) - 1)).to_bytes(width,
+                                                                  "little")
+                return
         tr = self._translate(vaddr, memop)
         if tr.walk_accesses:
             self.timing.tlb_walk(tr.walk_accesses, instruction_side=False)
@@ -512,52 +445,21 @@ class Core:
         if self.dcache is not None:
             self.timing.dcache(self.dcache.access(tr.paddr))
         self.memory.write(tr.paddr, width, value)
-        if (region is None and memop == MemOp.WRITE and self._dside_cap
-                and self.fast_path_enabled and not self.mmu.bare):
-            if len(self._dstore_pages) >= self._dside_cap:
-                self._dstore_pages.clear()
-                self._jstore_memo.clear()
-            self._dstore_pages[vaddr >> 12] = tr.paddr >> 12
+        if region is None and memop == MemOp.WRITE:
+            self._memoize(self._jstore_memo, vaddr, tr.paddr)
 
-    def _jload_fill(self, vpn: int) -> "tuple | None":
-        """Populate the flat core's load memo for one page.
-
-        Fills only when the full inline fast path would succeed right
-        now: vpn in the D-side page cache, D-TLB entry resident with a
-        matching ppn, physical frame materialized. Pure — no counter or
-        LRU side effects; on None the compiled code falls back to
-        :meth:`load`, whose eager path performs (and counts) the exact
-        slow-path semantics.
-        """
-        ppn = self._dload_pages.get(vpn)
-        if ppn is None:
-            return None
-        entry = self.mmu.dtlb._entries.get(vpn)
-        if entry is None or entry.ppn != ppn:
-            return None
+    def _memoize(self, memo: dict, vaddr: int, paddr: int) -> None:
+        """Memoize the page of an eager plain access that just succeeded
+        through the D-TLB (its entry for the page is resident now).
+        Pages with no frame stay out: there is no frame to pin."""
+        if self._dtlb is None or not self.fast_path_enabled \
+                or self.mmu.bare:
+            return
+        ppn = paddr >> 12
         fb = self.memory._frames.get(ppn)
-        if fb is None:
-            # Keep never-written pages uncached: the frame object the
-            # memo would pin doesn't exist yet.
-            return None
-        memo = (fb, entry.readable, entry.readable and entry.user, ppn)
-        self._jload_memo[vpn] = memo
-        return memo
-
-    def _jstore_fill(self, vpn: int) -> "tuple | None":
-        """Store-side twin of :meth:`_jload_fill`."""
-        ppn = self._dstore_pages.get(vpn)
-        if ppn is None:
-            return None
-        entry = self.mmu.dtlb._entries.get(vpn)
-        if entry is None or entry.ppn != ppn:
-            return None
-        fb = self.memory._frames.get(ppn)
-        if fb is None:
-            return None
-        memo = (fb, entry.writable, entry.writable and entry.user, ppn)
-        self._jstore_memo[vpn] = memo
-        return memo
+        if fb is not None:
+            vpn = vaddr >> 12
+            memo[vpn] = (fb, True, self._dtlb._entries[vpn].user, ppn)
 
     # -- fetch/decode --------------------------------------------------------
 
@@ -598,9 +500,9 @@ class Core:
         was descheduled at MMU ``generation``. If the cached code was
         current then, its block generation is re-based onto the MMU's
         and True is returned; otherwise nothing changes and the caller
-        flushes. The fetch-page cache and the D-side memos still follow
-        the MMU generation, so kept code re-walks its pages exactly as a
-        cold run would.
+        flushes. The fetch-page cache still follows the MMU generation
+        and the D-side memos the D-TLB, which ``set_root`` flushed, so
+        kept code re-walks its pages exactly as a cold run would.
         """
         if self._block_generation != generation:
             return False

@@ -263,8 +263,7 @@ class Lowered(NamedTuple):
 def _dside(core) -> bool:
     """Whether loads and stores lower to the flat D-side fast path."""
     mmu = core.mmu
-    return bool(core._dside_cap) and getattr(mmu, "dtlb", None) is not None \
-        and not mmu.bare
+    return getattr(mmu, "dtlb", None) is not None and not mmu.bare
 
 
 def lowering_key(core) -> tuple:
@@ -567,12 +566,10 @@ def _bind(core, lowered):
     mmu = core.mmu
     cls = type(core)
     if dside:
-        dside_state = (mmu.dtlb, core._dload_pages, core._jload_memo,
-                       cls._jload_fill, core._dstore_pages,
-                       core._jstore_memo, cls._jstore_fill, core.memory,
-                       mmu._walk_memo, core.mmio)
+        dside_state = (mmu.dtlb, core._jload_memo, core._jstore_memo,
+                       core.memory, mmu._walk_memo, core.mmio)
     else:
-        dside_state = (None,) * 10
+        dside_state = (None,) * 6
     return _native.bind(
         core, lowered.PACKED, lowered.GH, lowered.IRT, lowered.ILINES,
         lowered.n, lowered.head_pc, lowered.loop, dside, lowered.BPT,

@@ -37,10 +37,6 @@ class Instruction:
     semclass: str = field(default="alu", repr=False)
 
     @property
-    def is_compressed(self) -> bool:
-        return self.length == 2
-
-    @property
     def is_roload(self) -> bool:
         return self.semclass == "roload"
 

@@ -64,12 +64,10 @@ class KeyedPMP:
         self.roload_enabled = roload_enabled
         self.roload_checks = 0
         self.roload_faults = 0
-        # PMP region configuration is static at run time in this model,
-        # so the core's fetch fast path never needs invalidating.
+        # The regions are fixed at construction (nothing changes them
+        # at run time), so the core's fetch fast path never needs
+        # invalidating.
         self.generation = 0
-
-    def add_region(self, region: PMPRegion) -> None:
-        self.regions.append(region)
 
     def region_for(self, addr: int) -> Optional[PMPRegion]:
         for region in self.regions:

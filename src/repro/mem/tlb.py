@@ -43,9 +43,11 @@ class TLB:
         self.flushes = 0
         # Shadow maps (vpn-keyed dicts) whose entries are only valid
         # while the TLB entry they were derived from stays resident and
-        # unreplaced. The core registers the flat core's page memos
-        # (repro.cpu.flatcore) here; purging on insert/evict/flush is
-        # what makes "memo hit" imply "this exact entry is still live".
+        # unreplaced. The core registers its D-side page memos here, its
+        # only D-side page cache (Core._jload_memo/_jstore_memo, read by
+        # tier 1 and the flat core's native runner); purging on insert/
+        # evict/flush/flush_page is what makes "memo hit" imply "this
+        # exact entry is still live", whatever the MMU generation.
         self.shadows: "tuple[dict, ...]" = ()
 
     def lookup(self, vpn: int) -> Optional[TLBEntry]:

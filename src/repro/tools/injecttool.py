@@ -24,8 +24,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.config import TIERS
-from repro.errors import ReproError
+from repro.config import TIERS, check_tier
+from repro.errors import ReplayError, ReproError
 from repro.tools.cli import (add_config_flag, add_obs_flags, config_scope,
                              enable_obs, obs_requested, write_obs_outputs)
 
@@ -118,6 +118,8 @@ def _verify(args) -> int:
     from repro.fuzz.target import build_image, unrolled_spec
     from repro.replay import record_reference, verify_replay
     tiers = tuple(t for t in args.tiers.split(",") if t)
+    for tier in tiers:
+        check_tier(tier, ReplayError)   # before the reference run
     image = build_image(unrolled_spec(args.reps))
     reference = record_reference(image, stop_after=args.stop_after,
                                  profile=args.profile)

@@ -78,11 +78,6 @@ def to_u32(value: int) -> int:
     return value & MASK32
 
 
-def to_s32(value: int) -> int:
-    """Interpret a 32-bit value as signed."""
-    return sext(value, 32)
-
-
 def sext32_to_u64(value: int) -> int:
     """Sign-extend a 32-bit result into the unsigned 64-bit register view.
 

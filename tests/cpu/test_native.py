@@ -100,12 +100,13 @@ def test_native_runner_is_used_where_a_compiler_works(tmp_path):
 
 
 def test_native_source_compiles_warning_free(tmp_path):
-    """-Wall -Werror against this interpreter's headers (CI runs the
-    suite on each Python version of its matrix)."""
+    """-Wall -Wextra -Werror against this interpreter's headers (CI runs
+    the suite on each Python version of its matrix)."""
     if not compiler_works(tmp_path):
         pytest.skip("no working C compiler for this interpreter")
     result = subprocess.run(
-        native.compile_command(tmp_path / "runner.so", extra=["-Werror"]),
+        native.compile_command(tmp_path / "runner.so",
+                               extra=["-Wextra", "-Werror"]),
         capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
 

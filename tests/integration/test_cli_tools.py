@@ -192,7 +192,11 @@ class TestInjectTool:
              "--config", "tier=tier1"])
         assert code == 0
 
-    def test_verify_refuses_an_unknown_tier(self, capsys):
+    def test_verify_refuses_an_unknown_tier(self, capsys, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the reference ran before the check")
+
+        monkeypatch.setattr("repro.replay.record_reference", refused)
         code = injecttool.main(
             ["verify", "--stop-after", "150", "--tiers", "slow,tier2"])
         assert code == 1

@@ -26,7 +26,9 @@ the lowering legs are left out of :data:`CONFIGS` and the tests that
 need them skip with :data:`repro.cpu.native.failure` as the reason.
 """
 
+import collections
 import dataclasses
+import sys
 
 import pytest
 
@@ -501,13 +503,13 @@ def test_ld_ro_served_from_the_cached_view_is_caught(monkeypatch):
 # stores to the 34 pages and loads twice from each of 34 pages nothing
 # writes. Every data-page access misses the D-TLB and replays the MMU's
 # walk memo after the first pass; the stores right after a load hit the
-# D-TLB but miss the D-side page cache. The store sweep evicts the probe
-# page while its page memo is still filled, so its second load must
-# count a miss, not a hit. A copy-on-write fork has no frames for the
-# unwritten pages (a snapshot drops zero frames): their loads read
-# zeros, the second one from a page in both the D-TLB and the D-side
-# page cache. The stride is a page plus a line, so each page lands in
-# its own D-cache set.
+# D-TLB but miss the store-side page memo. The store sweep evicts the
+# probe page while its page memo is still filled, so its second load
+# must count a miss, not a hit. A copy-on-write fork has no frames for
+# the unwritten pages (a snapshot drops zero frames): their loads read
+# zeros, the second one from a page the D-TLB holds but no page memo
+# can (it has no frame). The stride is a page plus a line, so each page
+# lands in its own D-cache set.
 THRASH = r"""
 .globl _start
 _start:
@@ -562,6 +564,8 @@ THRASH_PAGES = 34
 # A pass retires 5 + 34 * 4 + 7 + 34 * 13 + 2 instructions; stop a
 # little after the fourth.
 THRASH_PAUSE = 4 * 592 + 100
+# The five instructions before ``outer``, then the sixteen passes.
+THRASH_END = 5 + 16 * 592
 
 
 def swap_thrash_frames(kernel, process, image):
@@ -619,13 +623,141 @@ def test_dtlb_thrash_matches_on_both_runners(monkeypatch, fork):
             assert core.tier4_retired > 0   # non-vacuity
 
 
+# A hot loop loads from and stores to one data page (its load and store
+# page memos live), then asks the kernel to mprotect a page read-only
+# and touches both pages again, three times over. ``{target}`` is s0,
+# the looped page itself (the next pass's store faults), or s2, a page
+# the loop never touches.
+MPROTECT = r"""
+.globl _start
+_start:
+    la s0, data
+    la s2, other
+    li s1, 3
+outer:
+    li t0, 20
+loop:
+    ld a1, 0(s0)
+    addi a1, a1, 1
+    sd a1, 8(s0)
+    addi t0, t0, -1
+    bnez t0, loop
+    mv a0, {target}
+    li a1, 4096
+    li a2, 1
+    li a3, 0
+    li a7, 226
+    ecall
+    ld a4, 0(s2)
+    addi s1, s1, -1
+    bnez s1, outer
+    li a0, 0
+    li a7, 93
+    ecall
+.data
+.balign 4096
+data:
+    .quad 1
+    .space 4088
+other:
+    .quad 2
+    .space 4088
+"""
+
+
+def run_page_fenced_mprotect(monkeypatch, target, tier):
+    """MPROTECT on ``tier`` under a kernel whose mprotect fences only
+    the pages it changed (``sfence.vma`` with an address) where the
+    stock one flushes the whole TLB, so the MMU generation moves while
+    the D-TLB keeps every other entry. Returns the machine state, the
+    process's signal and, per mprotect, whether the looped page's load
+    and store memos were still filled right after the fence."""
+    from repro.kernel import syscalls
+
+    kept = []
+
+    def mprotect(dispatcher, process, core, args):
+        addr, length, prot = args[0], args[1], args[2]
+        process.address_space.mprotect(addr, length, prot, key=args[3])
+        before = core.mmu.generation
+        for page in range(addr, addr + length, 4096):
+            core.mmu.flush_page(page)
+        assert core.mmu.generation > before
+        vpn = core.regs[8] >> 12
+        kept.append(vpn in core._jload_memo and vpn in core._jstore_memo)
+        return 0
+
+    monkeypatch.setitem(syscalls._HANDLERS, syscalls.SYS_MPROTECT, mprotect)
+    kernel, process = run_kernel_program(
+        monkeypatch, MPROTECT.format(target=target), tier)
+    signal = None if process.signal is None \
+        else dataclasses.astuple(process.signal)
+    return machine_state(kernel.system.core), signal, kept
+
+
+def test_mprotect_of_a_memoized_page_faults_as_on_the_slow_tier(
+        monkeypatch):
+    """The page memos' one invalidation rule, positive control: an
+    mprotect fences the page whose load and store memos are live, and
+    the next store to it faults with the slow tier's pc, tval,
+    registers, counters and LRU order."""
+    slow, slow_signal, __ = run_page_fenced_mprotect(monkeypatch, "s0",
+                                                     "slow")
+    assert slow_signal is not None and slow_signal[0] == SIGSEGV
+    for tier in CONFIGS:
+        fast, signal, kept = run_page_fenced_mprotect(monkeypatch, "s0",
+                                                      tier)
+        assert (fast, signal) == (slow, slow_signal), tier
+        assert kept == [False], tier    # the fence purged both memos
+
+
+def test_the_mprotect_control_catches_a_fence_that_keeps_memos(
+        monkeypatch):
+    """The control above fails on a mutant: a ``TLB.flush_page`` that
+    drops the entry but leaves its shadows lets every memoizing leg
+    store to the page the slow tier faults on (or trips over the
+    missing entry)."""
+    from repro.mem.tlb import TLB
+
+    monkeypatch.setattr(TLB, "flush_page",
+                        lambda self, vpn: self._entries.pop(vpn, None))
+    slow = run_page_fenced_mprotect(monkeypatch, "s0", "slow")[:2]
+    for tier in CONFIGS:
+        try:
+            fast = run_page_fenced_mprotect(monkeypatch, "s0", tier)[:2]
+        except KeyError:
+            continue    # a memo hit moved the D-TLB entry that is gone
+        assert fast != slow, tier
+
+
+def test_mprotect_of_another_page_keeps_the_memos(monkeypatch):
+    """An mprotect of a page the loop never touches bumps the MMU
+    generation, but the looped page's D-TLB entry stays resident, so
+    its memos stay filled; counters and LRU order still match the slow
+    tier."""
+    slow, slow_signal, __ = run_page_fenced_mprotect(monkeypatch, "s2",
+                                                     "slow")
+    assert slow_signal is None
+    for tier in CONFIGS:
+        fast, signal, kept = run_page_fenced_mprotect(monkeypatch, "s2",
+                                                      tier)
+        assert (fast, signal) == (slow, slow_signal), tier
+        assert kept == [True] * 3, tier
+
+
 @needs_native
 def test_native_refill_makes_no_python_callouts(monkeypatch):
     """Once THRASH runs as regions and the walk memo holds every page,
     the native runner serves each D-TLB miss itself: no call reaches
-    ``Core.load``/``Core.store`` in the later passes. The warm-up passes
-    before them, whose first touches walk the page table, do call them,
-    which shows the probes count."""
+    ``Core.load``/``Core.store`` in the later passes, and a profiler
+    sees no Python function of ``Core`` run at all until the passes
+    end. The warm-up passes before them, whose first touches walk the
+    page table, do call them, which shows the probes count."""
+    core_code = set()
+    for attr in vars(Core).values():
+        fn = attr.fget if isinstance(attr, property) else attr
+        if hasattr(fn, "__code__"):
+            core_code.add(fn.__code__)
     calls = {"load": [], "store": []}
     load, store = Core.load, Core.store
 
@@ -640,13 +772,30 @@ def test_native_refill_makes_no_python_callouts(monkeypatch):
     set_tier(monkeypatch, "tier4")
     kernel = Kernel(build_system("processor+kernel", memory_size=64 << 20))
     process = kernel.create_process(link([assemble(THRASH)]))
-    kernel.run(process)
+    stats = kernel.system.core.timing.stats
+    profiled = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in core_code:
+            profiled.append((frame.f_code.co_name, stats.instructions))
+
+    sys.setprofile(profile)
+    try:
+        kernel.run(process)
+    finally:
+        sys.setprofile(None)
     assert kernel.system.core.tier4_retired > 0
     early = {name: sum(at <= THRASH_PAUSE for at in ats)
              for name, ats in calls.items()}
     late = {name: len(ats) - early[name] for name, ats in calls.items()}
     assert not any(late.values()), late
     assert early["load"] > THRASH_PAGES and early["store"] > 0, early
+    in_late_passes = [(name, at) for name, at in profiled
+                      if THRASH_PAUSE < at < THRASH_END]
+    assert not in_late_passes, collections.Counter(
+        name for name, __ in in_late_passes)
+    assert ("load", True) in {(name, at <= THRASH_PAUSE)
+                              for name, at in profiled}
 
 
 # A correctly keyed ld.ro on each of 40 keyed pages per pass: every
