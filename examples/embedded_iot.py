@@ -8,48 +8,49 @@ Two of the paper's "this also works" claims, demonstrated:
    carrying keys. Same ``ld.ro`` semantics, no page tables at all.
 2. **Return-site allowlists.** A protected function returns through a
    keyed read-only table of its legitimate return sites instead of
-   trusting the on-stack return address.
+   trusting the on-stack return address: the firmware is compiled with
+   the :class:`~repro.defenses.ReturnProtection` pass.
 
 Run:  python examples/embedded_iot.py
 """
 
 from repro.asm import assemble, link
+from repro.compiler import IRBuilder, KeyAllocator, Module, \
+    compile_to_assembly
 from repro.cpu.trap import Trap
-from repro.defenses import ReturnSiteTable
+from repro.defenses import ReturnProtection, retsite_table_symbol
 from repro.mem import PMPRegion
 from repro.soc import build_embedded_system
 
-
-def build_firmware():
-    """Bare-metal 'firmware' using a return-site table."""
-    table = ReturnSiteTable("sensor_read")
-    call1 = table.call_snippet("after_first_read")
-    call2 = table.call_snippet("after_second_read")
-    protected_return = table.return_snippet()
-    source = f"""
+# Bare-metal entry: no kernel to exit to, so halt for the demo harness.
+START = """
 .globl _start
 _start:
-    li s0, 0
-{call1}
-    add s0, s0, a0          # accumulate first reading
-{call2}
-    add s0, s0, a0          # accumulate second reading
-    mv a0, s0
-    ebreak                  # halt for the demo harness
-
-# The protected function: returns ONLY through the keyed table.
-sensor_read:
-    li a0, 21
-{protected_return}
-
-{table.table_section()}
+    call main
+    ebreak
 """
-    return source, table
+
+
+def build_firmware():
+    """Bare-metal 'firmware' whose sensor read returns only through its
+    keyed return-site table."""
+    module = Module("firmware")
+    b = IRBuilder(module.function("sensor_read"))
+    b.ret(b.li(21))
+    b = IRBuilder(module.function("main"))
+    first = b.call("sensor_read")
+    second = b.call("sensor_read")
+    b.ret(b.add(first, second))     # accumulate both readings
+    protection = ReturnProtection(["sensor_read"],
+                                  allocator=KeyAllocator(first_key=900))
+    source = compile_to_assembly(module, hardening=[protection])
+    image = link([assemble(source, name="firmware.s"),
+                  assemble(START, name="start.s")])
+    return image, protection
 
 
 def main() -> None:
-    source, table = build_firmware()
-    image = link([assemble(source, name="firmware.s")])
+    image, protection = build_firmware()
 
     regions = []
     for segment in image.segments:
@@ -83,8 +84,9 @@ def main() -> None:
         else:
             print(f"\nfirmware trapped: {trap}")
 
-    print(f"\nreturn-site table '{table.symbol}' has "
-          f"{len(table.sites)} entries, sealed with key {table.key}.")
+    print(f"\nreturn-site table '{retsite_table_symbol('sensor_read')}' "
+          f"has {len(protection.sites['sensor_read'])} entries, sealed "
+          f"with key {protection.keys['sensor_read']}.")
     print("A smashed stack cannot divert these returns: the target is")
     print("fetched with ld.ro from the keyed read-only table, never")
     print("from the stack.")

@@ -1,12 +1,19 @@
 """Typed configuration surface for every ``REPRO_*`` knob.
 
-One :class:`Config` dataclass replaces the ad-hoc ``os.environ`` reads
-that used to be scattered through ``cpu/core.py``, the compiled tiers,
-``obs``, ``kernel/fault.py`` and the tools. Environment variables remain
-the *default source* — :meth:`Config.from_env` is the single reader —
-but every consumer now goes through :func:`current`, which also honours
-programmatic overrides (:func:`overrides`) so tests and the replay
-machinery can pin a tier without mutating the process environment.
+One frozen :class:`Config` holds every knob, and every consumer reads
+it through :func:`current`. The environment is the default source,
+parsed once per process: :meth:`Config.from_env` runs at the first
+:func:`current` call and its result is kept for the life of the
+process, so setting a ``REPRO_*`` variable later changes nothing. A
+failed parse is not kept: a ``REPRO_*`` variable that is no knob, or an
+unknown tier, raises :class:`~repro.errors.ConfigError` at the first
+read and at every later one.
+
+:func:`overrides` is the one way to change a knob inside a process
+(tests, the tools' ``--config`` flag, a tier pinned for one run). Worker
+processes forked inside an override run on it too, because they inherit
+the parent's memory; a pool that starts its workers with spawn passes
+the parent's :func:`current` to :func:`inherit` as its initializer.
 
 Knob table (also printed by ``python -m repro.config``):
 
@@ -196,11 +203,6 @@ class Config:
     def replace(self, **changes) -> "Config":
         return replace(self, **changes)
 
-    def to_env(self) -> "Dict[str, str]":
-        """The environment-variable encoding of this configuration."""
-        return {knob.env: knob.to_env(getattr(self, knob.field))
-                for knob in KNOBS}
-
     def resolve_jobs(self, jobs: "Optional[int]" = None) -> int:
         """Worker-process count: explicit argument beats the knob;
         0 means one worker per CPU; always at least 1."""
@@ -257,24 +259,32 @@ for _knob in KNOBS:
     _KNOB_BY_NAME[_knob.env] = _knob
     _KNOB_BY_NAME[_knob.env.lower()] = _knob
 
-# Programmatic override stack (innermost wins). Empty = read the
-# environment fresh on every current() call, so monkeypatched env vars
-# keep working exactly as before this module existed.
+# The environment's Config, parsed at the first current() call and kept
+# for the life of the process (None until a parse succeeds).
+_FROM_ENV: "Optional[Config]" = None
+
+# The overrides() stack, innermost last; it shadows _FROM_ENV.
 _OVERRIDES: "list[Config]" = []
 
 
 def current() -> Config:
-    """The active configuration: innermost override, else the env."""
+    """The active configuration: the innermost override, else the
+    environment's, parsed once per process."""
+    global _FROM_ENV
     if _OVERRIDES:
         return _OVERRIDES[-1]
-    return Config.from_env()
+    if _FROM_ENV is None:
+        _FROM_ENV = Config.from_env()
+    return _FROM_ENV
 
 
-def set_override(config: "Optional[Config]") -> None:
-    """Install (or, with None, clear) a process-wide override."""
-    _OVERRIDES.clear()
-    if config is not None:
-        _OVERRIDES.append(config)
+def inherit(config: Config) -> None:
+    """Run this process on ``config`` instead of its environment: the
+    initializer of a worker pool, handed the parent's :func:`current`,
+    so a worker started with spawn (a fresh interpreter) runs on the
+    parent's configuration as a forked one does."""
+    global _FROM_ENV
+    _FROM_ENV = config
 
 
 @contextmanager
@@ -282,39 +292,19 @@ def overrides(**changes):
     """Scoped override: ``with config.overrides(tier="tier1"): ...``.
 
     Field values start from :func:`current`, so nested overrides
-    compose. Does not touch the process environment (worker processes
-    spawned inside the block keep reading their inherited env — use
-    :func:`env_knobs` when children must see the change).
+    compose; a ``None`` value leaves its field as it is. The process
+    environment is never touched.
     """
-    cfg = current().replace(**changes)
+    cfg = current()
+    changes = {name: value for name, value in changes.items()
+               if value is not None}
+    if changes:
+        cfg = cfg.replace(**changes)
     _OVERRIDES.append(cfg)
     try:
         yield cfg
     finally:
         _OVERRIDES.pop()
-
-
-@contextmanager
-def env_knobs(**changes):
-    """Scoped *environment* override: sets the corresponding ``REPRO_*``
-    variables and restores them on exit. Needed when the change must be
-    inherited by worker processes (benchmark sweeps)."""
-    saved = {}
-    for name, value in changes.items():
-        knob = _KNOB_BY_NAME.get(name)
-        if knob is None:
-            raise ConfigError(f"unknown config knob {name!r}")
-        saved[knob.env] = os.environ.get(knob.env)
-        os.environ[knob.env] = knob.to_env(value) \
-            if not isinstance(value, str) else value
-    try:
-        yield
-    finally:
-        for env_name, value in saved.items():
-            if value is None:
-                os.environ.pop(env_name, None)
-            else:
-                os.environ[env_name] = value
 
 
 def parse_kv(pairs: "Iterable[str]") -> "Dict[str, object]":

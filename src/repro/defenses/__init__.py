@@ -9,7 +9,8 @@
 * :class:`LabelCFIBaseline` — inline-ID CFI (the "CFI" the paper
   compares ICall against).
 * :class:`KeyedAllowlist` — the generic §IV-C allowlist recipe.
-* :class:`ReturnSiteTable` — the backward-edge sketch from §IV-C.
+* :class:`ReturnProtection` — backward-edge return-site allowlists
+  (§IV-C), as a compiler pass.
 """
 
 from repro.defenses.allowlist import KeyedAllowlist
@@ -17,7 +18,6 @@ from repro.defenses.base import Defense
 from repro.defenses.compose import describe_keys, full_hardening
 from repro.defenses.cfi_label import LabelCFIBaseline, id_word, type_id
 from repro.defenses.icall import TypeBasedCFI, gfpt_symbol
-from repro.defenses.retcheck import ReturnSiteTable
 from repro.defenses.retprotect import ReturnProtection, \
     retsite_table_symbol
 from repro.defenses.vcall import VCallProtection
@@ -26,6 +26,6 @@ from repro.defenses.vtint import VTintBaseline
 __all__ = [
     "KeyedAllowlist", "Defense", "describe_keys", "full_hardening",
     "LabelCFIBaseline", "id_word", "type_id",
-    "TypeBasedCFI", "gfpt_symbol", "ReturnSiteTable", "ReturnProtection",
+    "TypeBasedCFI", "gfpt_symbol", "ReturnProtection",
     "retsite_table_symbol", "VCallProtection", "VTintBaseline",
 ]

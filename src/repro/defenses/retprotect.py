@@ -1,7 +1,6 @@
 """ReturnProtection: backward-edge pointee integrity as a compiler pass.
 
-Automates the §IV-C return-site-allowlist construction that
-:mod:`repro.defenses.retcheck` provides as assembly snippets:
+The §IV-C return-site-allowlist construction, applied by the compiler:
 
 1. every call site of a protected function gets a *cookie* (its index in
    the callee's return-site table) passed in ``t6``, and a return-site

@@ -155,11 +155,12 @@ def _measure_pairs(tasks: "List[tuple]", jobs: int) \
             out[(name, variant)] = m
         return out
     # fork (when available) inherits the generated modules' determinism
-    # and the REPRO_* environment without re-importing the world.
+    # and the active configuration without re-importing the world; a
+    # spawned worker is handed the configuration by the initializer.
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() \
         else "spawn"
     ctx = multiprocessing.get_context(method)
-    with ctx.Pool(processes=jobs) as pool:
+    with ctx.Pool(jobs, _config.inherit, (_config.current(),)) as pool:
         for name, variant, m in pool.imap_unordered(_run_pair, tasks):
             out[(name, variant)] = m
     return out

@@ -191,7 +191,8 @@ class Campaign:
                 if "fork" in multiprocessing.get_all_start_methods() \
                 else "spawn"
             ctx = multiprocessing.get_context(method)
-            pool = ctx.Pool(processes=self.workers)
+            pool = ctx.Pool(self.workers, _config.inherit,
+                            (_config.current(),))
         else:
             local = WarmVictimPool(profile=self.profile)
         try:
@@ -204,8 +205,7 @@ class Campaign:
                 if pool is not None:
                     outs = pool.map(_worker_execute, payloads)
                 else:
-                    outs = [self._execute_local(local, p)
-                            for p in payloads]
+                    outs = [_worker_execute(p, local) for p in payloads]
                 for inp, out in zip(inputs, outs):
                     done += 1
                     if "error" in out:
@@ -250,17 +250,6 @@ class Campaign:
                               unexplained=report.unexplained_escapes,
                               ok=report.ok)
         return report
-
-    @staticmethod
-    def _execute_local(local: WarmVictimPool, payload: dict) -> dict:
-        input = FuzzInput.from_dict(payload["input"])
-        try:
-            outcome = local.execute(input, tier=payload.get("tier"))
-        except ReplayError as exc:
-            return {"input": payload["input"], "error": str(exc)}
-        return {"input": payload["input"],
-                "result": outcome.result.to_dict(),
-                "signature": outcome.signature, "tier": outcome.tier}
 
     # -- triage: dedup + minimize + verify -----------------------------------
 

@@ -21,7 +21,6 @@ data writes, which keep translations (DESIGN.md §8).
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -162,9 +161,7 @@ class WarmVictimPool:
         schedule = sorted(input.schedule, key=lambda e: e.frac)
         triggers = self.triggers(input)
 
-        scope = _config.overrides(tier=tier) if tier \
-            else nullcontext()
-        with scope:
+        with _config.overrides(tier=tier):
             kernel, process = restore(victim.snapshot, cow=True,
                                       translations=victim.translations)
             journal = replay_journal if replay_journal is not None \
@@ -226,22 +223,28 @@ class WarmVictimPool:
                                 checks_at=tuple(checks_at), tier=ran_tier)
 
 
-# -- multiprocessing face ----------------------------------------------------
-# The campaign forks workers with a plain fork-context Pool (the
-# eval/measure idiom); each worker keeps one module-global pool so warm
-# victims survive across the many map calls of a campaign.
+# -- the campaign's face -----------------------------------------------------
+# The campaign runs its payloads in its own pool, or maps them over a
+# process Pool (the eval/measure idiom) whose workers each keep one
+# module-global pool, so warm victims survive across the many map calls
+# of a campaign.
 
 _WORKER_POOL: "Optional[WarmVictimPool]" = None
 
 
-def _worker_execute(payload: dict) -> dict:
+def _worker_execute(payload: dict,
+                    pool: "Optional[WarmVictimPool]" = None) -> dict:
+    """One execution in wire form: ``payload`` names the input, tier and
+    profile; the result or error comes back as a dict. Runs in ``pool``,
+    else in this process's worker pool."""
     global _WORKER_POOL
-    if _WORKER_POOL is None:
-        _WORKER_POOL = WarmVictimPool(
-            profile=payload.get("profile", "processor+kernel"))
+    if pool is None:
+        if _WORKER_POOL is None:
+            _WORKER_POOL = WarmVictimPool(profile=payload["profile"])
+        pool = _WORKER_POOL
     input = FuzzInput.from_dict(payload["input"])
     try:
-        outcome = _WORKER_POOL.execute(input, tier=payload.get("tier"))
+        outcome = pool.execute(input, tier=payload["tier"])
     except ReplayError as exc:
         return {"input": payload["input"], "error": str(exc)}
     return {"input": payload["input"],

@@ -31,10 +31,6 @@ from repro.obs import OBS as _OBS
 DEFAULT_SECLOG_CAPACITY = 4096
 
 
-def _env_seclog_capacity() -> int:
-    return _config.current().seclog_cap
-
-
 @dataclass
 class SecurityEvent:
     """A ROLoad violation recorded by the modified kernel."""
@@ -64,7 +60,7 @@ class SecurityLog:
 
     def __init__(self, capacity: "int | None" = None):
         self.capacity = capacity if capacity is not None \
-            else _env_seclog_capacity()
+            else _config.current().seclog_cap
         if self.capacity <= 0:
             raise ValueError(f"security log needs a positive capacity, "
                              f"got {self.capacity}")

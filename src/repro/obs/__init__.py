@@ -51,14 +51,6 @@ __all__ = [
 ]
 
 
-def _env_enabled() -> bool:
-    return _config.current().obs
-
-
-def _env_capacity() -> int:
-    return _config.current().obs_events
-
-
 class ObservabilityState:
     """The process-wide switchboard.
 
@@ -103,7 +95,7 @@ def enable(capacity: "int | None" = None, *,
     if OBS.registry is None:
         OBS.registry = MetricsRegistry()
     if OBS.events is None:
-        OBS.events = EventStream(capacity or _env_capacity())
+        OBS.events = EventStream(capacity or cfg.obs_events)
         # Ring overflow must be visible in the metrics export, not only
         # on the Python object (DESIGN.md §14 satellite).
         OBS.registry.register_source(
@@ -211,5 +203,5 @@ def register_kernel(kernel, registry: "MetricsRegistry | None" = None,
                              lambda l=log: l.capacity)
 
 
-if _env_enabled():
+if _config.current().obs:
     enable()

@@ -137,10 +137,7 @@ def replay_tier(reference: Reference,
                 tier: "Optional[str]" = None) -> ReplayResult:
     """Restore the reference snapshot in a fresh machine and replay it to
     completion under ``tier`` (``None`` = the ambient config)."""
-    from contextlib import nullcontext
-    scope = _config.overrides(tier=tier) if tier \
-        else nullcontext()
-    with scope:
+    with _config.overrides(tier=tier):
         kernel, process = restore(reference.snapshot)
         if not process.alive:
             raise ReplayError("restored process is not runnable")

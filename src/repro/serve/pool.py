@@ -152,11 +152,7 @@ class SnapshotPool:
         began = perf_counter()
         if tier is not None:
             _config.check_tier(tier, ServeError)
-            with _config.overrides(tier=tier):
-                kernel, process = restore(
-                    entry.snapshot, cow=True,
-                    translations=entry.translations)
-        else:
+        with _config.overrides(tier=tier):
             kernel, process = restore(entry.snapshot, cow=True,
                                       translations=entry.translations)
         entry.forks += 1

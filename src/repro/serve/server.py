@@ -36,29 +36,16 @@ from repro.errors import ServeError
 from repro.serve import protocol
 from repro.serve.worker import worker_main
 
-_FORWARDED_ENV = ("PYTHONPATH", "PYTHONHASHSEED")
-
-
-def _worker_env() -> dict:
-    """Environment snapshot the workers re-read their config from."""
-    env = {name: value for name, value in os.environ.items()
-           if name.startswith("REPRO_")}
-    for name in _FORWARDED_ENV:
-        if name in os.environ:
-            env[name] = os.environ[name]
-    return env
-
-
 class WorkerHandle:
     """One worker process and its pipe; build it inside the event loop
     that reads the pipe."""
 
-    def __init__(self, worker_id: int, env: dict):
+    def __init__(self, worker_id: int):
         context = multiprocessing.get_context("fork")
         self.worker_id = worker_id
         self.conn, child = context.Pipe()
         self.process = context.Process(
-            target=worker_main, args=(child, worker_id, env),
+            target=worker_main, args=(child, worker_id),
             name=f"roload-serve-worker-{worker_id}", daemon=True)
         self.process.start()
         child.close()
@@ -122,13 +109,13 @@ class WorkerHandle:
 
 class ServeFrontEnd:
     """Session-id allocation, sharding, and protocol dispatch; build it
-    inside the event loop that serves it."""
+    inside the event loop that serves it. It runs on the active
+    :func:`repro.config.current`, and so do the workers it forks."""
 
-    def __init__(self, workers: "Optional[int]" = None, config=None):
-        self.config = config or _config.current()
+    def __init__(self, workers: "Optional[int]" = None):
+        self.config = _config.current()
         count = self.config.resolve_serve_workers(workers)
-        env = _worker_env()
-        self.workers = [WorkerHandle(i, env) for i in range(count)]
+        self.workers = [WorkerHandle(i) for i in range(count)]
         self.next_sid = 0
         self.started = perf_counter()
         self.requests = 0

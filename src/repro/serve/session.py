@@ -133,12 +133,6 @@ class Session:
     def _instret(self) -> int:
         return self.kernel.system.timing.stats.instructions
 
-    def _tier_scope(self):
-        from contextlib import nullcontext
-        if self.tier is None:
-            return nullcontext()
-        return _config.overrides(tier=self.tier)
-
     @property
     def alive(self) -> bool:
         return self.state in (RUNNING, DETACHED)
@@ -176,10 +170,8 @@ class Session:
         saved_audit = _obs.OBS.audit
         _obs.OBS.audit = self.audit
         try:
-            with self._tier_scope():
-                self.kernel.run(self.process,
-                                max_instructions=left,
-                                stop_after=slice_n)
+            self.kernel.run(self.process, max_instructions=left,
+                            stop_after=slice_n)
         finally:
             _obs.OBS.audit = saved_audit
         executed = core.instret - before
@@ -250,9 +242,8 @@ class Session:
                       "events": self.audit.events},
         }
         if with_hash:
-            with self._tier_scope():
-                from repro.replay.snapshot import state_hash
-                out["state_hash"] = state_hash(self.kernel)
+            from repro.replay.snapshot import state_hash
+            out["state_hash"] = state_hash(self.kernel)
         if with_audit:
             out["audit"]["records"] = sealed_view(self.audit)
         return out

@@ -149,19 +149,15 @@ class Worker:
                                   f"{error}")
 
 
-def worker_main(conn, worker_id: int, env: "dict | None" = None) -> None:
-    """Entry point of a forked worker process.
+def worker_main(conn, worker_id: int) -> None:
+    """Entry point of a forked worker process, which runs on the
+    configuration it inherits from the front end.
 
     Speaks dict-in, encoded-line-out over ``conn`` until a ``shutdown``
     request (or EOF) arrives. Observability is enabled once here so the
     per-session audit instrumentation sites are live; the per-slice
     trail swap happens inside :meth:`Session.step`.
     """
-    import os
-
-    for name, value in (env or {}).items():
-        os.environ[name] = value
-    _config.set_override(None)   # workers read the env they were handed
     _obs.enable(audit=True)
     worker = Worker(worker_id)
     try:

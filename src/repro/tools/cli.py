@@ -4,10 +4,10 @@ Every tool gets the same spelling for the same concept:
 
 * ``--config KEY=VAL`` (repeatable) — set any :mod:`repro.config` knob
   for this invocation, by field name (``tier=tier1``) or environment
-  name (``REPRO_TIER=tier1``). Applied through :func:`repro.config.env_knobs`, so
-  worker processes forked by a sweep inherit the overrides exactly like
-  environment variables — because they *are* environment variables for
-  the duration of the run.
+  name (``REPRO_TIER=tier1``). Applied through
+  :func:`repro.config.overrides` for the body of the run; the worker
+  processes a campaign or sweep starts inside it run on it as well, and
+  the process environment is not touched.
 * ``--trace-out TRACE.json`` / ``--metrics-out METRICS.json`` — enable
   the observability layer and export a Chrome trace-event JSON and/or a
   live-counter metrics snapshot after the run.
@@ -40,13 +40,9 @@ def add_config_flag(parser: argparse.ArgumentParser) -> None:
 @contextmanager
 def config_scope(args):
     """Apply ``--config`` overrides for the body of a tool run."""
-    pairs = getattr(args, "config", None) or []
-    if not pairs:
-        yield _config.current()
-        return
-    changes = _config.parse_kv(pairs)
-    with _config.env_knobs(**changes):
-        yield _config.current()
+    changes = _config.parse_kv(getattr(args, "config", None) or [])
+    with _config.overrides(**changes) as cfg:
+        yield cfg
 
 
 def add_obs_flags(parser: argparse.ArgumentParser,

@@ -37,10 +37,12 @@ def lowers(leg: str) -> bool:
 def set_tier(monkeypatch, leg: str, region_threshold=REGION_THRESHOLD):
     """Build the next cores at ``leg`` (one of :data:`LEGS`), forming
     regions after ``region_threshold`` arrivals (never on the
-    blocks-only leg)."""
+    blocks-only leg), until the test ends: an override of the tier that
+    ``monkeypatch`` pops."""
     if leg == BLOCKS_ONLY:
         leg, region_threshold = "tier4", NO_REGIONS
-    monkeypatch.setenv("REPRO_TIER", leg)
+    monkeypatch.setattr(config, "_OVERRIDES", [
+        *config._OVERRIDES, config.current().replace(tier=leg)])
     monkeypatch.setattr(regions, "REGION_THRESHOLD", region_threshold)
 
 

@@ -19,7 +19,7 @@ from repro.obs.attribution import (
 )
 from repro.soc import build_system
 
-from tests.conftest import needs_native
+from tests.conftest import needs_native, set_tier
 
 from tests.cpu.test_jit import countdown_loop, jit_core, run_to_ebreak
 
@@ -149,7 +149,7 @@ def test_slow_path_attributes_every_retire_to_tier0(monkeypatch):
     register_system installs credits each instruction to the pc reached
     by the last control transfer, so the loop label is the hottest head
     and the histogram accounts for every retired instruction."""
-    monkeypatch.setenv("REPRO_TIER", "slow")
+    set_tier(monkeypatch, "slow")
     obs.enable()
     system = build_system(memory_size=64 << 20)
     obs.register_system(system)

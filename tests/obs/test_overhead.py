@@ -54,7 +54,7 @@ table: .quad 1
 
 
 def _run(monkeypatch):
-    monkeypatch.setenv("REPRO_TIER", "tier4")
+    set_tier(monkeypatch, "tier4")
     kernel = Kernel(build_system(memory_size=64 << 20))
     process = kernel.create_process(link([assemble(WORKLOAD)]))
     kernel.run(process)
@@ -185,7 +185,7 @@ def _sweep(tier):
 
     flatcore._bind = recording_bind
     try:
-        with config.env_knobs(tier=tier):
+        with config.overrides(tier=tier):
             runs = run_benchmarks(BENCHMARKS, VARIANTS, scale=SCALE,
                                   jobs=1)
     finally:
@@ -229,9 +229,6 @@ def test_tier2_sweep_with_obs_off_passes_the_bench_gate(monkeypatch):
     blocks alone (the blocks-only leg) stay inside the 15% regression
     gate — the acceptance bar for shipping the observability layer at
     all."""
-    monkeypatch.setenv("REPRO_OBS", "0")
-    # _sweep writes REPRO_TIER; setting it via monkeypatch first makes
-    # sure the test restores whatever the environment had.
     set_tier(monkeypatch, BLOCKS_ONLY)
     obs.disable()
 
@@ -249,8 +246,6 @@ def test_tier4_sweep_with_sampling_on_passes_the_bench_gate(monkeypatch):
     """The tentpole acceptance bar: an obs-ON tier-4 sweep with the
     flight recorder sampling stays inside the 15% gate against an
     obs-off reference — observability on is cheap, off is free."""
-    monkeypatch.setenv("REPRO_OBS", "0")
-    monkeypatch.setenv("REPRO_TIER", "tier4")
     obs.disable()
 
     def reference_sweep():

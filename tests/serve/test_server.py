@@ -254,6 +254,27 @@ class TestFrontEndPipes:
 
         _drive(scenario())
 
+    def test_workers_run_on_the_front_ends_config(self):
+        """Workers forked under an override run on it: with one session
+        per worker, the second create on the one worker is refused."""
+        async def call(front, **fields):
+            return json.loads(await front.handle_line(json.dumps(fields)))
+
+        async def scenario():
+            front = ServeFrontEnd(workers=1)
+            try:
+                assert front.config.serve_sessions == 1
+                reply = await call(front, op="create", **BASE)
+                assert reply["ok"], reply
+                reply = await call(front, op="create", **BASE)
+                assert not reply["ok"]
+                assert "session limit (1" in reply["error"], reply
+            finally:
+                front.shutdown()
+
+        with config.overrides(serve_sessions=1):
+            _drive(scenario())
+
     def test_no_thread_and_no_env_read_per_request(self, monkeypatch):
         from_env = config.Config.from_env.__func__
         reads = []

@@ -146,12 +146,29 @@ class TestFailClosed:
         assert session.kernel.security_log.capacity == 2
 
     def test_query_reports_caps_and_residency(self, pool, warm_key):
-        session = _fork_session(pool, warm_key, tier="tier1")
-        session.step(2000)
-        out = session.query()
+        """A tier-1 session keeps the tier its fork built it at: under
+        an ambient tier 4, it retires nothing at tier 2 or tier 4,
+        across several steps and a hashed query. (Residency counts the
+        boot before the warm snapshot too, so compare against the
+        fork's.)"""
+        with config.overrides(tier="tier4"):
+            session = _fork_session(pool, warm_key, tier="tier1")
+            forked = session.query()["residency"]
+            for __ in range(4):
+                session.step(500)
+            out = session.query(with_hash=True)
+            session.step(500)
+            after = session.query()
         assert out["caps"]["instret"] == config.current().serve_instret
         assert out["retired"] == 2000
         assert out["tier"] == "tier1"
+        assert out["state_hash"]
         assert sum(out["residency"].values()) == \
             out["metrics"]["instructions"]
         assert out["audit"]["head"]
+        assert after["retired"] == 2500
+        for reply in (out, after):
+            residency = reply["residency"]
+            assert residency["tier1"] - forked["tier1"] == reply["retired"]
+            assert residency["tier2"] == forked["tier2"]
+            assert residency["tier4"] == forked["tier4"]

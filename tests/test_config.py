@@ -2,8 +2,8 @@
 
 Covers: env round-trips for every knob (including the historical
 empty-string flag semantics), failing closed on an unknown tier or
-``REPRO_*`` variable, the override stack, env_knobs restore, parse_kv
-error handling, and the tier knob driving the replay checker.
+``REPRO_*`` variable, the environment parsed once per process, the
+override stack, and parse_kv error handling.
 """
 
 import os
@@ -14,6 +14,18 @@ import pytest
 
 from repro import config
 from repro.errors import ConfigError
+
+
+@pytest.fixture
+def fresh(monkeypatch):
+    """A process that has not read its configuration yet."""
+    monkeypatch.setattr(config, "_FROM_ENV", None, raising=False)
+
+
+def _env_of(cfg):
+    """The ``REPRO_*`` environment that encodes ``cfg``."""
+    return {knob.env: knob.to_env(getattr(cfg, knob.field))
+            for knob in config.KNOBS}
 
 
 class TestFromEnv:
@@ -28,11 +40,11 @@ class TestFromEnv:
         cfg = config.Config(tier="tier1", obs=True, obs_events=128,
                             audit=True, seclog_cap=32, jobs=3,
                             bench_scale=0.5)
-        assert config.Config.from_env(cfg.to_env()) == cfg
+        assert config.Config.from_env(_env_of(cfg)) == cfg
 
     def test_default_config_round_trips(self):
         cfg = config.Config()
-        assert config.Config.from_env(cfg.to_env()) == cfg
+        assert config.Config.from_env(_env_of(cfg)) == cfg
 
     def test_historical_empty_string_flag_semantics(self):
         # REPRO_OBS= (empty) historically meant OFF. The typed layer
@@ -59,7 +71,7 @@ class TestFromEnv:
         with pytest.raises(ConfigError):
             config.Config.from_env({"REPRO_JOBS": "many"})
 
-    def test_reads_process_environ_by_default(self, monkeypatch):
+    def test_reads_process_environ_by_default(self, fresh, monkeypatch):
         monkeypatch.setenv("REPRO_TIER", "tier1")
         assert config.current().tier == "tier1"
 
@@ -67,7 +79,8 @@ class TestFromEnv:
 class TestFailClosed:
     def test_unknown_tier_is_rejected_everywhere(self, monkeypatch):
         """Every way in refuses a name outside TIERS, tier2 included:
-        tier 4 lowers its blocks first, but no setting stops there."""
+        tier 4 lowers its blocks first, but no setting stops there. A
+        refused environment is not kept, so every read refuses it."""
         names = r"\(one of: slow, tier1, tier4\)"
         for tier in ("bogus", "tier3", "tier2"):
             with pytest.raises(ConfigError, match=names):
@@ -78,21 +91,27 @@ class TestFailClosed:
                 with config.overrides(tier=tier):
                     pass
             with pytest.raises(ConfigError, match=names):
-                with config.env_knobs(**config.parse_kv([f"tier={tier}"])):
-                    config.current()
+                with config.overrides(**config.parse_kv([f"tier={tier}"])):
+                    pass
+            monkeypatch.setattr(config, "_FROM_ENV", None)
             monkeypatch.setenv("REPRO_TIER", tier)
-            with pytest.raises(ConfigError, match=names):
-                config.current()
+            for __ in range(2):
+                with pytest.raises(ConfigError, match=names):
+                    config.current()
 
     @pytest.mark.parametrize("name", ["REPRO_TIER3", "REPRO_WARP"])
-    def test_unknown_repro_variable_is_rejected(self, monkeypatch, name):
+    def test_unknown_repro_variable_is_rejected(self, fresh, monkeypatch,
+                                                name):
         with pytest.raises(ConfigError, match=name):
             config.Config.from_env({name: "0"})
         monkeypatch.setenv(name, "0")
-        with pytest.raises(ConfigError, match=name):
-            config.current()
+        for __ in range(2):     # at the first read and every later one
+            with pytest.raises(ConfigError, match=name):
+                config.current()
         with pytest.raises(ConfigError, match=name):
             config.parse_kv([f"{name}=0"])
+        monkeypatch.delenv(name)
+        assert config.current() == config.Config.from_env()
 
     def test_other_variables_are_ignored(self):
         cfg = config.Config.from_env({"PATH": "/bin", "REPRO": "x",
@@ -134,33 +153,20 @@ class TestOverrides:
                 assert inner.obs and inner.tier == "tier1"
             assert config.current().tier == "tier1"
             assert config.current().obs == base.obs
-        assert config.current() == config.current()  # env-derived again
+        assert config.current() is base     # the environment's again
 
     def test_overrides_do_not_touch_environ(self):
         before = os.environ.get("REPRO_TIER")
         with config.overrides(tier="tier1"):
             assert os.environ.get("REPRO_TIER") == before
 
-    def test_set_override_and_clear(self):
-        config.set_override(config.Config(serve_slice=3))
-        try:
-            assert config.current().serve_slice == 3
-        finally:
-            config.set_override(None)
-        assert config.current().serve_slice == 50_000
+    def test_none_leaves_a_field_as_it_is(self):
+        with config.overrides(tier="tier1"):
+            with config.overrides(tier=None, serve_slice=None) as cfg:
+                assert cfg == config.current()
+                assert cfg.tier == "tier1"
 
-    def test_env_knobs_sets_and_restores_environ(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TIER", raising=False)
-        with config.env_knobs(tier="tier1"):
-            assert os.environ["REPRO_TIER"] == "tier1"
-            assert config.current().tier == "tier1"
-        assert "REPRO_TIER" not in os.environ
-
-    def test_env_knobs_accepts_env_spelling(self):
-        with config.env_knobs(REPRO_SERVE_SLICE=5):
-            assert config.current().serve_slice == 5
-
-    def test_a_core_reads_the_environment_once(self, monkeypatch):
+    def test_a_core_reads_the_environment_once(self, fresh, monkeypatch):
         from repro.cpu import Core
         from repro.mem import MMU, PhysicalMemory
         reads = []
@@ -174,12 +180,44 @@ class TestOverrides:
         assert core.tier == "tier1"
         with config.overrides(tier="slow"):
             assert Core(memory, MMU(memory)).tier == "slow"
-        assert len(reads) == 2   # the override's base, not the core
+        assert Core(memory, MMU(memory)).tier == "tier1"
+        assert len(reads) == 1
 
-    def test_env_knobs_unknown_name(self):
-        with pytest.raises(ConfigError):
-            with config.env_knobs(warp_factor=9):
-                pass
+
+class TestReadOnce:
+    """The environment is parsed once per process; after that only
+    :func:`config.overrides` changes what :func:`config.current`
+    returns."""
+
+    def test_setenv_after_the_first_read_changes_nothing(self,
+                                                         monkeypatch):
+        first = config.current()
+        wider = first.serve_slice + 1
+        monkeypatch.setenv("REPRO_SERVE_SLICE", str(wider))
+        assert config.current() is first
+        with config.overrides(serve_slice=wider):
+            assert config.current().serve_slice == wider
+        assert config.current() is first
+
+    def test_a_guided_campaign_parses_the_environment_at_most_once(
+            self, fresh, monkeypatch):
+        from repro.fuzz import Campaign
+        reads = []
+        from_env = config.Config.from_env.__func__
+        monkeypatch.setattr(config.Config, "from_env", classmethod(
+            lambda cls, env=None: reads.append(env) or from_env(cls, env)))
+        report = Campaign(mode="guided", executions=120, workers=1,
+                          seed=1).run()
+        assert report.executions == 120
+        assert len(reads) <= 1
+
+    def test_forked_campaign_workers_run_on_the_override(self):
+        from repro.fuzz import Campaign
+        with config.overrides(tier="tier1"):
+            report = Campaign(mode="guided", executions=8, workers=2,
+                              seed=7).run()
+        assert report.errors == 0
+        assert report.tier == "tier1"
 
 
 class TestParseKv:
@@ -242,7 +280,7 @@ class TestServeKnobs:
         cfg = config.Config(serve_workers=4, serve_sessions=16,
                             serve_slice=1000, serve_instret=50_000,
                             serve_frames=64)
-        assert config.Config.from_env(cfg.to_env()) == cfg
+        assert config.Config.from_env(_env_of(cfg)) == cfg
 
     def test_workers_auto_rule(self):
         auto = config.Config.from_env({"REPRO_SERVE_WORKERS": "auto"})
